@@ -61,9 +61,6 @@ from .sampler import (
     moment_R0,
     pgauss_abs_moment,
     radial_xi,
-    sample_pgauss,
-    sample_unit_ball,
-    sample_unit_sphere,
     sphere_abs_moment,
     sphere_mixed_moment,
 )

@@ -21,7 +21,15 @@ from .estimator import (
     ObjectiveFunction,
     estimate_gradient,
 )
-from .metric import TensorMetric, apply_inverse, exp_corr_metric, identity_metric
+from .expr import compile_expression
+from .metric import (
+    TensorMetric,
+    apply_inverse,
+    exp_corr_metric,
+    from_matrix,
+    identity_metric,
+    load_matrix,
+)
 from .sampler import DirectionLaw, RadialLaw
 from .scheme import one_point, two_point_central
 
@@ -164,7 +172,6 @@ class ExperimentSpec:
     x0: np.ndarray | None = None
     reps: int = 50
     seed: int = 0
-    baseline: str | None = None
     name: str = ""
     metric_label: str = ""
 
@@ -174,8 +181,6 @@ class ExperimentSpec:
         if self.x0 is None:
             self.x0 = np.zeros(self.function.dim)
         self.x0 = np.asarray(self.x0, dtype=float)
-        if self.baseline not in (None, "central_fdm"):
-            raise DomainError(f"unknown baseline {self.baseline!r}")
 
 
 @dataclass(frozen=True)
@@ -207,11 +212,22 @@ def derive_seed(seed: int, *indices: int) -> int:
     return int(state.generate_state(1, np.uint64)[0])
 
 
-def _reference_gradient(spec: ExperimentSpec) -> np.ndarray:
-    if spec.function.grad is not None:
-        return np.asarray(spec.function.grad(spec.x0), dtype=float)
+def _reference_gradient(function: ObjectiveFunction, x0: np.ndarray) -> np.ndarray:
+    if function.grad is not None:
+        return np.asarray(function.grad(x0), dtype=float)
     # no analytic gradient: use a tight central-difference reference
-    return central_fdm(spec.function.fresh(), spec.x0, 1e-6)
+    return central_fdm(function.fresh(), x0, 1e-6)
+
+
+def _map(fn, items, threads: int) -> list:
+    """[fn(item) for item in items], on ``threads`` workers (0 = one per core).
+
+    Results keep the order of ``items`` whatever the worker count.
+    """
+    if threads == 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=threads or None) as pool:
+        return list(pool.map(fn, items))
 
 
 def _row_static(spec: ExperimentSpec) -> dict:
@@ -263,18 +279,11 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1):
     Returns (rows, summary) where summary holds mean/sd of err and the
     mean evaluation count over successful reps.
     """
-    grad_dep = apply_inverse(spec.metric, _reference_gradient(spec))
+    grad_dep = apply_inverse(spec.metric, _reference_gradient(spec.function, spec.x0))
     if np.linalg.norm(grad_dep) == 0.0:
         raise DomainError("reference gradient is zero in the transformed space")
     static = _row_static(spec)
-    reps = range(spec.reps)
-    if threads == 0:
-        threads = None  # executor default: cpu count
-    if threads == 1:
-        rows = [_run_rep(spec, grad_dep, static, rep) for rep in reps]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda rep: _run_rep(spec, grad_dep, static, rep), reps))
+    rows = _map(lambda rep: _run_rep(spec, grad_dep, static, rep), range(spec.reps), threads)
     errs = np.array([row.err for row in rows])
     good = errs[np.isfinite(errs)]
     evals = np.array([row.n_evals for row in rows if math.isfinite(row.err)], dtype=float)
@@ -293,7 +302,7 @@ def fdm_row(function: ObjectiveFunction, metric: TensorMetric, h: float, x0=None
     if x0 is None:
         x0 = np.zeros(f.dim)
     x0 = np.asarray(x0, dtype=float)
-    grad_true = np.asarray(f.grad(x0), dtype=float) if f.grad is not None else central_fdm(f.fresh(), x0, 1e-6)
+    grad_true = _reference_gradient(f, x0)
     t0 = time.perf_counter()
     grad_est = central_fdm(f, x0, h)
     wall = (time.perf_counter() - t0) * 1e3
@@ -331,7 +340,7 @@ def mse_sweep(spec: ExperimentSpec, n_values, reps: int, threads: int = 1):
     n_values = sorted({int(n) for n in n_values})
     if len(n_values) < 2:
         raise DomainError("mse_sweep needs at least two distinct sample sizes")
-    grad_dep = apply_inverse(spec.metric, _reference_gradient(spec))
+    grad_dep = apply_inverse(spec.metric, _reference_gradient(spec.function, spec.x0))
 
     def one(n: int, rep: int) -> float:
         cfg = replace(spec.cfg, n=n, seed=derive_seed(spec.seed, n, rep), decorrelate=False)
@@ -343,14 +352,7 @@ def mse_sweep(spec: ExperimentSpec, n_values, reps: int, threads: int = 1):
         return float(diff @ diff)
 
     pairs = [(n, rep) for n in n_values for rep in range(reps)]
-    if threads == 0:
-        threads = None
-    if threads == 1:
-        sq = [one(n, rep) for n, rep in pairs]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            sq = list(pool.map(lambda nr: one(*nr), pairs))
-    sq = np.array(sq).reshape(len(n_values), reps)
+    sq = np.array(_map(lambda nr: one(*nr), pairs, threads)).reshape(len(n_values), reps)
     with np.errstate(invalid="ignore"):
         means = np.array([np.nanmean(col) if np.isfinite(col).any() else float("nan") for col in sq])
     points = [(n, float(m)) for n, m in zip(n_values, means)]
@@ -367,55 +369,45 @@ def mse_sweep(spec: ExperimentSpec, n_values, reps: int, threads: int = 1):
     return points, slope
 
 
-def _preset_cells(d: int, ln_values):
-    # table columns give the total evaluation budget LN; L=1 cells use
-    # N = LN directly, L=2 cells use N = LN/2
-    cells = []
-    for ln, l in ln_values:
-        n = ln if l == 1 else ln // l
-        cells.append((l, n))
-    return cells
-
-
 TABLE_PRESETS = {
     "t2": {
         "function": ("rosenbrock", {"d": 10}),
-        "metric": ("identity", {}),
+        "metric": "identity",
         "p": 3.0,
         "cells": [(11, 1), (15, 1), (20, 1), (20, 2)],
         "fdm": True,
     },
     "t2dep": {
         "function": ("rosenbrock", {"d": 10}),
-        "metric": ("exp-corr", {"rho": 0.5}),
+        "metric": "exp-corr:0.5",
         "p": 3.0,
         "cells": [(11, 1), (15, 1), (20, 1), (20, 2)],
         "fdm": False,
     },
     "t3": {
         "function": ("rosenbrock", {"d": 100}),
-        "metric": ("identity", {}),
+        "metric": "identity",
         "p": 5.0,
         "cells": [(101, 1), (150, 1), (200, 1), (200, 2)],
         "fdm": True,
     },
     "t4": {
         "function": ("rosenbrock", {"d": 1000}),
-        "metric": ("identity", {}),
+        "metric": "identity",
         "p": 7.0,
         "cells": [(1001, 1), (2000, 1), (2000, 2)],
         "fdm": True,
     },
     "t5": {
         "function": ("synthetic", {"d": 200, "m1": 2.0, "m2": 1.0}),
-        "metric": ("identity", {}),
+        "metric": "identity",
         "p": 6.0,
         "cells": [(201, 1), (400, 1), (400, 2)],
         "fdm": True,
     },
     "t6": {
         "function": ("synthetic", {"d": 200, "m1": 200.0, "m2": 1e-3}),
-        "metric": ("identity", {}),
+        "metric": "identity",
         "p": 6.0,
         "cells": [(201, 1), (400, 1), (400, 2)],
         "fdm": True,
@@ -423,20 +415,33 @@ TABLE_PRESETS = {
 }
 
 
-def _preset_function(kind: str, params: dict) -> ObjectiveFunction:
-    if kind == "rosenbrock":
-        return rosenbrock(params["d"])
-    if kind == "synthetic":
-        return synthetic_ms(params["d"], params["m1"], params["m2"])
-    raise DomainError(f"unknown preset function {kind!r}")
+def _build_function(name: str, d: int, m1=None, m2=None) -> ObjectiveFunction:
+    """The objective named by a CLI or preset function spec."""
+    if name == "rosenbrock":
+        return rosenbrock(d)
+    if name == "synthetic":
+        return synthetic_ms(d, m1, m2)
+    if name.startswith("expr:"):
+        fun = compile_expression(name[len("expr:"):], d)
+        return ObjectiveFunction(fun=fun, dim=d, name="custom-expr")
+    raise DomainError(
+        f"unknown function {name!r}; use rosenbrock, synthetic or expr:<expression>"
+    )
 
 
-def _preset_metric(kind: str, params: dict, d: int) -> TensorMetric:
-    if kind == "identity":
+def _build_metric(spec: str, d: int) -> TensorMetric:
+    """The metric named by a spec string; the spec doubles as the row label."""
+    if spec == "identity":
         return identity_metric(d)
-    if kind == "exp-corr":
-        return exp_corr_metric(d, params["rho"])
-    raise DomainError(f"unknown preset metric {kind!r}")
+    if spec.startswith("exp-corr:"):
+        try:
+            rho = float(spec[len("exp-corr:"):])
+        except ValueError:
+            raise DomainError(f"exp-corr needs a numeric rho, got {spec!r}") from None
+        return exp_corr_metric(d, rho)
+    if spec.startswith("file:"):
+        return from_matrix(load_matrix(spec[len("file:"):]))
+    raise DomainError(f"unknown metric {spec!r}; use identity, exp-corr:<rho> or file:<path>")
 
 
 def table_specs(name: str, reps: int = 50, seed: int = 0) -> list[ExperimentSpec]:
@@ -450,13 +455,13 @@ def table_specs(name: str, reps: int = 50, seed: int = 0) -> list[ExperimentSpec
     if name not in TABLE_PRESETS:
         raise DomainError(f"unknown table preset {name!r}; choose from {sorted(TABLE_PRESETS)}")
     preset = TABLE_PRESETS[name]
-    fkind, fparams = preset["function"]
-    mkind, mparams = preset["metric"]
+    fname, fparams = preset["function"]
     specs = []
     for cell_index, (ln, l) in enumerate(preset["cells"]):
-        function = _preset_function(fkind, fparams)
+        function = _build_function(fname, **fparams)
         d = function.dim
-        metric = _preset_metric(mkind, mparams, d)
+        metric = _build_metric(preset["metric"], d)
+        # cells give the evaluation budget LN; N = LN / L
         n = ln if l == 1 else ln // l
         cfg = EstimatorConfig(
             scheme=one_point() if l == 1 else two_point_central(),
@@ -468,7 +473,6 @@ def table_specs(name: str, reps: int = 50, seed: int = 0) -> list[ExperimentSpec
             decorrelate=True,
             decorrelate_mode=DECORRELATE_SAMPLE,
         )
-        label = "identity" if mkind == "identity" else f"exp-corr:{mparams['rho']}"
         specs.append(
             ExperimentSpec(
                 function=function,
@@ -477,7 +481,7 @@ def table_specs(name: str, reps: int = 50, seed: int = 0) -> list[ExperimentSpec
                 reps=reps,
                 seed=derive_seed(seed, cell_index),
                 name=f"{name}[LN={ln},L={l}]",
-                metric_label=label,
+                metric_label=preset["metric"],
             )
         )
     return specs

@@ -7,6 +7,7 @@ schema or to JSON.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -22,11 +23,9 @@ from .estimator import (
     DECORRELATE_MOMENT,
     DECORRELATE_SAMPLE,
     EstimatorConfig,
-    ObjectiveFunction,
     recommended_sigma,
 )
-from .expr import compile_expression
-from .metric import TensorMetric, exp_corr_metric, from_matrix, identity_metric, load_matrix
+from .metric import TensorMetric
 from .sampler import (
     DirectionLaw,
     RadialLaw,
@@ -45,8 +44,9 @@ CSV_HEADER = [
     "decorrelated", "metric", "rep", "seed", "err", "n_evals", "wall_ms",
 ]
 
-_FLOAT_FIELDS = {"p", "h", "sigma", "err", "wall_ms"}
-_INT_FIELDS = {"d", "L", "N", "rep", "seed", "n_evals"}
+# ResultRow / RunConfig field -> CSV column and command-line flag name
+_UPPER = {"l": "L", "n": "N"}
+_CELL_TYPES = {_UPPER.get(f.name, f.name): f.type for f in fields(bench.ResultRow)}
 
 
 @dataclass
@@ -73,6 +73,9 @@ class RunConfig:
     out: str | None = None
     format: str = "csv"
 
+    def __post_init__(self):
+        _check_run_options(self.seed, self.reps, self.threads)
+
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         known = {f.name for f in fields(cls)}
@@ -95,32 +98,14 @@ class RunConfig:
             fh.write("\n")
 
 
-def _build_function(cfg: RunConfig) -> ObjectiveFunction:
-    if cfg.function == "rosenbrock":
-        return bench.rosenbrock(cfg.d)
-    if cfg.function == "synthetic":
-        return bench.synthetic_ms(cfg.d, cfg.m1, cfg.m2)
-    if cfg.function.startswith("expr:"):
-        fun = compile_expression(cfg.function[len("expr:"):])
-        return ObjectiveFunction(fun=fun, dim=cfg.d, name="custom-expr")
-    raise DomainError(
-        f"unknown function {cfg.function!r}; use rosenbrock, synthetic or expr:<expression>"
-    )
-
-
-def _build_metric(spec: str, d: int) -> TensorMetric:
-    if spec == "identity":
-        return identity_metric(d)
-    if spec.startswith("exp-corr:"):
-        return exp_corr_metric(d, float(spec[len("exp-corr:"):]))
-    if spec.startswith("file:"):
-        return from_matrix(load_matrix(spec[len("file:"):]))
-    raise DomainError(f"unknown metric {spec!r}; use identity, exp-corr:<rho> or file:<path>")
+def _check_run_options(seed, reps, threads) -> None:
+    """Reject run options that would only fail deep inside a run."""
+    for name, value, low in (("seed", seed, 0), ("reps", reps, 1), ("threads", threads, 0)):
+        if not isinstance(value, int) or value < low:
+            raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _resolve_sigma(sigma, metric: TensorMetric, d: int, p: float) -> float:
-    if isinstance(sigma, (int, float)):
-        return float(sigma)
     if sigma == "auto-c3":
         return recommended_sigma(metric, d, p, "self-normalizing")
     if sigma == "auto-d2":
@@ -132,24 +117,12 @@ def _resolve_sigma(sigma, metric: TensorMetric, d: int, p: float) -> float:
 
 
 def _build_spec(cfg: RunConfig) -> bench.ExperimentSpec:
-    function = _build_function(cfg)
-    metric = _build_metric(cfg.metric, cfg.d)
+    function = bench._build_function(cfg.function, cfg.d, cfg.m1, cfg.m2)
+    metric = bench._build_metric(cfg.metric, cfg.d)
     sigma = _resolve_sigma(cfg.sigma, metric, cfg.d, cfg.p)
-    if cfg.law == "sphere":
-        law = DirectionLaw.sphere(cfg.p)
-    elif cfg.law == "ball":
-        law = DirectionLaw.ball(cfg.p)
-    elif cfg.law == "iid-uniform":
-        # calibrate the half width so E[V_k^2] = sigma^2
-        law = DirectionLaw.iid_uniform(math.sqrt(3.0) * sigma)
-    else:
-        raise DomainError(f"unknown law {cfg.law!r}")
-    if cfg.radial == "uniform":
-        radial = RadialLaw.uniform(sigma)
-    elif cfg.radial == "dirac":
-        radial = RadialLaw.dirac(sigma)
-    else:
-        raise DomainError(f"unknown radial law {cfg.radial!r}")
+    # the iid-uniform half width is calibrated so E[V_k^2] = sigma^2
+    law = DirectionLaw(cfg.law, p=cfg.p, half_width=math.sqrt(3.0) * sigma)
+    radial = RadialLaw(cfg.radial, sigma)
     scheme = one_point() if cfg.l == 1 else build_scheme(
         [1.0, -1.0] if cfg.l == 2 else list(range(1, cfg.l + 1)), LOW_ORDER
     )
@@ -174,81 +147,83 @@ def _build_spec(cfg: RunConfig) -> bench.ExperimentSpec:
 
 
 def _csv_cell(name: str, value) -> str:
-    if name in _FLOAT_FIELDS:
+    if _CELL_TYPES[name] == "float":
         return format(float(value), ".17e")
-    if name in _INT_FIELDS:
+    if _CELL_TYPES[name] == "int":
         return str(int(value))
-    if name == "decorrelated":
+    if _CELL_TYPES[name] == "bool":
         return "true" if value else "false"
     return str(value)
 
 
 def _row_record(row: bench.ResultRow) -> dict:
-    return {
-        "function": row.function, "d": row.d, "p": row.p, "L": row.l, "N": row.n,
-        "h": row.h, "sigma": row.sigma, "law": row.law, "radial": row.radial,
-        "decorrelated": row.decorrelated, "metric": row.metric, "rep": row.rep,
-        "seed": row.seed, "err": row.err, "n_evals": row.n_evals, "wall_ms": row.wall_ms,
-    }
+    return {_UPPER.get(name, name): value for name, value in asdict(row).items()}
+
+
+@contextlib.contextmanager
+def _open_out(out: str | None):
+    """The named output file, or stdout for None / '-'."""
+    if out and out != "-":
+        with open(out, "w", newline="") as fh:
+            yield fh
+    else:
+        yield sys.stdout
+
+
+def _write_csv(out: str | None, header, lines) -> None:
+    with _open_out(out) as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(lines)
 
 
 def write_rows(rows, out: str | None, fmt: str = "csv") -> None:
     """Write result rows as CSV (fixed schema) or JSON; '-'/None = stdout."""
+    records = [_row_record(row) for row in rows]
     if fmt == "csv":
-        handle = open(out, "w", newline="") if out and out != "-" else sys.stdout
-        try:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(CSV_HEADER)
-            for row in rows:
-                rec = _row_record(row)
-                writer.writerow([_csv_cell(name, rec[name]) for name in CSV_HEADER])
-        finally:
-            if handle is not sys.stdout:
-                handle.close()
+        lines = [[_csv_cell(name, rec[name]) for name in CSV_HEADER] for rec in records]
+        _write_csv(out, CSV_HEADER, lines)
     elif fmt == "json":
-        payload = []
-        for row in rows:
-            rec = _row_record(row)
-            rec["note"] = row.note
-            payload.append(rec)
-        text = json.dumps(payload, indent=2)
-        if out and out != "-":
-            with open(out, "w") as fh:
-                fh.write(text + "\n")
-        else:
-            sys.stdout.write(text + "\n")
+        with _open_out(out) as fh:
+            fh.write(json.dumps(records, indent=2) + "\n")
     else:
         raise DomainError(f"unknown output format {fmt!r}")
 
 
 def _threads_default() -> int:
-    return int(os.environ.get("LPGRAD_THREADS", "1"))
+    value = os.environ.get("LPGRAD_THREADS", "1")
+    try:
+        return int(value)
+    except ValueError:
+        raise DomainError(f"LPGRAD_THREADS must be an integer, got {value!r}") from None
+
+
+_CHOICES = {
+    "law": ["sphere", "ball", "iid-uniform"],
+    "radial": ["uniform", "dirac"],
+    "decorrelate_mode": [DECORRELATE_MOMENT, DECORRELATE_SAMPLE],
+    "format": ["csv", "json"],
+}
+_HELP = {
+    "function": "rosenbrock | synthetic | expr:<expression>",
+    "d": "dimension (required unless --config)",
+    "sigma": "number | auto-c3 | auto-d2",
+    "metric": "identity | exp-corr:<rho> | file:<path>",
+}
 
 
 def _add_estimate_args(sub: argparse.ArgumentParser) -> None:
+    """One flag per RunConfig field; defaults stay in the dataclass."""
     sub.add_argument("--config", help="JSON run configuration (other flags ignored)")
-    sub.add_argument("--function", default="rosenbrock",
-                     help="rosenbrock | synthetic | expr:<expression>")
-    sub.add_argument("--d", type=int, help="dimension (required unless --config)")
-    sub.add_argument("--p", type=float, default=3.0)
-    sub.add_argument("--L", dest="l", type=int, default=1)
-    sub.add_argument("--N", dest="n", type=int, default=20)
-    sub.add_argument("--h", type=float, default=1e-4)
-    sub.add_argument("--sigma", default="auto-d2", help="number | auto-c3 | auto-d2")
-    sub.add_argument("--law", default="sphere", choices=["sphere", "ball", "iid-uniform"])
-    sub.add_argument("--radial", default="uniform", choices=["uniform", "dirac"])
-    sub.add_argument("--decorrelate", action="store_true")
-    sub.add_argument("--decorrelate-mode", default=DECORRELATE_MOMENT,
-                     choices=[DECORRELATE_MOMENT, DECORRELATE_SAMPLE])
-    sub.add_argument("--metric", default="identity",
-                     help="identity | exp-corr:<rho> | file:<path>")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--reps", type=int, default=1)
-    sub.add_argument("--m1", type=float, default=2.0)
-    sub.add_argument("--m2", type=float, default=1.0)
-    sub.add_argument("--threads", type=int, default=None)
-    sub.add_argument("--out", default=None)
-    sub.add_argument("--format", default="csv", choices=["csv", "json"])
+    for f in fields(RunConfig):
+        flag = "--" + _UPPER.get(f.name, f.name).replace("_", "-")
+        kw = {"dest": f.name, "default": None, "help": _HELP.get(f.name)}
+        if f.type == "bool":
+            kw["action"] = "store_true"
+        else:
+            kw["type"] = {"int": int, "float": float}.get(f.type, str)
+            kw["choices"] = _CHOICES.get(f.name)
+        sub.add_argument(flag, **kw)
     sub.add_argument("--save-config", default=None,
                      help="write the effective run configuration to this JSON path")
 
@@ -261,14 +236,10 @@ def _estimate_config(args) -> RunConfig:
         return cfg
     if args.d is None:
         raise DomainError("--d is required")
-    return RunConfig(
-        function=args.function, d=args.d, p=args.p, l=args.l, n=args.n, h=args.h,
-        sigma=args.sigma, law=args.law, radial=args.radial,
-        decorrelate=args.decorrelate, decorrelate_mode=args.decorrelate_mode,
-        metric=args.metric, seed=args.seed, reps=args.reps, m1=args.m1, m2=args.m2,
-        threads=args.threads if args.threads is not None else _threads_default(),
-        out=args.out, format=args.format,
-    )
+    given = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
+    given = {name: value for name, value in given.items() if value is not None}
+    given.setdefault("threads", _threads_default())
+    return RunConfig(**given)
 
 
 def cmd_estimate(args) -> int:
@@ -290,6 +261,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_table(args) -> int:
     threads = args.threads if args.threads is not None else _threads_default()
+    _check_run_options(args.seed, args.reps, threads)
     specs = bench.table_specs(args.name, reps=args.reps, seed=args.seed)
     rows = []
     for spec in specs:
@@ -363,15 +335,7 @@ def cmd_mse_sweep(args) -> int:
     spec = _build_spec(cfg)
     n_values = [int(tok) for tok in args.n_values.split(",") if tok.strip()]
     points, slope = bench.mse_sweep(spec, n_values, reps=cfg.reps, threads=cfg.threads)
-    handle = open(cfg.out, "w", newline="") if cfg.out and cfg.out != "-" else sys.stdout
-    try:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["n", "mse"])
-        for n, mse in points:
-            writer.writerow([str(n), format(mse, ".17e")])
-    finally:
-        if handle is not sys.stdout:
-            handle.close()
+    _write_csv(cfg.out, ["n", "mse"], [[str(n), format(mse, ".17e")] for n, mse in points])
     print(f"log-log slope = {slope:.4f}", file=sys.stderr)
     return 0
 

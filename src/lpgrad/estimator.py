@@ -22,6 +22,7 @@ from .metric import TensorMetric, apply_inverse
 from .sampler import (
     DirectionLaw,
     RadialLaw,
+    _log_er2_over_sigma2,
     decorrelate,
     draw_batch,
     log_gamma,
@@ -38,12 +39,7 @@ __all__ = [
     "surrogate_bias_bound",
     "recommended_sigma",
     "recommend_p",
-    "DEFAULT_BANDWIDTH_RULE",
 ]
-
-# gamma exponent and scale for h = scale * N^(-gamma/2) when a
-# bandwidth rule is requested without parameters
-DEFAULT_BANDWIDTH_RULE = (1.5, 1.0)
 
 DECORRELATE_MOMENT = "moment"
 DECORRELATE_SAMPLE = "sample"
@@ -76,12 +72,10 @@ class ObjectiveFunction:
         return replace(self, eval_count=0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EstimatorConfig:
     """Everything the estimator needs besides the objective and point.
 
-    If ``bandwidth_rule`` = (gamma, scale) is set, h is derived as
-    scale * n^(-gamma/2) with gamma in (1, 2) and overrides ``h``.
     ``decorrelate_mode`` selects the batch normalization: "moment"
     pins (1/N) V^T V = sigma^2 I exactly, "sample" uses the
     sample-covariance convention (columns centered when n > d,
@@ -93,30 +87,20 @@ class EstimatorConfig:
     radial: RadialLaw | None
     n: int
     sigma: float
-    h: float | None = None
+    h: float
     decorrelate: bool = False
     decorrelate_mode: str = DECORRELATE_MOMENT
     seed: int = 0
-    bandwidth_rule: tuple[float, float] | None = None
 
     def __post_init__(self):
         if self.n < 1:
             raise DomainError("sample size n must be >= 1")
-        if self.sigma <= 0.0:
-            raise DomainError("sigma must be positive")
+        for name in ("sigma", "h"):
+            value = getattr(self, name)
+            if value is None or not (math.isfinite(value) and value > 0.0):
+                raise DomainError(f"{name} must be finite and positive, got {value}")
         if self.decorrelate_mode not in (DECORRELATE_MOMENT, DECORRELATE_SAMPLE):
             raise DomainError(f"unknown decorrelate mode {self.decorrelate_mode!r}")
-        if self.bandwidth_rule is not None:
-            gamma, scale = self.bandwidth_rule
-            if not 1.0 < gamma < 2.0:
-                raise DomainError(f"bandwidth exponent gamma must lie in (1, 2), got {gamma}")
-            if scale <= 0.0:
-                raise DomainError("bandwidth scale must be positive")
-            self.h = scale * self.n ** (-gamma / 2.0)
-        if self.h is None:
-            raise DomainError("either h or bandwidth_rule must be given")
-        if self.h <= 0.0:
-            raise DomainError("h must be positive")
         if not validate_bandwidth(self.scheme, self.h, self.sigma):
             warnings.warn(
                 f"beta_max * h * sigma = {self.scheme.beta_max * self.h * self.sigma:.3g} "
@@ -213,12 +197,7 @@ def _log_k1(d: int, p: float) -> float:
 
 def _log_r3_ratio(d: int, p: float) -> float:
     # ln(E[R0^3] / sigma^3) for the U(0, xi) radius; sigma-free
-    return 1.5 * math.log(3.0) - math.log(4.0) + 1.5 * (
-        log_gamma(1 / p)
-        + log_gamma((d + 2) / p)
-        - log_gamma(3 / p)
-        - log_gamma(d / p)
-    )
+    return 1.5 * math.log(3.0) - math.log(4.0) + 1.5 * _log_er2_over_sigma2(d, p)
 
 
 def k1(d: int, p: float) -> float:

@@ -51,8 +51,9 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, tokens):
+    def __init__(self, tokens, dim: int):
         self.tokens = tokens
+        self.dim = dim
         self.pos = 0
 
     def peek(self):
@@ -125,6 +126,8 @@ class _Parser:
                 idx = int(m.group(1)) - 1
                 if idx < 0:
                     raise DomainError("coordinates are 1-indexed: x1, x2, ...")
+                if idx >= self.dim:
+                    raise DomainError(f"coordinate {value} is out of range for d={self.dim}")
                 return lambda x, i=idx: x[i]
             if value == "sum":
                 self.take("op", "(")
@@ -148,12 +151,13 @@ class _Parser:
         raise DomainError(f"unexpected token {self.peek()}")
 
 
-def compile_expression(text: str):
-    """Compile the expression text into a callable of the coordinate vector.
+def compile_expression(text: str, dim: int):
+    """Compile the expression text into a callable of a length-``dim`` vector.
 
-    The callable raises if the expression does not reduce to a scalar.
+    Coordinates beyond x<dim> are rejected here; the callable raises if
+    the expression does not reduce to a scalar.
     """
-    node = _Parser(_tokenize(text)).parse()
+    node = _Parser(_tokenize(text), dim).parse()
 
     def fun(x):
         out = node(np.asarray(x, dtype=float))

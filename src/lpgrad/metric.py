@@ -69,11 +69,14 @@ def from_matrix(g) -> TensorMetric:
 
     The generalized inverse comes from the symmetric eigendecomposition
     with eigenvalues above tau = d * eps * lambda_max inverted and the
-    rest zeroed (Moore-Penrose on the retained spectrum).
+    rest zeroed (Moore-Penrose on the retained spectrum). Non-finite
+    entries and eigenvalues below -tau are rejected.
     """
     g = np.asarray(g, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1]:
         raise DomainError(f"metric must be a square matrix, got shape {g.shape}")
+    if not np.isfinite(g).all():
+        raise DomainError("metric matrix has non-finite entries")
     d = g.shape[0]
     scale = max(1.0, float(np.abs(g).max()))
     if np.abs(g - g.T).max() > 1e-8 * scale:
@@ -81,6 +84,8 @@ def from_matrix(g) -> TensorMetric:
     g = 0.5 * (g + g.T)
     w, v = np.linalg.eigh(g)
     tau = d * np.finfo(float).eps * max(np.abs(w).max(), np.finfo(float).tiny)
+    if w.min() < -tau:
+        raise DomainError(f"metric matrix is not positive semidefinite (min eigenvalue {w.min():.3g})")
     keep = w > tau
     inv_w = np.zeros_like(w)
     inv_w[keep] = 1.0 / w[keep]

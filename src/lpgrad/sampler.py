@@ -26,9 +26,6 @@ __all__ = [
     "pgauss_abs_moment",
     "sphere_abs_moment",
     "sphere_mixed_moment",
-    "sample_pgauss",
-    "sample_unit_sphere",
-    "sample_unit_ball",
     "radial_xi",
     "moment_R0",
     "draw_batch",
@@ -118,10 +115,10 @@ class DirectionLaw:
     def __post_init__(self):
         if self.kind not in (SPHERE, BALL, IID_UNIFORM):
             raise DomainError(f"unknown direction law kind {self.kind!r}")
-        if self.kind != IID_UNIFORM and self.p < 1.0:
-            raise DomainError(f"p >= 1 required, got {self.p}")
-        if self.kind == IID_UNIFORM and self.half_width <= 0.0:
-            raise DomainError("half_width must be positive")
+        if self.kind != IID_UNIFORM and not (math.isfinite(self.p) and self.p >= 1.0):
+            raise DomainError(f"a finite p >= 1 is required, got {self.p}")
+        if self.kind == IID_UNIFORM and not (math.isfinite(self.half_width) and self.half_width > 0.0):
+            raise DomainError(f"half_width must be finite and positive, got {self.half_width}")
 
     @classmethod
     def sphere(cls, p: float) -> "DirectionLaw":
@@ -151,8 +148,8 @@ class RadialLaw:
     def __post_init__(self):
         if self.kind not in (RADIAL_UNIFORM, RADIAL_DIRAC):
             raise DomainError(f"unknown radial law kind {self.kind!r}")
-        if self.sigma <= 0.0:
-            raise DomainError("sigma must be positive")
+        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
+            raise DomainError(f"sigma must be finite and positive, got {self.sigma}")
 
     @classmethod
     def uniform(cls, sigma: float) -> "RadialLaw":
@@ -209,48 +206,23 @@ def _pgauss_matrix(rng: np.random.Generator, n: int, d: int, p: float) -> np.nda
 
 def _direction_matrix(rng: np.random.Generator, n: int, d: int, p: float) -> np.ndarray:
     """n iid cone-measure directions on the unit lp-sphere, as rows."""
-    if p > LARGE_P_FALLBACK:
-        g = rng.uniform(-1.0, 1.0, size=(n, d))
-    else:
-        g = _pgauss_matrix(rng, n, d, p)
+
+    def draw(k: int) -> np.ndarray:
+        if p > LARGE_P_FALLBACK:
+            return rng.uniform(-1.0, 1.0, size=(k, d))
+        return _pgauss_matrix(rng, k, d, p)
+
+    g = draw(n)
     norms = lp_norm(g, p)
     for _ in range(100):
         bad = norms == 0.0
         if not bad.any():
             break
-        k = int(bad.sum())
-        if p > LARGE_P_FALLBACK:
-            g[bad] = rng.uniform(-1.0, 1.0, size=(k, d))
-        else:
-            g[bad] = _pgauss_matrix(rng, k, d, p)
+        g[bad] = draw(int(bad.sum()))
         norms = lp_norm(g, p)
     else:  # pragma: no cover - probability zero
         raise DegenerateSampleError("could not draw a nonzero direction")
     return g / norms[:, None]
-
-
-def sample_pgauss(d: int, p: float, rng: np.random.Generator) -> np.ndarray:
-    """d iid generalized Gaussian coordinates, density ~ exp(-|x|^p/p)."""
-    _check_dp(d, p)
-    return _pgauss_matrix(rng, 1, d, p)[0]
-
-
-def sample_unit_sphere(d: int, p: float, rng: np.random.Generator) -> np.ndarray:
-    """One draw from the cone measure on the unit lp-sphere: G/||G||_p."""
-    _check_dp(d, p)
-    return _direction_matrix(rng, 1, d, p)[0]
-
-
-def sample_unit_ball(d: int, p: float, rng: np.random.Generator) -> np.ndarray:
-    """One uniform draw from the unit lp-ball.
-
-    Uses the cone direction scaled by W^(1/d), W ~ U(0,1): the radial
-    cdf of the uniform ball law is r^d.
-    """
-    _check_dp(d, p)
-    u = _direction_matrix(rng, 1, d, p)[0]
-    w = rng.uniform(0.0, 1.0)
-    return u * w ** (1.0 / d)
 
 
 def _log_er2_over_sigma2(d: int, p: float) -> float:
@@ -308,11 +280,6 @@ def moment_R0(q: int, d: int, p: float, sigma: float, regime: str | None = None)
     raise DomainError(f"unknown regime {regime!r}")
 
 
-def _ball_second_moment_factor(d: int) -> float:
-    # E[Utilde_1^2] = E[U_1^2] * d/(d+2) for the uniform ball law
-    return d / (d + 2)
-
-
 def draw_batch(
     law: DirectionLaw,
     radial: RadialLaw | None,
@@ -337,6 +304,7 @@ def draw_batch(
             raise DomainError("a radial law is required for sphere/ball directions")
         u = _direction_matrix(rng, n, d, law.p)
         if law.kind == BALL:
+            # the radial cdf of the uniform ball law is r^d: scale by W^(1/d)
             u = u * rng.uniform(0.0, 1.0, size=n)[:, None] ** (1.0 / d)
         if radial.kind == RADIAL_UNIFORM:
             xi = radial_xi(d, law.p, radial.sigma, law.kind)
@@ -344,7 +312,7 @@ def draw_batch(
         else:
             eu2 = sphere_abs_moment(2, d, law.p)
             if law.kind == BALL:
-                eu2 *= _ball_second_moment_factor(d)
+                eu2 *= d / (d + 2)  # E[U_1^2] of the uniform ball law
             r = np.full(n, radial.sigma / math.sqrt(eu2))
         values = u * r[:, None]
     values.flags.writeable = False

@@ -16,7 +16,6 @@ from .errors import DomainError, SingularSchemeError
 
 __all__ = [
     "LOW_ORDER",
-    "ODD_ORDER",
     "SINGLETON",
     "PointScheme",
     "build_scheme",
@@ -26,7 +25,6 @@ __all__ = [
 ]
 
 LOW_ORDER = "low-order"
-ODD_ORDER = "odd-order"
 SINGLETON = "singleton"
 
 CONDITION_WARN_THRESHOLD = 1e12
@@ -36,16 +34,13 @@ CONDITION_WARN_THRESHOLD = 1e12
 class PointScheme:
     """Offsets, weights and constraint mode of an evaluation stencil.
 
-    theta is the nominal order exponent (surrogate error O(h^(2 theta)))
-    recorded as metadata only. ``condition`` is the condition estimate
-    of the constraint system; values above 1e12 also emit a warning at
-    build time.
+    ``condition`` is the condition estimate of the constraint system;
+    values above 1e12 also emit a warning at build time.
     """
 
     betas: np.ndarray
     coeffs: np.ndarray
     mode: str
-    theta: int
     condition: float = 1.0
 
     @property
@@ -63,13 +58,9 @@ class PointScheme:
 
 
 def _constraint_system(betas: np.ndarray, mode: str):
-    l = len(betas)
-    if mode == LOW_ORDER:
-        powers = np.arange(l)
-    elif mode == ODD_ORDER:
-        powers = 2 * np.arange(l) + 1
-    else:
+    if mode != LOW_ORDER:
         raise DomainError(f"unknown scheme mode {mode!r}")
+    powers = np.arange(len(betas))
     a = betas[None, :] ** powers[:, None]
     rhs = (powers == 1).astype(float)
     return a, rhs
@@ -79,9 +70,8 @@ def build_scheme(betas, mode: str) -> PointScheme:
     """Solve the stencil weights for the given offsets and mode.
 
     Modes: "low-order" enforces r = 0..L-1 (for L >= 2 this includes
-    sum C_l = 0, which the estimator relies on), "odd-order" enforces
-    r = 1, 3, ..., 2L-1 and requires nonzero offsets, and "singleton"
-    is the fixed one-point stencil beta = C = 1.
+    sum C_l = 0, which the estimator relies on) and "singleton" is the
+    fixed one-point stencil beta = C = 1.
     """
     betas = np.atleast_1d(np.asarray(betas, dtype=float))
     l = len(betas)
@@ -92,9 +82,7 @@ def build_scheme(betas, mode: str) -> PointScheme:
     if mode == SINGLETON:
         if l != 1 or betas[0] != 1.0:
             raise DomainError("the singleton scheme is L=1 with beta = 1")
-        return PointScheme(betas=betas, coeffs=np.array([1.0]), mode=mode, theta=1)
-    if mode == ODD_ORDER and np.any(betas == 0.0):
-        raise DomainError("odd-order offsets must be nonzero")
+        return PointScheme(betas=betas, coeffs=np.array([1.0]), mode=mode)
     a, rhs = _constraint_system(betas, mode)
     condition = float(np.linalg.cond(a))
     if condition > CONDITION_WARN_THRESHOLD:
@@ -104,11 +92,7 @@ def build_scheme(betas, mode: str) -> PointScheme:
             stacklevel=2,
         )
     coeffs = np.linalg.solve(a, rhs)
-    if mode == ODD_ORDER:
-        theta = l
-    else:
-        theta = 1
-    return PointScheme(betas=betas, coeffs=coeffs, mode=mode, theta=theta, condition=condition)
+    return PointScheme(betas=betas, coeffs=coeffs, mode=mode, condition=condition)
 
 
 def one_point() -> PointScheme:

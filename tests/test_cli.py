@@ -1,12 +1,16 @@
 """Command-line interface: flags, config round-trip, output formats."""
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lpgrad.cli import CSV_HEADER, RunConfig, main
 from lpgrad.errors import DomainError
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def read_csv(path):
@@ -108,6 +112,55 @@ class TestEstimate:
         assert rows[1][rows[0].index("metric")] == f"file:{g}"
 
 
+SWEEP_ARGS = ["mse-sweep", "--function", "expr:sum(sin(x))", "--d", "3", "--L", "2",
+              "--sigma", "0.01", "--n-values", "8,16", "--reps", "2"]
+ESTIMATE_ARGS = ["estimate", "--function", "rosenbrock", "--d", "4", "--N", "6"]
+TABLE_ARGS = ["table", "--name", "t2", "--reps", "1"]
+
+
+class TestInvalidInput:
+    """Bad input exits 2 with an error line, never with a traceback."""
+
+    @pytest.mark.parametrize("base", [ESTIMATE_ARGS, SWEEP_ARGS, TABLE_ARGS],
+                             ids=["estimate", "mse-sweep", "table"])
+    @pytest.mark.parametrize("bad", [["--threads", "-1"], ["--seed", "-3"], ["--reps", "0"]],
+                             ids=["threads", "seed", "reps"])
+    def test_run_options(self, capsys, base, bad):
+        assert main(base + bad) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--function", "expr:x7", "--d", "3"],
+        ["mse-sweep", "--function", "expr:x1 + x4", "--d", "3"],
+        ["estimate", "--function", "rosenbrock", "--d", "3", "--metric", "exp-corr:abc"],
+    ], ids=["estimate-expr-index", "sweep-expr-index", "exp-corr-rho"])
+    def test_bad_specs(self, capsys, argv):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("matrix", ["[[1.0, 0.0], [0.0, -1.0]]", "[[1.0, NaN], [NaN, 1.0]]"],
+                             ids=["indefinite", "nan"])
+    def test_bad_metric_file(self, tmp_path, capsys, matrix):
+        g = tmp_path / "g.json"
+        g.write_text(matrix)
+        code = main(["estimate", "--function", "expr:x1+x2", "--d", "2",
+                     "--metric", f"file:{g}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "reference gradient" not in err
+
+    def test_config_file_checked(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"d": 4, "threads": -1}))
+        assert main(["estimate", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_threads_env_checked(self, capsys, monkeypatch):
+        monkeypatch.setenv("LPGRAD_THREADS", "many")
+        assert main(TABLE_ARGS) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestRunConfig:
     def test_round_trip_same_rows(self, tmp_path, capsys):
         cfg = RunConfig(
@@ -196,3 +249,24 @@ class TestMseSweep:
         assert len(rows) == 4
         captured = capsys.readouterr()
         assert "slope" in captured.err
+
+
+class TestGoldenOutput:
+    """Byte-for-byte CSV output, timing column aside, pinned by fixture files."""
+
+    @pytest.mark.parametrize("argv,fixture,timed", [
+        (["table", "--name", "t2", "--reps", "2", "--seed", "0"],
+         "table_t2_reps2_seed0.csv", True),
+        (["mse-sweep", "--function", "expr:sum(sin(x))", "--d", "5", "--p", "3",
+          "--L", "2", "--sigma", "0.01", "--h", "1e-3", "--reps", "20", "--seed", "3",
+          "--n-values", "16,32,64"],
+         "mse_sweep_sin_seed3.csv", False),
+    ])
+    def test_matches_fixture(self, tmp_path, capsys, argv, fixture, timed):
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        rows = read_csv(out)
+        if timed:
+            rows = strip_wall_ms(rows)
+        text = "".join(",".join(row) + "\n" for row in rows)
+        assert text == (GOLDEN / fixture).read_text()

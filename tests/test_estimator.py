@@ -1,8 +1,11 @@
 """Gradient estimator: exactness, accounting, bound constants, parameter rules."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpgrad.errors import DomainError, EvaluationError, NotApplicableError
 from lpgrad.estimator import (
@@ -20,10 +23,11 @@ from lpgrad.metric import apply_inverse, exp_corr_metric, identity_metric
 from lpgrad.sampler import (
     DirectionLaw,
     RadialLaw,
+    draw_batch,
+    lp_norm,
     moment_R0,
-    sample_unit_sphere,
 )
-from lpgrad.scheme import one_point, two_point_central
+from lpgrad.scheme import LOW_ORDER, build_scheme, one_point, two_point_central
 
 
 def linear_objective(d, rng):
@@ -222,19 +226,26 @@ class TestAccountingAndErrors:
 
 
 class TestConfig:
-    def test_bandwidth_rule(self):
-        cfg = base_config(5, n=64, bandwidth_rule=(1.5, 2.0), h=None)
-        assert cfg.h == pytest.approx(2.0 * 64 ** (-0.75))
+    def test_frozen_keeps_h(self):
+        cfg = base_config(5, n=64, h=0.02)
+        assert cfg.h == 0.02
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.h = 0.5
 
-    def test_bandwidth_rule_domain(self):
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+    @pytest.mark.parametrize("make", [
+        DirectionLaw.sphere,
+        DirectionLaw.ball,
+        DirectionLaw.iid_uniform,
+        RadialLaw.uniform,
+        RadialLaw.dirac,
+        lambda v: base_config(5, n=8, h=v),
+        lambda v: base_config(5, n=8, sigma=v),
+    ], ids=["sphere-p", "ball-p", "iid-half-width", "uniform-sigma", "dirac-sigma",
+            "config-h", "config-sigma"])
+    def test_invalid_value_rejected(self, make, bad):
         with pytest.raises(DomainError):
-            base_config(5, n=64, bandwidth_rule=(2.5, 1.0), h=None)
-
-    def test_default_bandwidth_rule(self):
-        from lpgrad.estimator import DEFAULT_BANDWIDTH_RULE
-
-        cfg = base_config(5, n=100, bandwidth_rule=DEFAULT_BANDWIDTH_RULE, h=None)
-        assert cfg.h == pytest.approx(100 ** -0.75)
+            make(bad)
 
     def test_bandwidth_warning(self):
         with pytest.warns(RuntimeWarning):
@@ -245,6 +256,36 @@ class TestConfig:
             base_config(5, n=8, h=None)
 
 
+class TestConstantShift:
+    @given(
+        shift=st.floats(-1e3, 1e3, allow_nan=False),
+        l=st.integers(1, 4),
+        d=st.integers(1, 6),
+        n=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_adding_constant_leaves_estimate(self, shift, l, d, n, seed):
+        # every stencil cancels f(x) V: L=1 by mean-centering, L >= 2
+        # through sum C_l = 0, so f and f + shift give the same estimate
+        def fun(x):
+            return float(np.sin(x).sum() + 0.5 * x @ x)
+
+        schemes = [build_scheme(list(range(1, l + 1)), LOW_ORDER)] if l >= 2 else []
+        schemes += [one_point(), two_point_central()]
+        x = np.linspace(-0.5, 0.5, d)
+        for scheme in schemes:
+            cfg = base_config(d, n=n, scheme=scheme, sigma=0.1, h=0.1,
+                              radial=RadialLaw.uniform(0.1), decorrelate=False, seed=seed)
+            base = estimate_gradient(ObjectiveFunction(fun=fun, dim=d), x, cfg, identity_metric(d))
+            moved = estimate_gradient(
+                ObjectiveFunction(fun=lambda z: fun(z) + shift, dim=d), x, cfg, identity_metric(d)
+            )
+            # rounding of f + shift scales with |shift| and 1 / (h sigma)
+            tol = 1e-13 * (1.0 + abs(shift)) * l / (cfg.h * cfg.sigma)
+            np.testing.assert_allclose(moved.grad, base.grad, rtol=0, atol=tol)
+
+
 class TestBoundConstants:
     def test_k1_d1_is_one(self):
         for p in (1.0, 2.0, 5.0, 100.0):
@@ -252,9 +293,9 @@ class TestBoundConstants:
 
     def test_k1_matches_direction_moments(self):
         # k1 = E[|U1|^3 + (d-1) U1^2 |U2|] for cone-measure directions
-        d, p, n = 10, 3.0, 400_000
-        rng = np.random.default_rng(55)
-        u = np.array([sample_unit_sphere(d, p, rng) for _ in range(n // 40)])
+        d, p, n = 10, 3.0, 10_000
+        v = draw_batch(DirectionLaw.sphere(p), RadialLaw.dirac(1.0), n, d, seed=55).values
+        u = v / lp_norm(v, p)[:, None]
         s = np.abs(u[:, 0]) ** 3 + (d - 1) * u[:, 0] ** 2 * np.abs(u[:, 1])
         z = (s.mean() - k1(d, p)) / (s.std() / math.sqrt(len(s)))
         assert abs(z) < 4.0

@@ -8,42 +8,47 @@ from lpgrad.expr import compile_expression
 
 class TestCompileExpression:
     def test_sum_of_sines(self):
-        f = compile_expression("sum(sin(x))")
+        f = compile_expression("sum(sin(x))", 3)
         x = np.array([0.1, -0.4, 2.0])
         assert f(x) == pytest.approx(float(np.sin(x).sum()))
 
     def test_coordinates_and_powers(self):
-        f = compile_expression("x1*x1 + 100*pow(x2 - x1^2, 2)")
+        f = compile_expression("x1*x1 + 100*pow(x2 - x1^2, 2)", 2)
         x = np.array([0.5, 0.7])
         assert f(x) == pytest.approx(0.25 + 100 * (0.7 - 0.25) ** 2)
 
     def test_caret_right_associative(self):
-        f = compile_expression("2^3^...".replace("...", "2"))
+        f = compile_expression("2^3^...".replace("...", "2"), 1)
         assert f(np.zeros(1)) == pytest.approx(512.0)
 
     def test_unary_minus_and_division(self):
-        f = compile_expression("-x1/2 + exp(0)")
+        f = compile_expression("-x1/2 + exp(0)", 1)
         assert f(np.array([4.0])) == pytest.approx(-1.0)
 
     def test_precedence(self):
-        f = compile_expression("1 + 2*3^2")
+        f = compile_expression("1 + 2*3^2", 1)
         assert f(np.zeros(1)) == pytest.approx(19.0)
 
     def test_cos_exp(self):
-        f = compile_expression("cos(x1) + exp(x2)")
+        f = compile_expression("cos(x1) + exp(x2)", 2)
         x = np.array([0.3, 0.2])
         assert f(x) == pytest.approx(np.cos(0.3) + np.exp(0.2))
 
     def test_vector_result_rejected(self):
-        f = compile_expression("sin(x)")
+        f = compile_expression("sin(x)", 2)
         with pytest.raises(DomainError):
             f(np.array([1.0, 2.0]))
 
-    @pytest.mark.parametrize("bad", ["x1 +", "foo(x)", "1 2", "(x1", "x0"])
+    @pytest.mark.parametrize("bad", ["x1 +", "foo(x)", "1 2", "(x1", "x0", "x1 + x3"])
     def test_parse_errors(self, bad):
         with pytest.raises(DomainError):
-            compile_expression(bad)(np.zeros(2))
+            compile_expression(bad, 2)(np.zeros(2))
 
     def test_scientific_literals(self):
-        f = compile_expression("1e-4 * sum(x)")
+        f = compile_expression("1e-4 * sum(x)", 2)
         assert f(np.array([1.0, 2.0])) == pytest.approx(3e-4)
+
+    def test_coordinate_index_checked_against_dim(self):
+        assert compile_expression("x3", 3)(np.array([0.0, 0.0, 2.5])) == 2.5
+        with pytest.raises(DomainError, match="x7"):
+            compile_expression("sum(x) + x7", 3)

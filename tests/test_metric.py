@@ -92,6 +92,17 @@ class TestFromMatrix:
         with pytest.raises(DomainError):
             from_matrix(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, bad):
+        # a NaN used to become an all-zero inverse
+        with pytest.raises(DomainError, match="non-finite"):
+            from_matrix(np.array([[1.0, bad], [bad, 1.0]]))
+
+    def test_indefinite_rejected(self):
+        # the -1 eigenvalue used to be dropped silently
+        with pytest.raises(DomainError, match="semidefinite"):
+            from_matrix(np.diag([1.0, -1.0]))
+
 
 class TestExpCorrMetric:
     def test_d1(self):
@@ -112,6 +123,12 @@ class TestExpCorrMetric:
         m = exp_corr_metric(6, 0.0)
         np.testing.assert_allclose(m.g, np.eye(6), atol=1e-15)
         assert m.abs_ginv_ones_l2 == pytest.approx(math.sqrt(6))
+
+    @pytest.mark.parametrize("d,rho", [(200, 0.99), (200, -0.99), (50, 0.999)])
+    def test_near_singular_accepted(self, d, rho):
+        # C C is PSD; rounding must not trip the indefiniteness check
+        m = exp_corr_metric(d, rho)
+        assert np.isfinite(m.ginv).all()
 
     @pytest.mark.parametrize("rho", [1.0, -1.0, 1.5])
     def test_rho_domain(self, rho):

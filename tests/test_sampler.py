@@ -13,6 +13,8 @@ from lpgrad.sampler import (
     DirectionLaw,
     RadialLaw,
     SampleBatch,
+    _direction_matrix,
+    _pgauss_matrix,
     decorrelate,
     draw_batch,
     log_gamma,
@@ -20,9 +22,6 @@ from lpgrad.sampler import (
     moment_R0,
     pgauss_abs_moment,
     radial_xi,
-    sample_pgauss,
-    sample_unit_ball,
-    sample_unit_sphere,
     sphere_abs_moment,
     sphere_mixed_moment,
 )
@@ -61,27 +60,26 @@ class TestLogGamma:
 
 class TestPgauss:
     def test_standard_normal_at_p2(self):
-        rng = np.random.default_rng(11)
-        x = np.concatenate([sample_pgauss(1000, 2.0, rng) for _ in range(1000)])
+        x = _pgauss_matrix(np.random.default_rng(11), 1000, 1000, 2.0).ravel()
         assert abs(zscore(x**2, 1.0)) < 3.0
 
     def test_appendix_moment_p3(self):
         # E[|X|^2] = 3^(2/3) Gamma(1) / Gamma(1/3)
         expected = 3.0 ** (2.0 / 3.0) / math.gamma(1.0 / 3.0)
         np.testing.assert_allclose(pgauss_abs_moment(2, 3.0), expected, rtol=1e-14)
-        rng = np.random.default_rng(12)
-        x = np.concatenate([sample_pgauss(1000, 3.0, rng) for _ in range(1000)])
+        x = _pgauss_matrix(np.random.default_rng(12), 1000, 1000, 3.0).ravel()
         assert abs(zscore(np.abs(x) ** 2, expected)) < 3.0
 
     def test_laplace_at_p1(self):
         assert pgauss_abs_moment(1, 1.0) == pytest.approx(1.0, rel=1e-14)
-        rng = np.random.default_rng(13)
-        x = np.concatenate([sample_pgauss(1000, 1.0, rng) for _ in range(1000)])
+        x = _pgauss_matrix(np.random.default_rng(13), 1000, 1000, 1.0).ravel()
         assert abs(zscore(np.abs(x), 1.0)) < 3.0
 
     def test_p_below_one_rejected(self):
         with pytest.raises(DomainError):
-            sample_pgauss(3, 0.5, np.random.default_rng(0))
+            DirectionLaw.sphere(0.5)
+        with pytest.raises(DomainError):
+            pgauss_abs_moment(2, 0.5)
 
 
 def _sphere_sample(d, p, n, seed):
@@ -93,12 +91,11 @@ class TestUnitSphere:
     def test_unit_norm(self):
         rng = np.random.default_rng(20)
         for d, p in [(3, 1.0), (10, 3.0), (50, 7.5)]:
-            u = sample_unit_sphere(d, p, rng)
-            assert abs(lp_norm(u, p) - 1.0) < 1e-12
+            u = _direction_matrix(rng, 100, d, p)
+            assert np.abs(lp_norm(u, p) - 1.0).max() < 1e-12
 
     def test_d1_is_sign(self):
-        rng = np.random.default_rng(21)
-        draws = np.array([sample_unit_sphere(1, 3.0, rng)[0] for _ in range(2000)])
+        draws = _direction_matrix(np.random.default_rng(21), 2000, 1, 3.0)[:, 0]
         assert set(np.round(draws, 12)) <= {-1.0, 1.0}
         assert abs(zscore(draws, 0.0)) < 4.0
 
@@ -128,19 +125,23 @@ class TestUnitSphere:
             assert abs(zscore(np.abs(u[:, 0]) ** q, sphere_abs_moment(q, d, p))) < 4.0
 
 
+def _ball_sample(d, p, n, seed):
+    # with sigma^2 = E[U_1^2] of the ball law (the sphere value times
+    # d/(d+2)) the calibrated constant radius is 1: rows are ball draws
+    sigma = math.sqrt(sphere_abs_moment(2, d, p) * d / (d + 2))
+    return draw_batch(DirectionLaw.ball(p), RadialLaw.dirac(sigma), n, d, seed).values
+
+
 class TestUnitBall:
     def test_inside_ball(self):
-        rng = np.random.default_rng(30)
         for d, p in [(2, 1.0), (5, 2.0), (20, 4.0)]:
-            for _ in range(50):
-                assert lp_norm(sample_unit_ball(d, p, rng), p) <= 1.0 + 1e-12
+            assert lp_norm(_ball_sample(d, p, 50, seed=30), p).max() <= 1.0 + 1e-12
 
     def test_norm_moment_d5_p2(self):
         # E[||U||_2^2] = d/(d+p) = 5/7; cross-checked against brute-force
         # rejection sampling in the euclidean ball
         d, p, n = 5, 2.0, 400_000
-        rng = np.random.default_rng(31)
-        u = np.array([sample_unit_ball(d, p, rng) for _ in range(n // 100)])
+        u = _ball_sample(d, p, n // 100, seed=31)
         z = zscore(np.sum(u**2, axis=1), d / (d + p))
         assert abs(z) < 4.0
 
@@ -151,8 +152,7 @@ class TestUnitBall:
         assert abs(z_rej) < 4.0
 
     def test_d1_is_uniform_interval(self):
-        rng = np.random.default_rng(33)
-        draws = np.array([sample_unit_ball(1, 1.0, rng)[0] for _ in range(20000)])
+        draws = _ball_sample(1, 1.0, 20000, seed=33)[:, 0]
         assert abs(zscore(draws**2, 1.0 / 3.0)) < 4.0
 
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from lpgrad.errors import DomainError, SingularSchemeError
 from lpgrad.scheme import (
     LOW_ORDER,
-    ODD_ORDER,
     SINGLETON,
     build_scheme,
     one_point,
@@ -20,13 +19,11 @@ class TestBuildScheme:
     def test_central_two_point_exact(self):
         s = build_scheme([1.0, -1.0], LOW_ORDER)
         assert s.coeffs.tolist() == [0.5, -0.5]
-        assert s.theta == 1
         assert s.l == 2
 
     def test_singleton(self):
         s = build_scheme([1.0], SINGLETON)
         assert s.coeffs.tolist() == [1.0]
-        assert s.theta == 1
 
     def test_low_order_1_2(self):
         # hand solution of C1 + C2 = 0, C1 + 2 C2 = 1
@@ -38,16 +35,6 @@ class TestBuildScheme:
         b = build_scheme([-1.0, 1.0], LOW_ORDER)
         np.testing.assert_allclose(a.coeffs, b.coeffs[::-1], atol=1e-14)
 
-    def test_odd_order_single(self):
-        s = build_scheme([1.0], ODD_ORDER)
-        np.testing.assert_allclose(s.coeffs, [1.0], atol=1e-15)
-        assert s.theta == 1
-
-    def test_odd_order_theta(self):
-        s = build_scheme([1.0, 2.0], ODD_ORDER)
-        assert s.theta == 2
-        assert s.constraint_residual() < 1e-12
-
     def test_low_order_coeff_sum_vanishes(self):
         s = build_scheme([0.5, -1.0, 2.0], LOW_ORDER)
         assert abs(s.coeffs.sum()) < 1e-12
@@ -56,9 +43,11 @@ class TestBuildScheme:
         with pytest.raises(SingularSchemeError):
             build_scheme([1.0, 1.0], LOW_ORDER)
 
-    def test_odd_order_zero_beta(self):
+    def test_odd_order_mode_rejected(self):
+        # odd-order weights have sum C_l != 0 for L >= 2 (7/6 at offsets
+        # 1, 2), so adding a constant to f would move the estimate
         with pytest.raises(DomainError):
-            build_scheme([0.0, 1.0], ODD_ORDER)
+            build_scheme([1.0, 2.0], "odd-order")
 
     def test_ill_conditioned_warns(self):
         with pytest.warns(RuntimeWarning):
@@ -66,7 +55,7 @@ class TestBuildScheme:
 
     def test_degenerate_low_order_single(self):
         # the r=0 range forces C = 0 for a lone offset; callers wanting a
-        # usable one-point stencil use the singleton or odd-order modes
+        # usable one-point stencil use the singleton mode
         s = build_scheme([2.0], LOW_ORDER)
         assert s.coeffs.tolist() == [0.0]
 
