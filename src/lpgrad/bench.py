@@ -4,22 +4,27 @@ Provides the standard test objectives with analytic gradients, the
 central finite-difference baseline, the relative error measure in the
 metric-transformed space, repeated-trial experiment running with
 derived per-rep seeds, and mean-squared-error sweeps over sample size.
+``RunConfig`` describes a run; ``_build_spec`` turns it into the
+experiment for both the CLI and the table presets.
 """
 from __future__ import annotations
 
+import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from .errors import DomainError, EvaluationError, LpgradError
 from .estimator import (
+    DECORRELATE_MOMENT,
     DECORRELATE_SAMPLE,
     EstimatorConfig,
     ObjectiveFunction,
     estimate_gradient,
+    recommended_sigma,
 )
 from .expr import compile_expression
 from .metric import (
@@ -31,7 +36,7 @@ from .metric import (
     load_matrix,
 )
 from .sampler import DirectionLaw, RadialLaw
-from .scheme import one_point, two_point_central
+from .scheme import LOW_ORDER, build_scheme, one_point
 
 __all__ = [
     "rosenbrock",
@@ -242,7 +247,7 @@ def _row_static(spec: ExperimentSpec) -> dict:
         "h": cfg.h,
         "sigma": cfg.sigma,
         "law": law.kind,
-        "radial": cfg.radial.kind if cfg.radial is not None else "none",
+        "radial": cfg.radial.kind,
         "decorrelated": cfg.decorrelate,
         "metric": spec.metric_label or spec.metric.tag,
     }
@@ -369,50 +374,81 @@ def mse_sweep(spec: ExperimentSpec, n_values, reps: int, threads: int = 1):
     return points, slope
 
 
-TABLE_PRESETS = {
-    "t2": {
-        "function": ("rosenbrock", {"d": 10}),
-        "metric": "identity",
-        "p": 3.0,
-        "cells": [(11, 1), (15, 1), (20, 1), (20, 2)],
-        "fdm": True,
-    },
-    "t2dep": {
-        "function": ("rosenbrock", {"d": 10}),
-        "metric": "exp-corr:0.5",
-        "p": 3.0,
-        "cells": [(11, 1), (15, 1), (20, 1), (20, 2)],
-        "fdm": False,
-    },
-    "t3": {
-        "function": ("rosenbrock", {"d": 100}),
-        "metric": "identity",
-        "p": 5.0,
-        "cells": [(101, 1), (150, 1), (200, 1), (200, 2)],
-        "fdm": True,
-    },
-    "t4": {
-        "function": ("rosenbrock", {"d": 1000}),
-        "metric": "identity",
-        "p": 7.0,
-        "cells": [(1001, 1), (2000, 1), (2000, 2)],
-        "fdm": True,
-    },
-    "t5": {
-        "function": ("synthetic", {"d": 200, "m1": 2.0, "m2": 1.0}),
-        "metric": "identity",
-        "p": 6.0,
-        "cells": [(201, 1), (400, 1), (400, 2)],
-        "fdm": True,
-    },
-    "t6": {
-        "function": ("synthetic", {"d": 200, "m1": 200.0, "m2": 1e-3}),
-        "metric": "identity",
-        "p": 6.0,
-        "cells": [(201, 1), (400, 1), (400, 2)],
-        "fdm": True,
-    },
-}
+# RunConfig field type -> the JSON values it accepts (bool is an int
+# subclass, so from_dict rejects it where no bool is allowed)
+_JSON_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool, "None": type(None)}
+
+
+@dataclass
+class RunConfig:
+    """A complete, JSON-serializable description of an estimate run."""
+
+    function: str = "rosenbrock"
+    d: int = 10
+    p: float = 3.0
+    l: int = 1
+    n: int = 20
+    h: float = 1e-4
+    sigma: str | float = "auto-d2"
+    law: str = "sphere"
+    radial: str = "uniform"
+    decorrelate: bool = False
+    decorrelate_mode: str = DECORRELATE_MOMENT
+    metric: str = "identity"
+    seed: int = 0
+    reps: int = 1
+    m1: float = 2.0
+    m2: float = 1.0
+    threads: int = 1
+    out: str | None = None
+    format: str = "csv"
+
+    def __post_init__(self):
+        _check_run_options(seed=self.seed, reps=self.reps, threads=self.threads)
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "RunConfig":
+        types = {f.name: f.type for f in fields(cls)}
+        unknown = set(data) - set(types)
+        if unknown:
+            raise DomainError(f"unknown config keys: {sorted(unknown)}")
+        for name, value in data.items():
+            allowed = tuple(_JSON_TYPES[t.strip()] for t in types[name].split("|"))
+            if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
+                raise DomainError(f"config key {name!r} must be {types[name]}, got {value!r}")
+        return cls(**data)
+
+    @classmethod
+    def from_json(cls, path: str) -> "RunConfig":
+        with open(path) as fh:
+            return cls.from_dict(json.load(fh))
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    def to_json(self, path: str) -> None:
+        with open(path, "w") as fh:
+            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+
+
+def _check_run_options(**options) -> None:
+    """Reject run options that would only fail deep inside a run."""
+    low = {"seed": 0, "reps": 1, "threads": 0}
+    for name, value in options.items():
+        if not isinstance(value, int) or value < low[name]:
+            raise DomainError(f"{name} must be an integer >= {low[name]}, got {value!r}")
+
+
+def _resolve_sigma(sigma, metric: TensorMetric, d: int, p: float) -> float:
+    if sigma == "auto-c3":
+        return recommended_sigma(metric, d, p, "self-normalizing")
+    if sigma == "auto-d2":
+        return recommended_sigma(metric, d, p, "d_pow_neg2")
+    try:
+        return float(sigma)
+    except (TypeError, ValueError):
+        raise DomainError(f"sigma must be a number, 'auto-c3' or 'auto-d2', got {sigma!r}")
 
 
 def _build_function(name: str, d: int, m1=None, m2=None) -> ObjectiveFunction:
@@ -444,44 +480,87 @@ def _build_metric(spec: str, d: int) -> TensorMetric:
     raise DomainError(f"unknown metric {spec!r}; use identity, exp-corr:<rho> or file:<path>")
 
 
-def table_specs(name: str, reps: int = 50, seed: int = 0) -> list[ExperimentSpec]:
-    """Experiment specs for every randomized cell of a table preset.
+def _build_spec(cfg: RunConfig, name: str = "") -> ExperimentSpec:
+    """The experiment a run configuration describes; L=1 uses the one-point
+    centered stencil, L=2 the antithetic (1, -1) one, L >= 3 offsets 1..L."""
+    function = _build_function(cfg.function, cfg.d, cfg.m1, cfg.m2)
+    metric = _build_metric(cfg.metric, cfg.d)
+    sigma = _resolve_sigma(cfg.sigma, metric, cfg.d, cfg.p)
+    scheme = one_point() if cfg.l == 1 else build_scheme(
+        [1.0, -1.0] if cfg.l == 2 else list(range(1, cfg.l + 1)), LOW_ORDER
+    )
+    est_cfg = EstimatorConfig(
+        scheme=scheme,
+        law=DirectionLaw(cfg.law, p=cfg.p),
+        radial=RadialLaw(cfg.radial, sigma),
+        n=cfg.n,
+        h=cfg.h,
+        decorrelate=cfg.decorrelate,
+        decorrelate_mode=cfg.decorrelate_mode,
+    )
+    return ExperimentSpec(
+        function=function,
+        metric=metric,
+        cfg=est_cfg,
+        reps=cfg.reps,
+        seed=cfg.seed,
+        name=name,
+        metric_label=cfg.metric,
+    )
 
-    Cells follow the standard benchmark protocol: h = 1e-4,
-    sigma = 1/d^2, cone-measure directions with the U(0, xi) radius and
-    sample-convention decorrelation; L=1 cells use the one-point
-    centered stencil, L=2 the antithetic (1, -1) stencil.
-    """
+
+# the standard benchmark protocol shared by every table cell: h = 1e-4,
+# sigma = 1/d^2, cone-measure directions with the U(0, xi) radius and
+# sample-convention decorrelation
+_PROTOCOL = RunConfig(
+    h=1e-4, sigma="auto-d2", law="sphere", radial="uniform",
+    decorrelate=True, decorrelate_mode=DECORRELATE_SAMPLE,
+)
+
+# cells are (evaluation budget LN, stencil size L); N = LN // L
+TABLE_PRESETS = {
+    "t2": {
+        "run": replace(_PROTOCOL, function="rosenbrock", d=10, p=3.0),
+        "cells": [(11, 1), (15, 1), (20, 1), (20, 2)],
+        "fdm": True,
+    },
+    "t2dep": {
+        "run": replace(_PROTOCOL, function="rosenbrock", d=10, p=3.0, metric="exp-corr:0.5"),
+        "cells": [(11, 1), (15, 1), (20, 1), (20, 2)],
+        "fdm": False,
+    },
+    "t3": {
+        "run": replace(_PROTOCOL, function="rosenbrock", d=100, p=5.0),
+        "cells": [(101, 1), (150, 1), (200, 1), (200, 2)],
+        "fdm": True,
+    },
+    "t4": {
+        "run": replace(_PROTOCOL, function="rosenbrock", d=1000, p=7.0),
+        "cells": [(1001, 1), (2000, 1), (2000, 2)],
+        "fdm": True,
+    },
+    "t5": {
+        "run": replace(_PROTOCOL, function="synthetic", d=200, p=6.0, m1=2.0, m2=1.0),
+        "cells": [(201, 1), (400, 1), (400, 2)],
+        "fdm": True,
+    },
+    "t6": {
+        "run": replace(_PROTOCOL, function="synthetic", d=200, p=6.0, m1=200.0, m2=1e-3),
+        "cells": [(201, 1), (400, 1), (400, 2)],
+        "fdm": True,
+    },
+}
+
+
+def table_specs(name: str, reps: int = 50, seed: int = 0) -> list[ExperimentSpec]:
+    """Experiment specs for every randomized cell of a table preset."""
     if name not in TABLE_PRESETS:
         raise DomainError(f"unknown table preset {name!r}; choose from {sorted(TABLE_PRESETS)}")
     preset = TABLE_PRESETS[name]
-    fname, fparams = preset["function"]
-    specs = []
-    for cell_index, (ln, l) in enumerate(preset["cells"]):
-        function = _build_function(fname, **fparams)
-        d = function.dim
-        metric = _build_metric(preset["metric"], d)
-        # cells give the evaluation budget LN; N = LN / L
-        n = ln if l == 1 else ln // l
-        cfg = EstimatorConfig(
-            scheme=one_point() if l == 1 else two_point_central(),
-            law=DirectionLaw.sphere(preset["p"]),
-            radial=RadialLaw.uniform(d**-2.0),
-            n=n,
-            sigma=d**-2.0,
-            h=1e-4,
-            decorrelate=True,
-            decorrelate_mode=DECORRELATE_SAMPLE,
+    return [
+        _build_spec(
+            replace(preset["run"], l=l, n=ln // l, reps=reps, seed=derive_seed(seed, cell_index)),
+            name=f"{name}[LN={ln},L={l}]",
         )
-        specs.append(
-            ExperimentSpec(
-                function=function,
-                metric=metric,
-                cfg=cfg,
-                reps=reps,
-                seed=derive_seed(seed, cell_index),
-                name=f"{name}[LN={ln},L={l}]",
-                metric_label=preset["metric"],
-            )
-        )
-    return specs
+        for cell_index, (ln, l) in enumerate(preset["cells"])
+    ]

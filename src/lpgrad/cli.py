@@ -1,8 +1,8 @@
 """Command-line front end: estimate, table, moments-check, mse-sweep.
 
-Run configurations are plain JSON documents (unknown keys rejected) so
-runs are reproducible and diffable; results go to CSV with a fixed
-schema or to JSON.
+Run configurations are plain JSON documents (unknown keys and mistyped
+values rejected) so runs are reproducible and diffable; results go to
+CSV with a fixed schema or to JSON.
 """
 from __future__ import annotations
 
@@ -13,19 +13,14 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from . import bench
+from .bench import RunConfig, _build_spec, _check_run_options
 from .errors import DomainError, LpgradError
-from .estimator import (
-    DECORRELATE_MOMENT,
-    DECORRELATE_SAMPLE,
-    EstimatorConfig,
-    recommended_sigma,
-)
-from .metric import TensorMetric
+from .estimator import DECORRELATE_MOMENT, DECORRELATE_SAMPLE
 from .sampler import (
     DirectionLaw,
     RadialLaw,
@@ -35,7 +30,6 @@ from .sampler import (
     sphere_abs_moment,
     sphere_mixed_moment,
 )
-from .scheme import LOW_ORDER, build_scheme, one_point
 
 __all__ = ["RunConfig", "main", "CSV_HEADER"]
 
@@ -47,103 +41,6 @@ CSV_HEADER = [
 # ResultRow / RunConfig field -> CSV column and command-line flag name
 _UPPER = {"l": "L", "n": "N"}
 _CELL_TYPES = {_UPPER.get(f.name, f.name): f.type for f in fields(bench.ResultRow)}
-
-
-@dataclass
-class RunConfig:
-    """A complete, JSON-serializable description of an estimate run."""
-
-    function: str = "rosenbrock"
-    d: int = 10
-    p: float = 3.0
-    l: int = 1
-    n: int = 20
-    h: float = 1e-4
-    sigma: str | float = "auto-d2"
-    law: str = "sphere"
-    radial: str = "uniform"
-    decorrelate: bool = False
-    decorrelate_mode: str = DECORRELATE_MOMENT
-    metric: str = "identity"
-    seed: int = 0
-    reps: int = 1
-    m1: float = 2.0
-    m2: float = 1.0
-    threads: int = 1
-    out: str | None = None
-    format: str = "csv"
-
-    def __post_init__(self):
-        _check_run_options(self.seed, self.reps, self.threads)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise DomainError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**data)
-
-    @classmethod
-    def from_json(cls, path: str) -> "RunConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def to_json(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
-
-def _check_run_options(seed, reps, threads) -> None:
-    """Reject run options that would only fail deep inside a run."""
-    for name, value, low in (("seed", seed, 0), ("reps", reps, 1), ("threads", threads, 0)):
-        if not isinstance(value, int) or value < low:
-            raise DomainError(f"{name} must be an integer >= {low}, got {value!r}")
-
-
-def _resolve_sigma(sigma, metric: TensorMetric, d: int, p: float) -> float:
-    if sigma == "auto-c3":
-        return recommended_sigma(metric, d, p, "self-normalizing")
-    if sigma == "auto-d2":
-        return recommended_sigma(metric, d, p, "d_pow_neg2")
-    try:
-        return float(sigma)
-    except (TypeError, ValueError):
-        raise DomainError(f"sigma must be a number, 'auto-c3' or 'auto-d2', got {sigma!r}")
-
-
-def _build_spec(cfg: RunConfig) -> bench.ExperimentSpec:
-    function = bench._build_function(cfg.function, cfg.d, cfg.m1, cfg.m2)
-    metric = bench._build_metric(cfg.metric, cfg.d)
-    sigma = _resolve_sigma(cfg.sigma, metric, cfg.d, cfg.p)
-    # the iid-uniform half width is calibrated so E[V_k^2] = sigma^2
-    law = DirectionLaw(cfg.law, p=cfg.p, half_width=math.sqrt(3.0) * sigma)
-    radial = RadialLaw(cfg.radial, sigma)
-    scheme = one_point() if cfg.l == 1 else build_scheme(
-        [1.0, -1.0] if cfg.l == 2 else list(range(1, cfg.l + 1)), LOW_ORDER
-    )
-    est_cfg = EstimatorConfig(
-        scheme=scheme,
-        law=law,
-        radial=radial,
-        n=cfg.n,
-        sigma=sigma,
-        h=cfg.h,
-        decorrelate=cfg.decorrelate,
-        decorrelate_mode=cfg.decorrelate_mode,
-    )
-    return bench.ExperimentSpec(
-        function=function,
-        metric=metric,
-        cfg=est_cfg,
-        reps=cfg.reps,
-        seed=cfg.seed,
-        metric_label=cfg.metric,
-    )
 
 
 def _csv_cell(name: str, value) -> str:
@@ -261,7 +158,7 @@ def cmd_estimate(args) -> int:
 
 def cmd_table(args) -> int:
     threads = args.threads if args.threads is not None else _threads_default()
-    _check_run_options(args.seed, args.reps, threads)
+    _check_run_options(seed=args.seed, reps=args.reps, threads=threads)
     specs = bench.table_specs(args.name, reps=args.reps, seed=args.seed)
     rows = []
     for spec in specs:
@@ -274,7 +171,7 @@ def cmd_table(args) -> int:
     preset = bench.TABLE_PRESETS[args.name]
     if preset["fdm"]:
         spec0 = specs[0]
-        row = bench.fdm_row(spec0.function, spec0.metric, h=1e-4, metric_label=spec0.metric_label)
+        row = bench.fdm_row(spec0.function, spec0.metric, h=spec0.cfg.h, metric_label=spec0.metric_label)
         rows.append(row)
         print(f"{args.name}[fdm]: err = {row.err:.4g}", file=sys.stderr)
     write_rows(rows, args.out, "csv")
@@ -320,6 +217,7 @@ def moments_report(d: int, p: float, draws: int, seed: int, sigma: float = 1.0):
 
 
 def cmd_moments_check(args) -> int:
+    _check_run_options(seed=args.seed)
     checks = moments_report(args.d, args.p, args.draws, args.seed, args.sigma)
     worst = 0.0
     print(f"{'moment':>12s} {'analytic':>14s} {'empirical':>14s} {'z':>8s}")
@@ -331,9 +229,12 @@ def cmd_moments_check(args) -> int:
 
 
 def cmd_mse_sweep(args) -> int:
+    try:
+        n_values = [int(tok) for tok in args.n_values.split(",") if tok.strip()]
+    except ValueError:
+        raise DomainError(f"--n-values must be comma-separated integers, got {args.n_values!r}") from None
     cfg = _estimate_config(args)
     spec = _build_spec(cfg)
-    n_values = [int(tok) for tok in args.n_values.split(",") if tok.strip()]
     points, slope = bench.mse_sweep(spec, n_values, reps=cfg.reps, threads=cfg.threads)
     _write_csv(cfg.out, ["n", "mse"], [[str(n), format(mse, ".17e")] for n, mse in points])
     print(f"log-log slope = {slope:.4f}", file=sys.stderr)

@@ -76,17 +76,18 @@ class ObjectiveFunction:
 class EstimatorConfig:
     """Everything the estimator needs besides the objective and point.
 
-    ``decorrelate_mode`` selects the batch normalization: "moment"
-    pins (1/N) V^T V = sigma^2 I exactly, "sample" uses the
-    sample-covariance convention (columns centered when n > d,
-    unbiased n-1 scaling) which reproduces the published benchmarks.
+    ``radial.sigma`` is the one sigma of a run: it calibrates every
+    direction law and divides the final sum. ``decorrelate_mode``
+    selects the batch normalization: "moment" pins (1/N) V^T V =
+    sigma^2 I exactly, "sample" uses the sample-covariance convention
+    (columns centered when n > d, unbiased n-1 scaling) which
+    reproduces the published benchmarks.
     """
 
     scheme: PointScheme
     law: DirectionLaw
-    radial: RadialLaw | None
+    radial: RadialLaw
     n: int
-    sigma: float
     h: float
     decorrelate: bool = False
     decorrelate_mode: str = DECORRELATE_MOMENT
@@ -95,10 +96,10 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.n < 1:
             raise DomainError("sample size n must be >= 1")
-        for name in ("sigma", "h"):
-            value = getattr(self, name)
-            if value is None or not (math.isfinite(value) and value > 0.0):
-                raise DomainError(f"{name} must be finite and positive, got {value}")
+        if not isinstance(self.radial, RadialLaw):
+            raise DomainError(f"a radial law is required, got {self.radial!r}")
+        if self.h is None or not (math.isfinite(self.h) and self.h > 0.0):
+            raise DomainError(f"h must be finite and positive, got {self.h}")
         if self.decorrelate_mode not in (DECORRELATE_MOMENT, DECORRELATE_SAMPLE):
             raise DomainError(f"unknown decorrelate mode {self.decorrelate_mode!r}")
         if not validate_bandwidth(self.scheme, self.h, self.sigma):
@@ -106,8 +107,12 @@ class EstimatorConfig:
                 f"beta_max * h * sigma = {self.scheme.beta_max * self.h * self.sigma:.3g} "
                 "exceeds 1/2; consider a smaller h or sigma",
                 RuntimeWarning,
-                stacklevel=2,
+                stacklevel=3,  # the caller of the generated __init__
             )
+
+    @property
+    def sigma(self) -> float:
+        return self.radial.sigma
 
 
 @dataclass(frozen=True)
@@ -116,8 +121,6 @@ class GradientEstimate:
 
     grad: np.ndarray
     n_evals: int
-    config: EstimatorConfig
-    metric_used: str
 
 
 def _evaluate_rows(f: ObjectiveFunction, points: np.ndarray) -> np.ndarray:
@@ -174,7 +177,7 @@ def estimate_gradient(
         n_evals = scheme.l * cfg.n
     raw = v.T @ weights / (cfg.n * h * cfg.sigma**2)
     grad = apply_inverse(metric, raw)
-    return GradientEstimate(grad=grad, n_evals=n_evals, config=cfg, metric_used=metric.tag)
+    return GradientEstimate(grad=grad, n_evals=n_evals)
 
 
 def _log_bracket(d: int, p: float) -> float:

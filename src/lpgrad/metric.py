@@ -126,18 +126,21 @@ def apply_inverse(metric: TensorMetric, v) -> np.ndarray:
 def load_matrix(path) -> np.ndarray:
     """Read a dense d x d matrix from a CSV (header optional) or JSON file."""
     path = Path(path)
-    if path.suffix.lower() == ".json":
-        with open(path) as fh:
-            m = np.asarray(json.load(fh), dtype=float)
-    else:
-        skip = 0
-        with open(path) as fh:
-            first = fh.readline()
-        try:
-            [float(tok) for tok in first.replace(",", " ").split()]
-        except ValueError:
-            skip = 1
-        m = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+    try:
+        if path.suffix.lower() == ".json":
+            with open(path) as fh:
+                m = np.asarray(json.load(fh), dtype=float)
+        else:
+            skip = 0
+            with open(path) as fh:
+                first = fh.readline()
+            try:
+                [float(tok) for tok in first.replace(",", " ").split()]
+            except ValueError:
+                skip = 1
+            m = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+    except (TypeError, ValueError) as exc:  # malformed JSON or a non-numeric cell
+        raise DomainError(f"matrix file {path} is malformed: {exc}") from None
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DomainError(f"matrix file {path} is not square: shape {m.shape}")
     return m

@@ -10,7 +10,7 @@ dimensions and large p stay finite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,21 +104,18 @@ class DirectionLaw:
     """Which unit-norm direction distribution generates the angular part.
 
     kind is one of "sphere" (cone measure on the lp-sphere), "ball"
-    (uniform over the lp-ball) or "iid-uniform" (independent coordinates
-    U(-half_width, half_width); p is unused).
+    (uniform over the lp-ball) or "iid-uniform" (independent uniform
+    coordinates scaled by the radial law's sigma; p is unused).
     """
 
     kind: str
     p: float = 2.0
-    half_width: float = 1.0
 
     def __post_init__(self):
         if self.kind not in (SPHERE, BALL, IID_UNIFORM):
             raise DomainError(f"unknown direction law kind {self.kind!r}")
         if self.kind != IID_UNIFORM and not (math.isfinite(self.p) and self.p >= 1.0):
             raise DomainError(f"a finite p >= 1 is required, got {self.p}")
-        if self.kind == IID_UNIFORM and not (math.isfinite(self.half_width) and self.half_width > 0.0):
-            raise DomainError(f"half_width must be finite and positive, got {self.half_width}")
 
     @classmethod
     def sphere(cls, p: float) -> "DirectionLaw":
@@ -129,8 +126,8 @@ class DirectionLaw:
         return cls(BALL, p=p)
 
     @classmethod
-    def iid_uniform(cls, half_width: float = 1.0) -> "DirectionLaw":
-        return cls(IID_UNIFORM, half_width=half_width)
+    def iid_uniform(cls) -> "DirectionLaw":
+        return cls(IID_UNIFORM)
 
 
 @dataclass(frozen=True)
@@ -139,7 +136,8 @@ class RadialLaw:
 
     kind "uniform" draws R ~ U(0, xi) with xi = sqrt(3 E[R^2]); kind
     "dirac" uses the constant radius with the same calibration. Either
-    way the resulting V = R * U satisfies E[V_k^2] = sigma^2.
+    way the resulting V = R * U satisfies E[V_k^2] = sigma^2; iid-uniform
+    directions take only sigma, as their coordinate scale.
     """
 
     kind: str
@@ -162,21 +160,9 @@ class RadialLaw:
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """An N x d matrix of perturbation vectors plus its provenance."""
+    """An N x d matrix of perturbation vectors."""
 
     values: np.ndarray
-    law: DirectionLaw
-    radial: RadialLaw | None
-    decorrelated: bool
-    seed: int
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
 
 
 def lp_norm(x, p: float) -> np.ndarray | float:
@@ -282,7 +268,7 @@ def moment_R0(q: int, d: int, p: float, sigma: float, regime: str | None = None)
 
 def draw_batch(
     law: DirectionLaw,
-    radial: RadialLaw | None,
+    radial: RadialLaw,
     n: int,
     d: int,
     seed: int,
@@ -291,17 +277,18 @@ def draw_batch(
 
     Uses the counter-based Philox bit generator so identical
     (law, radial, n, d, seed) always produce bit-identical batches.
-    For the iid-uniform law the radial law is ignored and coordinates
-    are U(-a, a) with E[V_k^2] = a^2/3.
+    For the iid-uniform law only the radial sigma is used: coordinates
+    are U(-a, a) with a = sqrt(3) sigma, so E[V_k^2] = a^2/3 = sigma^2.
     """
     if n < 1 or d < 1:
         raise DomainError("n and d must be positive")
+    if radial is None:
+        raise DomainError("a radial law is required")
     rng = np.random.Generator(np.random.Philox(seed))
     if law.kind == IID_UNIFORM:
-        values = rng.uniform(-law.half_width, law.half_width, size=(n, d))
+        a = math.sqrt(3.0) * radial.sigma
+        values = rng.uniform(-a, a, size=(n, d))
     else:
-        if radial is None:
-            raise DomainError("a radial law is required for sphere/ball directions")
         u = _direction_matrix(rng, n, d, law.p)
         if law.kind == BALL:
             # the radial cdf of the uniform ball law is r^d: scale by W^(1/d)
@@ -316,7 +303,7 @@ def draw_batch(
             r = np.full(n, radial.sigma / math.sqrt(eu2))
         values = u * r[:, None]
     values.flags.writeable = False
-    return SampleBatch(values=values, law=law, radial=radial, decorrelated=False, seed=seed)
+    return SampleBatch(values)
 
 
 def decorrelate(
@@ -361,4 +348,4 @@ def decorrelate(
     q = q * np.where(diag < 0.0, -1.0, 1.0)
     values = q * (math.sqrt(n - ddof) * sigma)
     values.flags.writeable = False
-    return replace(batch, values=values, decorrelated=True)
+    return SampleBatch(values)

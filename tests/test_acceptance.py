@@ -89,7 +89,6 @@ def _exactness_case(d, metric, kind, seed):
         law=DirectionLaw.sphere(3.0),
         radial=RadialLaw.uniform(0.01),
         n=d + 3,
-        sigma=0.01,
         h=0.01,
         decorrelate=True,
         seed=seed,
@@ -158,7 +157,6 @@ def test_criterion_6_mse_rate():
             law=DirectionLaw.sphere(float(p)),
             radial=RadialLaw.uniform(d**-2.0),
             n=32,
-            sigma=d**-2.0,
             h=1e-4,
             decorrelate=False,
         )
@@ -204,7 +202,6 @@ def test_criterion_7_dimension_robustness():
                 law=DirectionLaw.sphere(float(p)),
                 radial=RadialLaw.uniform(d**-2.0),
                 n=n,
-                sigma=d**-2.0,
                 h=1e-4,
                 decorrelate=False,
             )

@@ -143,7 +143,6 @@ def quick_spec(reps=3, n=12, d=6, seed=5, **cfg_kw):
         law=DirectionLaw.sphere(3.0),
         radial=RadialLaw.uniform(0.01),
         n=n,
-        sigma=0.01,
         h=1e-3,
         decorrelate=False,
     )
@@ -196,7 +195,6 @@ class TestRunExperiment:
                 law=DirectionLaw.sphere(2.0),
                 radial=RadialLaw.uniform(0.1),
                 n=5,
-                sigma=0.1,
                 h=1e-2,
             ),
             reps=2,
@@ -247,7 +245,6 @@ class TestMseSweep:
                     law=DirectionLaw.sphere(2.0),
                     radial=RadialLaw.uniform(0.1),
                     n=8,
-                    sigma=0.1,
                     h=1e-2,
                 ),
                 reps=3,
@@ -273,7 +270,6 @@ class TestMseSweep:
                 law=DirectionLaw.sphere(2.0),
                 radial=RadialLaw.uniform(0.1),
                 n=4,
-                sigma=0.1,
                 h=1e-2,
             ),
             reps=2,
@@ -304,7 +300,6 @@ class TestMseSweep:
                     law=DirectionLaw.sphere(p),
                     radial=RadialLaw.uniform(d**-2.0),
                     n=n,
-                    sigma=d**-2.0,
                     h=1e-4,
                 ),
                 reps=reps,

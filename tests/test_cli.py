@@ -133,15 +133,22 @@ class TestInvalidInput:
         ["estimate", "--function", "expr:x7", "--d", "3"],
         ["mse-sweep", "--function", "expr:x1 + x4", "--d", "3"],
         ["estimate", "--function", "rosenbrock", "--d", "3", "--metric", "exp-corr:abc"],
-    ], ids=["estimate-expr-index", "sweep-expr-index", "exp-corr-rho"])
+        SWEEP_ARGS + ["--n-values", "8,abc"],
+        ["moments-check", "--d", "3", "--p", "2", "--draws", "100", "--seed", "-1"],
+    ], ids=["estimate-expr-index", "sweep-expr-index", "exp-corr-rho", "sweep-n-values",
+            "moments-seed"])
     def test_bad_specs(self, capsys, argv):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize("matrix", ["[[1.0, 0.0], [0.0, -1.0]]", "[[1.0, NaN], [NaN, 1.0]]"],
-                             ids=["indefinite", "nan"])
-    def test_bad_metric_file(self, tmp_path, capsys, matrix):
-        g = tmp_path / "g.json"
+    @pytest.mark.parametrize("name,matrix", [
+        ("g.json", "[[1.0, 0.0], [0.0, -1.0]]"),
+        ("g.json", "[[1.0, NaN], [NaN, 1.0]]"),
+        ("g.json", "[[1.0, 0.0], [0.0"),
+        ("g.csv", "1.0,0.0\n0.0,abc\n"),
+    ], ids=["indefinite", "nan", "truncated-json", "csv-cell"])
+    def test_bad_metric_file(self, tmp_path, capsys, name, matrix):
+        g = tmp_path / name
         g.write_text(matrix)
         code = main(["estimate", "--function", "expr:x1+x2", "--d", "2",
                      "--metric", f"file:{g}"])
@@ -151,9 +158,18 @@ class TestInvalidInput:
 
     def test_config_file_checked(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"d": 4, "threads": -1}))
-        assert main(["estimate", "--config", str(cfg)]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        for bad in [
+            {"d": 4, "threads": -1},
+            {"d": "4"},
+            {"d": 4, "n": 8, "decorrelate": "no"},
+            {"d": 4, "reps": True},
+            {"d": 4, "h": True},
+            {"d": 4, "sigma": [0.01]},
+        ]:
+            cfg.write_text(json.dumps(bad))
+            assert main(["estimate", "--config", str(cfg)]) == 2, bad
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, (bad, err)
 
     def test_threads_env_checked(self, capsys, monkeypatch):
         monkeypatch.setenv("LPGRAD_THREADS", "many")

@@ -217,8 +217,10 @@ class TestDrawBatch:
         assert not np.array_equal(a.values, c.values)
 
     def test_iid_uniform_variance(self):
-        batch = draw_batch(DirectionLaw.iid_uniform(1.0), None, 500_000, 2, seed=40)
-        assert abs(zscore(batch.values[:, 0] ** 2, 1.0 / 3.0)) < 4.0
+        # coordinates are U(-a, a) with a = sqrt(3) sigma
+        batch = draw_batch(DirectionLaw.iid_uniform(), RadialLaw.uniform(0.5), 500_000, 2, seed=40)
+        assert np.abs(batch.values).max() <= math.sqrt(3.0) * 0.5
+        assert abs(zscore(batch.values[:, 0] ** 2, 0.25)) < 4.0
 
     @pytest.mark.parametrize("kind", ["sphere", "ball"])
     @pytest.mark.parametrize("radial_kind", ["uniform", "dirac"])
@@ -251,19 +253,14 @@ class TestDecorrelate:
         sigma = 0.3
         batch = decorrelate(self.make(sigma=sigma), sigma)
         v = batch.values
-        gram = v.T @ v / batch.n
-        np.testing.assert_allclose(gram, sigma**2 * np.eye(batch.dim), atol=1e-10)
-        assert batch.decorrelated
+        n, d = v.shape
+        np.testing.assert_allclose(v.T @ v / n, sigma**2 * np.eye(d), atol=1e-10)
 
     def test_orthogonal_input_passes_through(self):
         n, d, sigma = 30, 5, 0.4
         q, _ = np.linalg.qr(np.random.default_rng(1).normal(size=(n, d)))
         values = q * math.sqrt(n) * sigma
-        batch = SampleBatch(
-            values=values, law=DirectionLaw.sphere(2.0),
-            radial=RadialLaw.uniform(sigma), decorrelated=False, seed=0,
-        )
-        out = decorrelate(batch, sigma)
+        out = decorrelate(SampleBatch(values), sigma)
         np.testing.assert_allclose(out.values, values, atol=1e-12)
 
     def test_span_preserved(self):
@@ -272,7 +269,7 @@ class TestDecorrelate:
         out = decorrelate(batch, sigma)
         stacked = np.hstack([batch.values, out.values])
         rank = np.linalg.matrix_rank(stacked, tol=1e-8)
-        assert rank == batch.dim
+        assert rank == batch.values.shape[1]
 
     def test_too_few_samples(self):
         with pytest.raises(NotApplicableError):
@@ -281,12 +278,8 @@ class TestDecorrelate:
     def test_rank_deficient(self):
         base = self.make(n=20, d=3).values.copy()
         base[:, 2] = base[:, 0] + base[:, 1]
-        batch = SampleBatch(
-            values=base, law=DirectionLaw.sphere(3.0),
-            radial=RadialLaw.uniform(0.3), decorrelated=False, seed=0,
-        )
         with pytest.raises(DegenerateSampleError):
-            decorrelate(batch, 0.3)
+            decorrelate(SampleBatch(base), 0.3)
 
     def test_sample_convention(self):
         # centered columns, unbiased scaling: zero means and
