@@ -19,8 +19,6 @@ import numpy as np
 
 from .errors import DomainError, EvaluationError, LpgradError
 from .estimator import (
-    DECORRELATE_MOMENT,
-    DECORRELATE_SAMPLE,
     EstimatorConfig,
     ObjectiveFunction,
     estimate_gradient,
@@ -35,8 +33,8 @@ from .metric import (
     identity_metric,
     load_matrix,
 )
-from .sampler import DirectionLaw, RadialLaw
-from .scheme import LOW_ORDER, build_scheme, one_point
+from .sampler import DECORRELATE_SAMPLE, DirectionLaw, RadialLaw
+from .scheme import build_scheme, one_point, two_point_central
 
 __all__ = [
     "rosenbrock",
@@ -101,6 +99,8 @@ def synthetic_ms(d: int, m1: float, m2: float) -> ObjectiveFunction:
     """
     if d < 2 or d % 2 != 0:
         raise DomainError("the synthetic objective requires an even d >= 2")
+    if not (math.isfinite(m1) and math.isfinite(m2)):
+        raise DomainError(f"m1 and m2 must be finite, got {m1} and {m2}")
 
     def fun(x):
         s = x.sum()
@@ -248,18 +248,17 @@ def _row_static(spec: ExperimentSpec) -> dict:
         "sigma": cfg.sigma,
         "law": law.kind,
         "radial": cfg.radial.kind,
-        "decorrelated": cfg.decorrelate,
+        "decorrelated": cfg.decorrelate is not None,
         "metric": spec.metric_label or spec.metric.tag,
     }
 
 
 def _run_rep(spec: ExperimentSpec, grad_dep: np.ndarray, static: dict, rep: int) -> ResultRow:
     rep_seed = derive_seed(spec.seed, rep)
-    cfg = replace(spec.cfg, seed=rep_seed)
     f = spec.function.fresh()
     t0 = time.perf_counter()
     try:
-        est = estimate_gradient(f, spec.x0, cfg, spec.metric)
+        est = estimate_gradient(f, spec.x0, spec.cfg, spec.metric, seed=rep_seed)
         wall = (time.perf_counter() - t0) * 1e3
         err_val = float(
             np.linalg.norm(grad_dep - est.grad) / np.linalg.norm(grad_dep)
@@ -331,13 +330,13 @@ def fdm_row(function: ObjectiveFunction, metric: TensorMetric, h: float, x0=None
     )
 
 
-def mse_sweep(spec: ExperimentSpec, n_values, reps: int, threads: int = 1):
+def mse_sweep(spec: ExperimentSpec, n_values, threads: int = 1):
     """Empirical MSE against sample size, plus the fitted log-log slope.
 
-    For each N the config is rerun with undecorrelated batches and the
-    spec's fixed h; the MSE is the mean over reps of the squared
-    euclidean distance between the estimate and the metric-transformed
-    analytic gradient. Per-(N, rep) seeds derive from
+    For each N the spec's undecorrelated config runs spec.reps times
+    with the spec's fixed h; the MSE is the mean over reps of the
+    squared euclidean distance between the estimate and the
+    metric-transformed analytic gradient. Per-(N, rep) seeds derive from
     (spec.seed, N, rep) so sweeps with different laws pair up by seed.
 
     Returns (points, slope) with points a list of (n, mse).
@@ -345,19 +344,22 @@ def mse_sweep(spec: ExperimentSpec, n_values, reps: int, threads: int = 1):
     n_values = sorted({int(n) for n in n_values})
     if len(n_values) < 2:
         raise DomainError("mse_sweep needs at least two distinct sample sizes")
+    if spec.cfg.decorrelate is not None:
+        raise DomainError(f"mse_sweep measures raw batches, got decorrelate={spec.cfg.decorrelate!r}")
     grad_dep = apply_inverse(spec.metric, _reference_gradient(spec.function, spec.x0))
+    cfgs = {n: replace(spec.cfg, n=n) for n in n_values}
 
     def one(n: int, rep: int) -> float:
-        cfg = replace(spec.cfg, n=n, seed=derive_seed(spec.seed, n, rep), decorrelate=False)
+        seed = derive_seed(spec.seed, n, rep)
         try:
-            est = estimate_gradient(spec.function.fresh(), spec.x0, cfg, spec.metric)
+            est = estimate_gradient(spec.function.fresh(), spec.x0, cfgs[n], spec.metric, seed=seed)
         except LpgradError:
             return float("nan")
         diff = est.grad - grad_dep
         return float(diff @ diff)
 
-    pairs = [(n, rep) for n in n_values for rep in range(reps)]
-    sq = np.array(_map(lambda nr: one(*nr), pairs, threads)).reshape(len(n_values), reps)
+    pairs = [(n, rep) for n in n_values for rep in range(spec.reps)]
+    sq = np.array(_map(lambda nr: one(*nr), pairs, threads)).reshape(len(n_values), spec.reps)
     with np.errstate(invalid="ignore"):
         means = np.array([np.nanmean(col) if np.isfinite(col).any() else float("nan") for col in sq])
     points = [(n, float(m)) for n, m in zip(n_values, means)]
@@ -375,8 +377,8 @@ def mse_sweep(spec: ExperimentSpec, n_values, reps: int, threads: int = 1):
 
 
 # RunConfig field type -> the JSON values it accepts (bool is an int
-# subclass, so from_dict rejects it where no bool is allowed)
-_JSON_TYPES = {"str": str, "int": int, "float": (int, float), "bool": bool, "None": type(None)}
+# subclass, so from_dict rejects it explicitly)
+_JSON_TYPES = {"str": str, "int": int, "float": (int, float), "None": type(None)}
 
 
 @dataclass
@@ -392,8 +394,7 @@ class RunConfig:
     sigma: str | float = "auto-d2"
     law: str = "sphere"
     radial: str = "uniform"
-    decorrelate: bool = False
-    decorrelate_mode: str = DECORRELATE_MOMENT
+    decorrelate: str | None = None
     metric: str = "identity"
     seed: int = 0
     reps: int = 1
@@ -405,6 +406,8 @@ class RunConfig:
 
     def __post_init__(self):
         _check_run_options(seed=self.seed, reps=self.reps, threads=self.threads)
+        if self.format not in ("csv", "json"):
+            raise DomainError(f"unknown output format {self.format!r}")
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -414,7 +417,7 @@ class RunConfig:
             raise DomainError(f"unknown config keys: {sorted(unknown)}")
         for name, value in data.items():
             allowed = tuple(_JSON_TYPES[t.strip()] for t in types[name].split("|"))
-            if not isinstance(value, allowed) or (isinstance(value, bool) and bool not in allowed):
+            if isinstance(value, bool) or not isinstance(value, allowed):
                 raise DomainError(f"config key {name!r} must be {types[name]}, got {value!r}")
         return cls(**data)
 
@@ -486,9 +489,12 @@ def _build_spec(cfg: RunConfig, name: str = "") -> ExperimentSpec:
     function = _build_function(cfg.function, cfg.d, cfg.m1, cfg.m2)
     metric = _build_metric(cfg.metric, cfg.d)
     sigma = _resolve_sigma(cfg.sigma, metric, cfg.d, cfg.p)
-    scheme = one_point() if cfg.l == 1 else build_scheme(
-        [1.0, -1.0] if cfg.l == 2 else list(range(1, cfg.l + 1)), LOW_ORDER
-    )
+    if cfg.l == 1:
+        scheme = one_point()
+    elif cfg.l == 2:
+        scheme = two_point_central()
+    else:
+        scheme = build_scheme(range(1, cfg.l + 1))
     est_cfg = EstimatorConfig(
         scheme=scheme,
         law=DirectionLaw(cfg.law, p=cfg.p),
@@ -496,7 +502,6 @@ def _build_spec(cfg: RunConfig, name: str = "") -> ExperimentSpec:
         n=cfg.n,
         h=cfg.h,
         decorrelate=cfg.decorrelate,
-        decorrelate_mode=cfg.decorrelate_mode,
     )
     return ExperimentSpec(
         function=function,
@@ -513,8 +518,7 @@ def _build_spec(cfg: RunConfig, name: str = "") -> ExperimentSpec:
 # sigma = 1/d^2, cone-measure directions with the U(0, xi) radius and
 # sample-convention decorrelation
 _PROTOCOL = RunConfig(
-    h=1e-4, sigma="auto-d2", law="sphere", radial="uniform",
-    decorrelate=True, decorrelate_mode=DECORRELATE_SAMPLE,
+    h=1e-4, sigma="auto-d2", law="sphere", radial="uniform", decorrelate=DECORRELATE_SAMPLE,
 )
 
 # cells are (evaluation budget LN, stencil size L); N = LN // L

@@ -20,8 +20,9 @@ import numpy as np
 from . import bench
 from .bench import RunConfig, _build_spec, _check_run_options
 from .errors import DomainError, LpgradError
-from .estimator import DECORRELATE_MOMENT, DECORRELATE_SAMPLE
 from .sampler import (
+    DECORRELATE_MOMENT,
+    DECORRELATE_SAMPLE,
     DirectionLaw,
     RadialLaw,
     draw_batch,
@@ -77,14 +78,12 @@ def _write_csv(out: str | None, header, lines) -> None:
 def write_rows(rows, out: str | None, fmt: str = "csv") -> None:
     """Write result rows as CSV (fixed schema) or JSON; '-'/None = stdout."""
     records = [_row_record(row) for row in rows]
-    if fmt == "csv":
-        lines = [[_csv_cell(name, rec[name]) for name in CSV_HEADER] for rec in records]
-        _write_csv(out, CSV_HEADER, lines)
-    elif fmt == "json":
+    if fmt == "json":
         with _open_out(out) as fh:
             fh.write(json.dumps(records, indent=2) + "\n")
     else:
-        raise DomainError(f"unknown output format {fmt!r}")
+        lines = [[_csv_cell(name, rec[name]) for name in CSV_HEADER] for rec in records]
+        _write_csv(out, CSV_HEADER, lines)
 
 
 def _threads_default() -> int:
@@ -98,13 +97,14 @@ def _threads_default() -> int:
 _CHOICES = {
     "law": ["sphere", "ball", "iid-uniform"],
     "radial": ["uniform", "dirac"],
-    "decorrelate_mode": [DECORRELATE_MOMENT, DECORRELATE_SAMPLE],
+    "decorrelate": [DECORRELATE_MOMENT, DECORRELATE_SAMPLE],
     "format": ["csv", "json"],
 }
 _HELP = {
     "function": "rosenbrock | synthetic | expr:<expression>",
     "d": "dimension (required unless --config)",
     "sigma": "number | auto-c3 | auto-d2",
+    "decorrelate": "orthogonalize each batch; the bare flag means moment",
     "metric": "identity | exp-corr:<rho> | file:<path>",
 }
 
@@ -114,12 +114,10 @@ def _add_estimate_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON run configuration (other flags ignored)")
     for f in fields(RunConfig):
         flag = "--" + _UPPER.get(f.name, f.name).replace("_", "-")
-        kw = {"dest": f.name, "default": None, "help": _HELP.get(f.name)}
-        if f.type == "bool":
-            kw["action"] = "store_true"
-        else:
-            kw["type"] = {"int": int, "float": float}.get(f.type, str)
-            kw["choices"] = _CHOICES.get(f.name)
+        kw = {"dest": f.name, "default": None, "help": _HELP.get(f.name),
+              "type": {"int": int, "float": float}.get(f.type, str), "choices": _CHOICES.get(f.name)}
+        if f.name == "decorrelate":
+            kw.update(nargs="?", const=DECORRELATE_MOMENT)
         sub.add_argument(flag, **kw)
     sub.add_argument("--save-config", default=None,
                      help="write the effective run configuration to this JSON path")
@@ -235,7 +233,7 @@ def cmd_mse_sweep(args) -> int:
         raise DomainError(f"--n-values must be comma-separated integers, got {args.n_values!r}") from None
     cfg = _estimate_config(args)
     spec = _build_spec(cfg)
-    points, slope = bench.mse_sweep(spec, n_values, reps=cfg.reps, threads=cfg.threads)
+    points, slope = bench.mse_sweep(spec, n_values, threads=cfg.threads)
     _write_csv(cfg.out, ["n", "mse"], [[str(n), format(mse, ".17e")] for n, mse in points])
     print(f"log-log slope = {slope:.4f}", file=sys.stderr)
     return 0

@@ -20,6 +20,8 @@ import numpy as np
 from .errors import DomainError, EvaluationError
 from .metric import TensorMetric, apply_inverse
 from .sampler import (
+    DECORRELATE_MOMENT,
+    DECORRELATE_SAMPLE,
     DirectionLaw,
     RadialLaw,
     _log_er2_over_sigma2,
@@ -40,9 +42,6 @@ __all__ = [
     "recommended_sigma",
     "recommend_p",
 ]
-
-DECORRELATE_MOMENT = "moment"
-DECORRELATE_SAMPLE = "sample"
 
 
 @dataclass
@@ -77,11 +76,11 @@ class EstimatorConfig:
     """Everything the estimator needs besides the objective and point.
 
     ``radial.sigma`` is the one sigma of a run: it calibrates every
-    direction law and divides the final sum. ``decorrelate_mode``
-    selects the batch normalization: "moment" pins (1/N) V^T V =
-    sigma^2 I exactly, "sample" uses the sample-covariance convention
-    (columns centered when n > d, unbiased n-1 scaling) which
-    reproduces the published benchmarks.
+    direction law and divides the final sum. ``decorrelate`` is None
+    for the raw batch, or the ``sampler.decorrelate`` mode: "moment"
+    pins (1/N) V^T V = sigma^2 I exactly, "sample" uses the
+    sample-covariance convention which reproduces the published
+    benchmarks.
     """
 
     scheme: PointScheme
@@ -89,9 +88,7 @@ class EstimatorConfig:
     radial: RadialLaw
     n: int
     h: float
-    decorrelate: bool = False
-    decorrelate_mode: str = DECORRELATE_MOMENT
-    seed: int = 0
+    decorrelate: str | None = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -100,8 +97,8 @@ class EstimatorConfig:
             raise DomainError(f"a radial law is required, got {self.radial!r}")
         if self.h is None or not (math.isfinite(self.h) and self.h > 0.0):
             raise DomainError(f"h must be finite and positive, got {self.h}")
-        if self.decorrelate_mode not in (DECORRELATE_MOMENT, DECORRELATE_SAMPLE):
-            raise DomainError(f"unknown decorrelate mode {self.decorrelate_mode!r}")
+        if self.decorrelate not in (None, DECORRELATE_MOMENT, DECORRELATE_SAMPLE):
+            raise DomainError(f"decorrelate must be None, 'moment' or 'sample', got {self.decorrelate!r}")
         if not validate_bandwidth(self.scheme, self.h, self.sigma):
             warnings.warn(
                 f"beta_max * h * sigma = {self.scheme.beta_max * self.h * self.sigma:.3g} "
@@ -141,10 +138,11 @@ def estimate_gradient(
     x,
     cfg: EstimatorConfig,
     metric: TensorMetric,
+    seed: int = 0,
 ) -> GradientEstimate:
     """Estimate the metric-transformed gradient of f at x.
 
-    Deterministic in cfg.seed; evaluations run sequentially in a fixed
+    Deterministic in seed; evaluations run sequentially in a fixed
     order so results do not depend on any caller-side parallelism.
     Costs L*N evaluations for L >= 2 and N for L = 1 (the centering
     mean reuses the same evaluations).
@@ -158,12 +156,9 @@ def estimate_gradient(
     if metric.dim != d:
         raise DomainError(f"metric dimension {metric.dim} != len(x) = {d}")
     scheme = cfg.scheme
-    batch = draw_batch(cfg.law, cfg.radial, cfg.n, d, cfg.seed)
-    if cfg.decorrelate:
-        if cfg.decorrelate_mode == DECORRELATE_SAMPLE:
-            batch = decorrelate(batch, cfg.sigma, center=cfg.n > d, ddof=1)
-        else:
-            batch = decorrelate(batch, cfg.sigma)
+    batch = draw_batch(cfg.law, cfg.radial, cfg.n, d, seed)
+    if cfg.decorrelate is not None:
+        batch = decorrelate(batch, cfg.sigma, cfg.decorrelate)
     v = batch.values
     h = cfg.h
     if scheme.l == 1:

@@ -40,7 +40,8 @@ def _tokenize(text: str):
         if m is None or m.end() == pos:
             raise DomainError(f"cannot parse expression at: {text[pos:]!r}")
         if m.lastgroup == "num":
-            tokens.append(("num", float(m.group("num"))))
+            # numpy scalars, so constant arithmetic gives inf/nan like x does
+            tokens.append(("num", np.float64(m.group("num"))))
         elif m.lastgroup == "name":
             tokens.append(("name", m.group("name")))
         else:

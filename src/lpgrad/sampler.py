@@ -30,6 +30,8 @@ __all__ = [
     "moment_R0",
     "draw_batch",
     "decorrelate",
+    "DECORRELATE_MOMENT",
+    "DECORRELATE_SAMPLE",
 ]
 
 # Above this exponent the generalized Gaussian coordinate law is
@@ -42,6 +44,9 @@ IID_UNIFORM = "iid-uniform"
 
 RADIAL_UNIFORM = "uniform"
 RADIAL_DIRAC = "dirac"
+
+DECORRELATE_MOMENT = "moment"
+DECORRELATE_SAMPLE = "sample"
 
 
 def log_gamma(x: float) -> float:
@@ -146,8 +151,9 @@ class RadialLaw:
     def __post_init__(self):
         if self.kind not in (RADIAL_UNIFORM, RADIAL_DIRAC):
             raise DomainError(f"unknown radial law kind {self.kind!r}")
-        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise DomainError(f"sigma must be finite and positive, got {self.sigma}")
+        # sigma^2 divides the final sum, so it must be finite and nonzero too
+        if not (self.sigma > 0.0 and 0.0 < self.sigma * self.sigma < math.inf):
+            raise DomainError(f"sigma must be positive with a finite nonzero square, got {self.sigma}")
 
     @classmethod
     def uniform(cls, sigma: float) -> "RadialLaw":
@@ -251,7 +257,10 @@ def moment_R0(q: int, d: int, p: float, sigma: float, regime: str | None = None)
     _check_dp(d, p)
     if regime is None:
         xi = radial_xi(d, p, sigma, SPHERE)
-        return xi**q / (q + 1)
+        try:
+            return xi**q / (q + 1)
+        except OverflowError:
+            raise DomainError(f"E[R0^{q}] overflows at sigma = {sigma}") from None
     if regime == "small_p":
         lg = log_gamma(1 / p) - log_gamma(3 / p)
         return (
@@ -306,20 +315,14 @@ def draw_batch(
     return SampleBatch(values)
 
 
-def decorrelate(
-    batch: SampleBatch,
-    sigma: float,
-    *,
-    center: bool = False,
-    ddof: int = 0,
-) -> SampleBatch:
+def decorrelate(batch: SampleBatch, sigma: float, mode: str = DECORRELATE_MOMENT) -> SampleBatch:
     """Orthogonalize the batch columns and pin their empirical scale.
 
-    With the defaults the output satisfies (1/N) V^T V = sigma^2 I
-    exactly (second-moment convention). ``center=True`` removes the
-    column means first and ``ddof=1`` rescales to the unbiased sample
-    standard deviation, i.e. the sample-covariance convention; this is
-    the normalization that reproduces the published benchmark errors.
+    Mode "moment" makes (1/N) V^T V = sigma^2 I exactly (second-moment
+    convention). Mode "sample" uses the sample-covariance convention:
+    columns are centered first when n > d (at n = d centering would cost
+    a rank) and rescaled to the unbiased n - 1 standard deviation; this
+    is the normalization that reproduces the published benchmark errors.
 
     Orthogonalization is a Householder QR with column signs fixed so an
     already-orthogonal input passes through unchanged; it yields the
@@ -327,19 +330,19 @@ def decorrelate(
     numerical behaviour.
     """
     n, d = batch.values.shape
+    if mode not in (DECORRELATE_MOMENT, DECORRELATE_SAMPLE):
+        raise DomainError(f"unknown decorrelate mode {mode!r}")
     if sigma <= 0.0:
         raise DomainError("sigma must be positive")
-    if ddof < 0 or ddof >= n:
-        raise DomainError(f"ddof must lie in [0, n), got {ddof}")
     if n < d:
         raise NotApplicableError(
             f"decorrelation needs at least as many samples as dimensions (n={n} < d={d})"
         )
-    if center and n < d + 1:
-        raise NotApplicableError(
-            f"centered decorrelation needs n > d (n={n}, d={d}): centered columns lose one rank"
-        )
-    w = batch.values - batch.values.mean(axis=0) if center else batch.values
+    sample = mode == DECORRELATE_SAMPLE
+    ddof = 1 if sample else 0
+    if n <= ddof:
+        raise NotApplicableError("sample-convention decorrelation needs n >= 2")
+    w = batch.values - batch.values.mean(axis=0) if sample and n > d else batch.values
     q, r = np.linalg.qr(w)
     diag = np.diag(r)
     tol = n * np.finfo(float).eps * np.abs(diag).max()

@@ -1,9 +1,10 @@
 """L-point evaluation stencils (beta_l offsets with C_l weights).
 
-The weights solve the Vandermonde moment constraints
-sum_l C_l beta_l^r = delta_{1,r} over the exponent range selected by
-the mode, so the weighted evaluations reproduce a first derivative and
-cancel the unwanted Taylor orders.
+For L >= 2 the weights solve the Vandermonde moment constraints
+sum_l C_l beta_l^r = delta_{1,r} for r = 0..L-1, so the weighted
+evaluations reproduce a first derivative, cancel the unwanted Taylor
+orders and sum to zero. The L=1 stencil is the fixed beta = C = 1; the
+estimator mean-centers its evaluations instead.
 """
 from __future__ import annotations
 
@@ -15,8 +16,6 @@ import numpy as np
 from .errors import DomainError, SingularSchemeError
 
 __all__ = [
-    "LOW_ORDER",
-    "SINGLETON",
     "PointScheme",
     "build_scheme",
     "validate_bandwidth",
@@ -24,15 +23,12 @@ __all__ = [
     "two_point_central",
 ]
 
-LOW_ORDER = "low-order"
-SINGLETON = "singleton"
-
 CONDITION_WARN_THRESHOLD = 1e12
 
 
 @dataclass(frozen=True)
 class PointScheme:
-    """Offsets, weights and constraint mode of an evaluation stencil.
+    """Offsets and weights of an evaluation stencil.
 
     ``condition`` is the condition estimate of the constraint system;
     values above 1e12 also emit a warning at build time.
@@ -40,7 +36,6 @@ class PointScheme:
 
     betas: np.ndarray
     coeffs: np.ndarray
-    mode: str
     condition: float = 1.0
 
     @property
@@ -52,38 +47,31 @@ class PointScheme:
         return float(np.abs(self.betas).max())
 
     def constraint_residual(self) -> float:
-        """Max absolute residual of the mode's constraint system."""
-        a, rhs = _constraint_system(self.betas, self.mode)
+        """Max absolute residual of the L >= 2 constraint system."""
+        a, rhs = _constraint_system(self.betas)
         return float(np.abs(a @ self.coeffs - rhs).max())
 
 
-def _constraint_system(betas: np.ndarray, mode: str):
-    if mode != LOW_ORDER:
-        raise DomainError(f"unknown scheme mode {mode!r}")
+def _constraint_system(betas: np.ndarray):
     powers = np.arange(len(betas))
     a = betas[None, :] ** powers[:, None]
     rhs = (powers == 1).astype(float)
     return a, rhs
 
 
-def build_scheme(betas, mode: str) -> PointScheme:
-    """Solve the stencil weights for the given offsets and mode.
+def build_scheme(betas) -> PointScheme:
+    """Solve the stencil weights for L >= 2 pairwise distinct offsets.
 
-    Modes: "low-order" enforces r = 0..L-1 (for L >= 2 this includes
-    sum C_l = 0, which the estimator relies on) and "singleton" is the
-    fixed one-point stencil beta = C = 1.
+    The constraints r = 0..L-1 include sum C_l = 0, which the estimator
+    relies on to cancel f(x); the L=1 stencil is ``one_point()``.
     """
     betas = np.atleast_1d(np.asarray(betas, dtype=float))
     l = len(betas)
-    if l < 1:
-        raise DomainError("at least one offset is required")
+    if l < 2:
+        raise DomainError(f"a stencil needs at least 2 offsets, got {l}; use one_point() for L=1")
     if len(np.unique(betas)) != l:
         raise SingularSchemeError(f"offsets must be pairwise distinct, got {betas}")
-    if mode == SINGLETON:
-        if l != 1 or betas[0] != 1.0:
-            raise DomainError("the singleton scheme is L=1 with beta = 1")
-        return PointScheme(betas=betas, coeffs=np.array([1.0]), mode=mode)
-    a, rhs = _constraint_system(betas, mode)
+    a, rhs = _constraint_system(betas)
     condition = float(np.linalg.cond(a))
     if condition > CONDITION_WARN_THRESHOLD:
         warnings.warn(
@@ -92,17 +80,17 @@ def build_scheme(betas, mode: str) -> PointScheme:
             stacklevel=2,
         )
     coeffs = np.linalg.solve(a, rhs)
-    return PointScheme(betas=betas, coeffs=coeffs, mode=mode, condition=condition)
+    return PointScheme(betas=betas, coeffs=coeffs, condition=condition)
 
 
 def one_point() -> PointScheme:
     """The L=1 stencil (beta = C = 1); paired with mean-centering."""
-    return build_scheme([1.0], SINGLETON)
+    return PointScheme(betas=np.array([1.0]), coeffs=np.array([1.0]))
 
 
 def two_point_central() -> PointScheme:
     """The antithetic two-point stencil beta = (1, -1), C = (1/2, -1/2)."""
-    return build_scheme([1.0, -1.0], LOW_ORDER)
+    return build_scheme([1.0, -1.0])
 
 
 def validate_bandwidth(scheme: PointScheme, h: float, sigma: float) -> bool:

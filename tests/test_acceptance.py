@@ -33,7 +33,7 @@ from lpgrad.estimator import (
 )
 from lpgrad.metric import apply_inverse, exp_corr_metric, identity_metric
 from lpgrad.sampler import DirectionLaw, RadialLaw
-from lpgrad.scheme import LOW_ORDER, build_scheme, two_point_central
+from lpgrad.scheme import build_scheme, two_point_central
 from lpgrad.estimator import estimate_gradient
 
 
@@ -49,7 +49,7 @@ def criterion(name):
 
 def test_criterion_1_scheme_correctness():
     with criterion("1 scheme-correctness"):
-        s = build_scheme([1.0, -1.0], LOW_ORDER)
+        s = build_scheme([1.0, -1.0])
         assert s.coeffs.tolist() == [0.5, -0.5]
         rng = np.random.default_rng(1)
         for trial in range(200):
@@ -58,7 +58,7 @@ def test_criterion_1_scheme_correctness():
                 betas = np.sort(rng.uniform(-3.0, 3.0, size=l))
                 if np.min(np.diff(betas)) > 0.1:
                     break
-            scheme = build_scheme(betas, LOW_ORDER)
+            scheme = build_scheme(betas)
             assert scheme.constraint_residual() <= 1e-10
 
 
@@ -90,11 +90,10 @@ def _exactness_case(d, metric, kind, seed):
         radial=RadialLaw.uniform(0.01),
         n=d + 3,
         h=0.01,
-        decorrelate=True,
-        seed=seed,
+        decorrelate="moment",
     )
     x = rng.normal(size=d)
-    est = estimate_gradient(f, x, cfg, metric)
+    est = estimate_gradient(f, x, cfg, metric, seed=seed)
     expected = apply_inverse(metric, grad(x))
     return float(np.linalg.norm(est.grad - expected) / np.linalg.norm(expected))
 
@@ -158,7 +157,6 @@ def test_criterion_6_mse_rate():
             radial=RadialLaw.uniform(d**-2.0),
             n=32,
             h=1e-4,
-            decorrelate=False,
         )
         from lpgrad.bench import ExperimentSpec
 
@@ -169,7 +167,7 @@ def test_criterion_6_mse_rate():
             reps=100,
             seed=6,
         )
-        _, slope = mse_sweep(spec, [32, 64, 128, 256, 512, 1024], reps=100)
+        _, slope = mse_sweep(spec, [32, 64, 128, 256, 512, 1024])
         assert -1.25 <= slope <= -0.75, slope
 
 
@@ -203,7 +201,6 @@ def test_criterion_7_dimension_robustness():
                 radial=RadialLaw.uniform(d**-2.0),
                 n=n,
                 h=1e-4,
-                decorrelate=False,
             )
             spec = ExperimentSpec(
                 function=_fixed_smoothness_trig(d),
@@ -212,7 +209,7 @@ def test_criterion_7_dimension_robustness():
                 reps=reps,
                 seed=7,
             )
-            points, _ = mse_sweep(spec, [n, 2 * n], reps=reps)
+            points, _ = mse_sweep(spec, [n, 2 * n])
             mses[d] = points[0][1]
         for d in (50, 100, 200):
             ratio = mses[2 * d] / mses[d]
@@ -244,7 +241,7 @@ def test_criterion_9_determinism(tmp_path):
         args = [
             "estimate", "--function", "rosenbrock", "--d", "10", "--p", "3",
             "--L", "2", "--N", "10", "--h", "1e-4", "--sigma", "auto-d2",
-            "--decorrelate", "--decorrelate-mode", "sample",
+            "--decorrelate", "sample",
             "--reps", "6", "--seed", "99",
         ]
         paths = [tmp_path / f"run{i}.csv" for i in range(3)]

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from lpgrad.bench import (
     ExperimentSpec,
+    RunConfig,
+    _build_spec,
     central_fdm,
     err,
     fdm_row,
@@ -22,11 +24,7 @@ from lpgrad.bench import (
     trig_sum,
 )
 from lpgrad.errors import DomainError
-from lpgrad.estimator import (
-    DECORRELATE_SAMPLE,
-    EstimatorConfig,
-    ObjectiveFunction,
-)
+from lpgrad.estimator import EstimatorConfig, ObjectiveFunction
 from lpgrad.metric import exp_corr_metric, identity_metric
 from lpgrad.sampler import DirectionLaw, RadialLaw
 from lpgrad.scheme import one_point, two_point_central
@@ -144,7 +142,6 @@ def quick_spec(reps=3, n=12, d=6, seed=5, **cfg_kw):
         radial=RadialLaw.uniform(0.01),
         n=n,
         h=1e-3,
-        decorrelate=False,
     )
     kw.update(cfg_kw)
     return ExperimentSpec(
@@ -169,6 +166,26 @@ class TestRunExperiment:
         rows_4, _ = run_experiment(quick_spec(reps=8), threads=4)
         assert [r.err for r in rows_1] == [r.err for r in rows_4]
         assert [r.seed for r in rows_1] == [r.seed for r in rows_4]
+
+    @given(
+        law=st.sampled_from(["sphere", "ball", "iid-uniform"]),
+        radial=st.sampled_from(["uniform", "dirac"]),
+        l=st.integers(1, 3),
+        decorrelate=st.sampled_from([None, "moment", "sample"]),
+        d=st.integers(2, 5),
+        n=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_rows_independent_of_threads(self, law, radial, l, decorrelate, d, n, seed):
+        # rows, failure notes included, depend only on (seed, rep)
+        run = RunConfig(function="rosenbrock", d=d, p=3.0, l=l, n=n, h=1e-3, sigma=0.05,
+                        law=law, radial=radial, decorrelate=decorrelate, reps=5, seed=seed)
+        spec = _build_spec(run)
+        rows_1, _ = run_experiment(spec, threads=1)
+        rows_3, _ = run_experiment(spec, threads=3)
+        assert [repr(replace(r, wall_ms=0.0)) for r in rows_1] == \
+            [repr(replace(r, wall_ms=0.0)) for r in rows_3]
 
     def test_summary_mean_is_row_mean(self):
         rows, summary = run_experiment(quick_spec(reps=7))
@@ -250,12 +267,18 @@ class TestMseSweep:
                 reps=3,
                 seed=1,
             )
-            points, _ = mse_sweep(spec, [8, 16], reps=3)
+            points, _ = mse_sweep(spec, [8, 16])
             assert all(m == 0.0 for _, m in points)
 
     def test_requires_two_sizes(self):
         with pytest.raises(DomainError):
-            mse_sweep(quick_spec(), [32], reps=2)
+            mse_sweep(quick_spec(), [32])
+
+    @pytest.mark.parametrize("mode", ["moment", "sample"])
+    def test_decorrelated_spec_rejected(self, mode):
+        # the sweep measures raw batches; a decorrelated spec is not overridden
+        with pytest.raises(DomainError):
+            mse_sweep(quick_spec(decorrelate=mode), [16, 32])
 
     def test_all_trials_failing_is_fit_error(self):
         d = 3
@@ -276,11 +299,11 @@ class TestMseSweep:
             seed=0,
         )
         with pytest.raises(DomainError):
-            mse_sweep(spec, [4, 8], reps=2)
+            mse_sweep(spec, [4, 8])
 
     def test_slope_near_inverse_n(self):
-        spec = quick_spec(d=5, n=16)
-        points, slope = mse_sweep(spec, [16, 32, 64, 128], reps=40)
+        spec = quick_spec(reps=40, d=5, n=16)
+        points, slope = mse_sweep(spec, [16, 32, 64, 128])
         assert -1.4 <= slope <= -0.6
 
     def test_recommended_p_not_worse_than_p2(self):
@@ -305,7 +328,7 @@ class TestMseSweep:
                 reps=reps,
                 seed=11,
             )
-            points, _ = mse_sweep(spec, [n, 2 * n], reps=reps)
+            points, _ = mse_sweep(spec, [n, 2 * n])
             results[p] = points[0][1]
         assert results[4.0] <= 1.2 * results[2.0]
 
@@ -316,8 +339,7 @@ class TestTableSpecs:
         assert [(s.cfg.scheme.l, s.cfg.n) for s in specs] == [
             (1, 101), (1, 150), (1, 200), (2, 100),
         ]
-        assert all(s.cfg.decorrelate for s in specs)
-        assert all(s.cfg.decorrelate_mode == DECORRELATE_SAMPLE for s in specs)
+        assert all(s.cfg.decorrelate == "sample" for s in specs)
         assert specs[0].function.dim == 100
         assert specs[0].cfg.sigma == pytest.approx(1e-4)
 

@@ -1,11 +1,17 @@
 """Command-line interface: flags, config round-trip, output formats."""
+import contextlib
 import csv
+import io
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from lpgrad import bench
 from lpgrad.cli import CSV_HEADER, RunConfig, main
 from lpgrad.errors import DomainError
 
@@ -29,7 +35,7 @@ class TestEstimate:
         code = main([
             "estimate", "--function", "rosenbrock", "--d", "10", "--p", "3",
             "--L", "1", "--N", "20", "--h", "1e-4", "--sigma", "auto-d2",
-            "--decorrelate", "--decorrelate-mode", "sample",
+            "--decorrelate", "sample",
             "--reps", "3", "--seed", "7", "--out", str(out),
         ])
         assert code == 0
@@ -48,6 +54,14 @@ class TestEstimate:
             "--N", "10", "--decorrelate",
         ])
         assert code == 2
+
+    def test_bandwidth_warning_once(self, capsys):
+        # the config is built once per run, not once per rep
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            assert main(["estimate", "--function", "rosenbrock", "--d", "4", "--N", "8",
+                         "--h", "10", "--sigma", "1", "--reps", "3"]) == 0
+        assert sum("exceeds 1/2" in str(w.message) for w in record) == 1
 
     def test_unknown_subcommand(self, capsys):
         assert main(["bogus"]) == 2
@@ -135,8 +149,21 @@ class TestInvalidInput:
         ["estimate", "--function", "rosenbrock", "--d", "3", "--metric", "exp-corr:abc"],
         SWEEP_ARGS + ["--n-values", "8,abc"],
         ["moments-check", "--d", "3", "--p", "2", "--draws", "100", "--seed", "-1"],
+        ["estimate", "--d", "4", "--sigma", "1e308"],
+        ["estimate", "--d", "4", "--sigma", "1e200", "--h", "1e-300"],
+        ["moments-check", "--d", "2", "--p", "2", "--draws", "10", "--sigma", "1e308"],
+        ["moments-check", "--d", "1", "--p", "1", "--draws", "10", "--sigma", "1e150"],
+        ["estimate", "--d", "4", "--function", "expr:1/0"],
+        ["estimate", "--d", "4", "--function", "expr:sum(x)+pow(0,-1)"],
+        ["estimate", "--d", "4", "--function", "expr:sum(x)*10^400"],
+        ["estimate", "--d", "4", "--function", "expr:sum(x)+(-1)^0.5"],
+        ["estimate", "--d", "4", "--function", "synthetic", "--m1", "nan"],
+        ["estimate", "--d", "4", "--function", "synthetic", "--m2", "inf"],
+        SWEEP_ARGS + ["--decorrelate", "sample"],
     ], ids=["estimate-expr-index", "sweep-expr-index", "exp-corr-rho", "sweep-n-values",
-            "moments-seed"])
+            "moments-seed", "sigma-square-overflow", "sigma-h-overflow", "moments-sigma-overflow",
+            "moments-r0-overflow", "expr-div-zero", "expr-pow-zero", "expr-overflow",
+            "expr-complex", "synthetic-m1-nan", "synthetic-m2-inf", "sweep-decorrelate"])
     def test_bad_specs(self, capsys, argv):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
@@ -156,7 +183,11 @@ class TestInvalidInput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "reference gradient" not in err
 
-    def test_config_file_checked(self, tmp_path, capsys):
+    def test_config_file_checked(self, tmp_path, capsys, monkeypatch):
+        def no_estimate(*args, **kwargs):
+            raise AssertionError("a bad config must be rejected before any estimate")
+
+        monkeypatch.setattr(bench, "estimate_gradient", no_estimate)
         cfg = tmp_path / "cfg.json"
         for bad in [
             {"d": 4, "threads": -1},
@@ -165,6 +196,8 @@ class TestInvalidInput:
             {"d": 4, "reps": True},
             {"d": 4, "h": True},
             {"d": 4, "sigma": [0.01]},
+            {"d": 4, "decorrelate": True},
+            {"d": 4, "format": "xml", "reps": 3},
         ]:
             cfg.write_text(json.dumps(bad))
             assert main(["estimate", "--config", str(cfg)]) == 2, bad
@@ -181,7 +214,7 @@ class TestRunConfig:
     def test_round_trip_same_rows(self, tmp_path, capsys):
         cfg = RunConfig(
             function="rosenbrock", d=10, p=3.0, l=1, n=20, h=1e-4,
-            sigma="auto-d2", decorrelate=True, decorrelate_mode="sample",
+            sigma="auto-d2", decorrelate="sample",
             seed=13, reps=3, out=None, format="csv",
         )
         cfg_path = tmp_path / "cfg.json"
@@ -194,7 +227,7 @@ class TestRunConfig:
         args = [
             "estimate", "--function", "rosenbrock", "--d", "10", "--p", "3",
             "--L", "1", "--N", "20", "--h", "1e-4", "--sigma", "auto-d2",
-            "--decorrelate", "--decorrelate-mode", "sample", "--seed", "13",
+            "--decorrelate", "sample", "--seed", "13",
             "--reps", "3",
         ]
         assert main(args + ["--out", str(out_a)]) == 0
@@ -286,3 +319,67 @@ class TestGoldenOutput:
             rows = strip_wall_ms(rows)
         text = "".join(",".join(row) + "\n" for row in rows)
         assert text == (GOLDEN / fixture).read_text()
+
+
+# bounded values per flag, valid and invalid alike; None is a bare flag
+FUZZ_FLAGS = {
+    "--function": ["rosenbrock", "synthetic", "expr:sum(sin(x))", "expr:x1*x2 - 3", "expr:1/0",
+                   "expr:x1^-1", "expr:sum(x)*10^400", "expr:(", "expr:x9", "bogus"],
+    "--d": ["1", "2", "3", "4", "0", "-2"],
+    "--p": ["1", "2", "3.5", "2500", "0.5", "nan", "inf", "1e308"],
+    "--L": ["1", "2", "3", "0", "-1"],
+    "--N": ["1", "2", "3", "5", "0", "-1"],
+    "--h": ["1e-4", "0.1", "10", "0", "-1", "nan", "inf", "1e-300", "1e308"],
+    "--sigma": ["0.01", "1", "auto-c3", "auto-d2", "0", "-1", "nan", "inf", "1e308", "1e-200",
+                "1e150", "abc"],
+    "--law": ["sphere", "ball", "iid-uniform"],
+    "--radial": ["uniform", "dirac"],
+    "--decorrelate": [None, "moment", "sample"],
+    "--metric": ["identity", "exp-corr:0.5", "exp-corr:0.999999", "exp-corr:-0.5",
+                 "exp-corr:nan", "exp-corr:2", "file:missing.json"],
+    "--m1": ["2", "0", "-1", "1e308", "nan"],
+    "--m2": ["1", "0", "1e308", "inf"],
+    "--seed": ["0", "7", "-1", str(2**70)],
+    "--reps": ["1", "2", "0"],
+    "--threads": ["1", "2", "0", "-1"],
+    "--format": ["csv", "json"],
+}
+# command -> (flags always given, optional flags)
+FUZZ_COMMANDS = {
+    "estimate": (["--d"], [*FUZZ_FLAGS]),
+    "mse-sweep": (["--d"], [*FUZZ_FLAGS, "--n-values"]),
+    "table": (["--name"], ["--reps", "--seed", "--threads"]),
+    "moments-check": (["--d", "--p"], ["--draws", "--seed", "--sigma"]),
+}
+FUZZ_EXTRA = {
+    "--n-values": ["2,4", "3,5,8", "4", "0,2", "-1,3", "8,abc", ""],
+    "--name": ["t2", "t2dep", "t99"],
+    "--draws": ["1", "2", "50", "0", "-5"],
+}
+
+
+@st.composite
+def fuzz_argv(draw):
+    command = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    required, optional = FUZZ_COMMANDS[command]
+    flags = draw(st.lists(st.sampled_from(optional), unique=True, max_size=8))
+    argv = [command]
+    for flag in dict.fromkeys(required + flags):
+        value = draw(st.sampled_from({**FUZZ_FLAGS, **FUZZ_EXTRA}[flag]))
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+class TestFuzz:
+    @given(argv=fuzz_argv())
+    @settings(max_examples=150, deadline=None)
+    def test_exit_code_never_traceback(self, tmp_path_factory, argv):
+        # any bounded command line ends in 0, 1 (moments-check z > 5 or
+        # an OS error) or 2 (bad input), never in an escaped exception
+        out = tmp_path_factory.mktemp("fuzz") / "out"
+        if argv[0] != "moments-check":
+            argv = argv + ["--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                assert main(argv) in (0, 1, 2)

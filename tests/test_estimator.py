@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from lpgrad.errors import DomainError, EvaluationError, NotApplicableError
 from lpgrad.estimator import (
-    DECORRELATE_SAMPLE,
     EstimatorConfig,
     ObjectiveFunction,
     estimate_gradient,
@@ -27,7 +26,7 @@ from lpgrad.sampler import (
     lp_norm,
     moment_R0,
 )
-from lpgrad.scheme import LOW_ORDER, build_scheme, one_point, two_point_central
+from lpgrad.scheme import build_scheme, one_point, two_point_central
 
 
 def linear_objective(d, rng):
@@ -56,8 +55,7 @@ def base_config(d, n, scheme=None, **kw):
         radial=RadialLaw.uniform(0.01),
         n=n,
         h=0.01,
-        decorrelate=True,
-        seed=123,
+        decorrelate="moment",
     )
     defaults.update(kw)
     return EstimatorConfig(**defaults)
@@ -72,7 +70,7 @@ class TestExactness:
         metric = exp_corr_metric(d, 0.5) if dep else identity_metric(d)
         cfg = base_config(d, n=d + 3)
         x = rng.normal(size=d)
-        est = estimate_gradient(f, x, cfg, metric)
+        est = estimate_gradient(f, x, cfg, metric, seed=123)
         expected = apply_inverse(metric, a)
         np.testing.assert_allclose(est.grad, expected, rtol=1e-6, atol=1e-9)
 
@@ -84,7 +82,7 @@ class TestExactness:
         metric = exp_corr_metric(d, 0.5) if dep else identity_metric(d)
         cfg = base_config(d, n=d + 3)
         x = rng.normal(size=d)
-        est = estimate_gradient(f, x, cfg, metric)
+        est = estimate_gradient(f, x, cfg, metric, seed=123)
         expected = apply_inverse(metric, grad(x))
         rel = np.linalg.norm(est.grad - expected) / np.linalg.norm(expected)
         assert rel < 1e-6
@@ -113,14 +111,14 @@ class TestExactness:
         linear = ObjectiveFunction(fun=lambda z: float(a @ z), dim=d)
         quadratic = ObjectiveFunction(fun=lambda z: float(z @ sym @ z + a @ z), dim=d)
         scheme = (two_point_central() if stencil == "central"
-                  else build_scheme(list(range(1, stencil + 1)), LOW_ORDER))
-        cfg = base_config(d, n=d + extra, scheme=scheme, h=0.01, seed=seed,
+                  else build_scheme(list(range(1, stencil + 1))))
+        cfg = base_config(d, n=d + extra, scheme=scheme, h=0.01,
                           law=DirectionLaw(kind, p=p), radial=RadialLaw(radial_kind, 0.1))
         cases = [(linear, a)]
         if stencil != 2:
             cases.append((quadratic, 2.0 * sym @ x + a))
         for f, grad in cases:
-            est = estimate_gradient(f, x, cfg, identity_metric(d))
+            est = estimate_gradient(f, x, cfg, identity_metric(d), seed=seed)
             assert np.linalg.norm(est.grad - grad) <= 1e-9 * np.linalg.norm(grad)
 
     @pytest.mark.parametrize("kind", ["sphere", "ball", "iid-uniform"])
@@ -133,8 +131,8 @@ class TestExactness:
         d = 5
         f, a = linear_objective(d, np.random.default_rng(3))
         cfg = base_config(d, n=20_000, law=DirectionLaw(kind, p=3.0), radial=radial,
-                          decorrelate=False)
-        est = estimate_gradient(f, np.zeros(d), cfg, identity_metric(d))
+                          decorrelate=None)
+        est = estimate_gradient(f, np.zeros(d), cfg, identity_metric(d), seed=123)
         assert np.linalg.norm(est.grad - a) <= 0.1 * np.linalg.norm(a)
 
 
@@ -154,17 +152,16 @@ class TestSurrogateUnbiasedness:
             law=DirectionLaw.sphere(3.0),
             radial=RadialLaw.uniform(0.3),
             h=0.05,
-            decorrelate=False,
         )
         estimates = np.array([
-            estimate_gradient(f, x, EstimatorConfig(n=50, seed=s, **common), identity_metric(d)).grad
+            estimate_gradient(f, x, EstimatorConfig(n=50, **common), identity_metric(d), seed=s).grad
             for s in range(200)
         ])
         mean = estimates.mean(axis=0)
         se_mean = estimates.std(axis=0, ddof=1) / math.sqrt(len(estimates))
 
         chunks = np.array([
-            estimate_gradient(f, x, EstimatorConfig(n=50_000, seed=10_000 + s, **common), identity_metric(d)).grad
+            estimate_gradient(f, x, EstimatorConfig(n=50_000, **common), identity_metric(d), seed=10_000 + s).grad
             for s in range(8)
         ])
         ref = chunks.mean(axis=0)
@@ -188,12 +185,12 @@ class TestBenchmarkExample:
             radial=RadialLaw.uniform(d**-2.0),
             n=20,
             h=1e-4,
-            decorrelate=True,
-            decorrelate_mode=DECORRELATE_SAMPLE,
+            decorrelate="sample",
         )
+        cfg = EstimatorConfig(**cfg_kw)
         errs = []
         for seed in range(20):
-            est = estimate_gradient(f.fresh(), np.zeros(d), EstimatorConfig(seed=seed, **cfg_kw), identity_metric(d))
+            est = estimate_gradient(f.fresh(), np.zeros(d), cfg, identity_metric(d), seed=seed)
             errs.append(np.linalg.norm(grad_true - est.grad) / np.linalg.norm(grad_true))
         assert 0.025 <= np.mean(errs) <= 0.10
 
@@ -213,10 +210,9 @@ class TestBiasBoundSanity:
             law=DirectionLaw.sphere(p),
             radial=RadialLaw.uniform(sigma),
             h=h,
-            decorrelate=False,
         )
         chunks = np.array([
-            estimate_gradient(f, np.zeros(d), EstimatorConfig(n=12_500, seed=s, **common), metric).grad
+            estimate_gradient(f, np.zeros(d), EstimatorConfig(n=12_500, **common), metric, seed=s).grad
             for s in range(8)
         ])
         mean = chunks.mean(axis=0)
@@ -229,12 +225,12 @@ class TestAccountingAndErrors:
     def test_eval_counts(self):
         d = 4
         f = ObjectiveFunction(fun=lambda x: float(x @ x), dim=d)
-        cfg = base_config(d, n=10, decorrelate=False)
+        cfg = base_config(d, n=10, decorrelate=None)
         est = estimate_gradient(f, np.zeros(d), cfg, identity_metric(d))
         assert est.n_evals == 2 * 10 == f.eval_count
 
         f2 = ObjectiveFunction(fun=lambda x: float(x @ x), dim=d)
-        cfg1 = base_config(d, n=10, scheme=one_point(), decorrelate=False)
+        cfg1 = base_config(d, n=10, scheme=one_point(), decorrelate=None)
         est1 = estimate_gradient(f2, np.zeros(d), cfg1, identity_metric(d))
         assert est1.n_evals == 10 == f2.eval_count
 
@@ -243,7 +239,7 @@ class TestAccountingAndErrors:
         f = ObjectiveFunction(
             fun=lambda x: float("nan") if x[0] > 0.0 else float(x @ x), dim=d
         )
-        cfg = base_config(d, n=6, decorrelate=False)
+        cfg = base_config(d, n=6, decorrelate=None)
         with pytest.raises(EvaluationError) as exc:
             estimate_gradient(f, np.zeros(d), cfg, identity_metric(d))
         assert exc.value.point is not None
@@ -276,17 +272,27 @@ class TestConfig:
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.h = 0.5
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
-    @pytest.mark.parametrize("make", [
-        DirectionLaw.sphere,
-        DirectionLaw.ball,
-        RadialLaw.uniform,
-        RadialLaw.dirac,
-        lambda v: base_config(5, n=8, h=v),
-    ], ids=["sphere-p", "ball-p", "uniform-sigma", "dirac-sigma", "config-h"])
-    def test_invalid_value_rejected(self, make, bad):
+    MAKERS = {
+        "sphere-p": DirectionLaw.sphere,
+        "ball-p": DirectionLaw.ball,
+        "uniform-sigma": RadialLaw.uniform,
+        "dirac-sigma": RadialLaw.dirac,
+        "config-h": lambda v: base_config(5, n=8, h=v),
+    }
+    # sigma^2 divides the final sum, so it may neither overflow nor underflow
+    INVALID = [(name, bad) for name in MAKERS for bad in (float("nan"), float("inf"), 0.0, -1.0)] + [
+        (name, bad) for name in ("uniform-sigma", "dirac-sigma") for bad in (1e200, 1e-200)
+    ]
+
+    @pytest.mark.parametrize("name,bad", INVALID, ids=[f"{name}-{bad}" for name, bad in INVALID])
+    def test_invalid_value_rejected(self, name, bad):
         with pytest.raises(DomainError):
-            make(bad)
+            self.MAKERS[name](bad)
+
+    @pytest.mark.parametrize("bad", [True, False, "center", 1])
+    def test_decorrelate_is_a_mode(self, bad):
+        with pytest.raises(DomainError):
+            base_config(5, n=8, decorrelate=bad)
 
     def test_radial_law_required(self):
         for kind in ("sphere", "ball", "iid-uniform"):
@@ -319,15 +325,15 @@ class TestConstantShift:
         def fun(x):
             return float(np.sin(x).sum() + 0.5 * x @ x)
 
-        schemes = [build_scheme(list(range(1, l + 1)), LOW_ORDER)] if l >= 2 else []
+        schemes = [build_scheme(list(range(1, l + 1)))] if l >= 2 else []
         schemes += [one_point(), two_point_central()]
         x = np.linspace(-0.5, 0.5, d)
         for scheme in schemes:
             cfg = base_config(d, n=n, scheme=scheme, h=0.1,
-                              radial=RadialLaw.uniform(0.1), decorrelate=False, seed=seed)
-            base = estimate_gradient(ObjectiveFunction(fun=fun, dim=d), x, cfg, identity_metric(d))
+                              radial=RadialLaw.uniform(0.1), decorrelate=None)
+            base = estimate_gradient(ObjectiveFunction(fun=fun, dim=d), x, cfg, identity_metric(d), seed=seed)
             moved = estimate_gradient(
-                ObjectiveFunction(fun=lambda z: fun(z) + shift, dim=d), x, cfg, identity_metric(d)
+                ObjectiveFunction(fun=lambda z: fun(z) + shift, dim=d), x, cfg, identity_metric(d), seed=seed
             )
             # rounding of f + shift scales with |shift| and 1 / (h sigma)
             tol = 1e-13 * (1.0 + abs(shift)) * l / (cfg.h * cfg.sigma)

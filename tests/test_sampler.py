@@ -285,11 +285,16 @@ class TestDecorrelate:
         # centered columns, unbiased scaling: zero means and
         # column norms (n-1) sigma^2
         sigma, n, d = 0.2, 25, 6
-        out = decorrelate(self.make(n=n, d=d, sigma=sigma), sigma, center=True, ddof=1)
+        out = decorrelate(self.make(n=n, d=d, sigma=sigma), sigma, "sample")
         v = out.values
         np.testing.assert_allclose(v.mean(axis=0), 0.0, atol=1e-14)
         np.testing.assert_allclose(v.T @ v, (n - 1) * sigma**2 * np.eye(d), atol=1e-12)
+        # at n = d centering would cost a rank, so only the scaling applies
+        square = decorrelate(self.make(n=d, d=d, sigma=sigma), sigma, "sample").values
+        np.testing.assert_allclose(square.T @ square, (d - 1) * sigma**2 * np.eye(d), atol=1e-12)
 
-    def test_centering_needs_headroom(self):
+    def test_bad_mode_rejected(self):
+        with pytest.raises(DomainError):
+            decorrelate(self.make(), 0.3, "center")
         with pytest.raises(NotApplicableError):
-            decorrelate(self.make(n=6, d=6), 0.3, center=True, ddof=1)
+            decorrelate(self.make(n=1, d=1), 0.3, "sample")

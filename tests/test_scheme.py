@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 
 from lpgrad.errors import DomainError, SingularSchemeError
 from lpgrad.scheme import (
-    LOW_ORDER,
-    SINGLETON,
     build_scheme,
     one_point,
     two_point_central,
@@ -17,47 +15,42 @@ from lpgrad.scheme import (
 
 class TestBuildScheme:
     def test_central_two_point_exact(self):
-        s = build_scheme([1.0, -1.0], LOW_ORDER)
+        s = build_scheme([1.0, -1.0])
         assert s.coeffs.tolist() == [0.5, -0.5]
         assert s.l == 2
 
     def test_singleton(self):
-        s = build_scheme([1.0], SINGLETON)
+        s = one_point()
         assert s.coeffs.tolist() == [1.0]
 
     def test_low_order_1_2(self):
         # hand solution of C1 + C2 = 0, C1 + 2 C2 = 1
-        s = build_scheme([1.0, 2.0], LOW_ORDER)
+        s = build_scheme([1.0, 2.0])
         np.testing.assert_allclose(s.coeffs, [-1.0, 1.0], atol=1e-14)
 
     def test_swapped_betas_permute_coeffs(self):
-        a = build_scheme([1.0, -1.0], LOW_ORDER)
-        b = build_scheme([-1.0, 1.0], LOW_ORDER)
+        a = build_scheme([1.0, -1.0])
+        b = build_scheme([-1.0, 1.0])
         np.testing.assert_allclose(a.coeffs, b.coeffs[::-1], atol=1e-14)
 
     def test_low_order_coeff_sum_vanishes(self):
-        s = build_scheme([0.5, -1.0, 2.0], LOW_ORDER)
+        s = build_scheme([0.5, -1.0, 2.0])
         assert abs(s.coeffs.sum()) < 1e-12
 
     def test_repeated_betas(self):
         with pytest.raises(SingularSchemeError):
-            build_scheme([1.0, 1.0], LOW_ORDER)
-
-    def test_odd_order_mode_rejected(self):
-        # odd-order weights have sum C_l != 0 for L >= 2 (7/6 at offsets
-        # 1, 2), so adding a constant to f would move the estimate
-        with pytest.raises(DomainError):
-            build_scheme([1.0, 2.0], "odd-order")
+            build_scheme([1.0, 1.0])
 
     def test_ill_conditioned_warns(self):
         with pytest.warns(RuntimeWarning):
-            build_scheme([1.0, 1.0 + 1e-13], LOW_ORDER)
+            build_scheme([1.0, 1.0 + 1e-13])
 
     def test_degenerate_low_order_single(self):
-        # the r=0 range forces C = 0 for a lone offset; callers wanting a
-        # usable one-point stencil use the singleton mode
-        s = build_scheme([2.0], LOW_ORDER)
-        assert s.coeffs.tolist() == [0.0]
+        # the r=0 constraint forces C = 0 for a lone offset, a stencil
+        # whose every estimate is zero; L=1 is one_point() instead
+        for betas in ([2.0], [1.0], []):
+            with pytest.raises(DomainError, match="one_point"):
+                build_scheme(betas)
 
     @given(
         betas=st.lists(
@@ -71,11 +64,11 @@ class TestBuildScheme:
     def test_residuals_random_betas(self, betas):
         arr = np.sort(np.asarray(betas))
         assume(np.min(np.diff(arr)) > 0.05)
-        s = build_scheme(betas, LOW_ORDER)
+        s = build_scheme(betas)
         assert s.constraint_residual() <= 1e-10
 
     def test_helpers(self):
-        assert one_point().mode == SINGLETON
+        assert one_point().betas.tolist() == [1.0]
         assert two_point_central().coeffs.tolist() == [0.5, -0.5]
 
 
@@ -88,5 +81,5 @@ class TestValidateBandwidth:
         assert not validate_bandwidth(one_point(), 1.0, 1.0)
 
     def test_boundary_inclusive(self):
-        s = build_scheme([2.0, -1.0], LOW_ORDER)
+        s = build_scheme([2.0, -1.0])
         assert validate_bandwidth(s, 0.25, 1.0)
