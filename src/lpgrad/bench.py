@@ -4,8 +4,11 @@ Provides the standard test objectives with analytic gradients, the
 central finite-difference baseline, the relative error measure in the
 metric-transformed space, repeated-trial experiment running with
 derived per-rep seeds, and mean-squared-error sweeps over sample size.
-``RunConfig`` describes a run; ``_build_spec`` turns it into the
-experiment for both the CLI and the table presets.
+Experiments run at the origin. Every trial of ``run_experiment`` and
+``mse_sweep`` goes through ``_trial``, which turns a library failure
+into a note instead of aborting the run. ``RunConfig`` describes a run;
+``_build_spec`` turns it into the experiment for both the CLI and the
+table presets.
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .errors import DomainError, EvaluationError, LpgradError
+from .errors import DomainError, LpgradError
 from .estimator import (
     EstimatorConfig,
     ObjectiveFunction,
@@ -133,21 +136,26 @@ def trig_sum(d: int) -> ObjectiveFunction:
 
 
 def central_fdm(f: ObjectiveFunction, x, h: float) -> np.ndarray:
-    """Coordinate-wise central differences; exactly 2d evaluations."""
+    """Coordinate-wise central differences; 2d evaluations in one rows call."""
     if h <= 0.0:
         raise DomainError("h must be positive")
     x = np.asarray(x, dtype=float)
     d = x.shape[0]
-    grad = np.empty(d)
-    for k in range(d):
-        step = np.zeros(d)
-        step[k] = h
-        fp = f(x + step)
-        fm = f(x - step)
-        if not (math.isfinite(fp) and math.isfinite(fm)):
-            raise EvaluationError("non-finite value in finite-difference stencil", point=x + step)
-        grad[k] = (fp - fm) / (2.0 * h)
-    return grad
+    points = np.tile(x, (2 * d, 1))
+    k = np.arange(d)
+    points[2 * k, k] += h
+    points[2 * k + 1, k] -= h
+    values = f(points)
+    return (values[0::2] - values[1::2]) / (2.0 * h)
+
+
+def _norm_ratio(a: np.ndarray, b: np.ndarray) -> float:
+    """||a||_2 / ||b||_2. Each vector is first scaled by a power of two taken
+    from its largest entry, so no norm overflows or underflows unless the
+    ratio itself does."""
+    exps = [math.frexp(float(np.abs(v).max()))[1] for v in (a, b)]
+    na, nb = (np.linalg.norm(np.ldexp(v, -e)) for v, e in zip((a, b), exps))
+    return float(np.ldexp(na / nb, exps[0] - exps[1]))
 
 
 def err(metric: TensorMetric, grad_true, grad_est) -> float:
@@ -160,21 +168,19 @@ def err(metric: TensorMetric, grad_true, grad_est) -> float:
     grad_est = np.asarray(grad_est, dtype=float)
     if grad_true.shape != grad_est.shape:
         raise DomainError("gradient vectors must have equal length")
-    denom = float(np.linalg.norm(apply_inverse(metric, grad_true)))
-    if denom == 0.0:
+    dep = apply_inverse(metric, grad_true)
+    if not dep.any():
         raise DomainError("reference gradient is zero in the transformed space")
-    num = float(np.linalg.norm(apply_inverse(metric, grad_true - grad_est)))
-    return num / denom
+    return _norm_ratio(apply_inverse(metric, grad_true - grad_est), dep)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentSpec:
-    """A repeated-trial gradient-estimation experiment."""
+    """A repeated-trial gradient-estimation experiment at the origin."""
 
     function: ObjectiveFunction
     metric: TensorMetric
     cfg: EstimatorConfig
-    x0: np.ndarray | None = None
     reps: int = 50
     seed: int = 0
     name: str = ""
@@ -183,9 +189,6 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.reps < 1:
             raise DomainError("reps must be >= 1")
-        if self.x0 is None:
-            self.x0 = np.zeros(self.function.dim)
-        self.x0 = np.asarray(self.x0, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -217,7 +220,9 @@ def derive_seed(seed: int, *indices: int) -> int:
     return int(state.generate_state(1, np.uint64)[0])
 
 
-def _reference_gradient(function: ObjectiveFunction, x0: np.ndarray) -> np.ndarray:
+def _reference_gradient(function: ObjectiveFunction) -> np.ndarray:
+    """The gradient at the origin."""
+    x0 = np.zeros(function.dim)
     if function.grad is not None:
         return np.asarray(function.grad(x0), dtype=float)
     # no analytic gradient: use a tight central-difference reference
@@ -253,23 +258,17 @@ def _row_static(spec: ExperimentSpec) -> dict:
     }
 
 
-def _run_rep(spec: ExperimentSpec, grad_dep: np.ndarray, static: dict, rep: int) -> ResultRow:
-    rep_seed = derive_seed(spec.seed, rep)
+def _trial(spec: ExperimentSpec, cfg: EstimatorConfig, seed: int):
+    """One estimate at the origin on a fresh objective: (grad, n_evals,
+    wall_ms, note), where a failed trial has grad None and a note."""
     f = spec.function.fresh()
     t0 = time.perf_counter()
     try:
-        est = estimate_gradient(f, spec.x0, spec.cfg, spec.metric, seed=rep_seed)
-        wall = (time.perf_counter() - t0) * 1e3
-        err_val = float(
-            np.linalg.norm(grad_dep - est.grad) / np.linalg.norm(grad_dep)
-        )
-        return ResultRow(**static, rep=rep, seed=rep_seed, err=err_val, n_evals=est.n_evals, wall_ms=wall)
+        grad = estimate_gradient(f, np.zeros(f.dim), cfg, spec.metric, seed=seed).grad
+        note = ""
     except LpgradError as exc:
-        wall = (time.perf_counter() - t0) * 1e3
-        return ResultRow(
-            **static, rep=rep, seed=rep_seed, err=float("nan"), n_evals=f.eval_count,
-            wall_ms=wall, note=str(exc),
-        )
+        grad, note = None, str(exc)
+    return grad, f.eval_count, (time.perf_counter() - t0) * 1e3, note
 
 
 def run_experiment(spec: ExperimentSpec, threads: int = 1):
@@ -277,17 +276,24 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1):
 
     Per-rep seeds derive deterministically from (spec.seed, rep); rows
     come back ordered by rep regardless of the worker count, so output
-    does not depend on ``threads``. Trial failures annotate their row
-    (err = nan, note set) instead of aborting the experiment.
+    does not depend on ``threads``. Each row's err is
+    ||G^{-1} grad - estimate|| / ||G^{-1} grad||. Trial failures
+    annotate their row (err = nan, note set) instead of aborting the
+    experiment.
 
     Returns (rows, summary) where summary holds mean/sd of err and the
     mean evaluation count over successful reps.
     """
-    grad_dep = apply_inverse(spec.metric, _reference_gradient(spec.function, spec.x0))
-    if np.linalg.norm(grad_dep) == 0.0:
+    grad_dep = apply_inverse(spec.metric, _reference_gradient(spec.function))
+    if not grad_dep.any():
         raise DomainError("reference gradient is zero in the transformed space")
     static = _row_static(spec)
-    rows = _map(lambda rep: _run_rep(spec, grad_dep, static, rep), range(spec.reps), threads)
+    seeds = [derive_seed(spec.seed, rep) for rep in range(spec.reps)]
+    trials = _map(lambda seed: _trial(spec, spec.cfg, seed), seeds, threads)
+    rows = []
+    for rep, (seed, (grad, n_evals, wall, note)) in enumerate(zip(seeds, trials)):
+        e = float("nan") if grad is None else _norm_ratio(grad_dep - grad, grad_dep)
+        rows.append(ResultRow(**static, rep=rep, seed=seed, err=e, n_evals=n_evals, wall_ms=wall, note=note))
     errs = np.array([row.err for row in rows])
     good = errs[np.isfinite(errs)]
     evals = np.array([row.n_evals for row in rows if math.isfinite(row.err)], dtype=float)
@@ -300,15 +306,12 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1):
     return rows, summary
 
 
-def fdm_row(function: ObjectiveFunction, metric: TensorMetric, h: float, x0=None, metric_label: str = "") -> ResultRow:
-    """One deterministic central-difference baseline trial."""
+def fdm_row(function: ObjectiveFunction, metric: TensorMetric, h: float, metric_label: str = "") -> ResultRow:
+    """One deterministic central-difference baseline trial at the origin."""
     f = function.fresh()
-    if x0 is None:
-        x0 = np.zeros(f.dim)
-    x0 = np.asarray(x0, dtype=float)
-    grad_true = _reference_gradient(f, x0)
+    grad_true = _reference_gradient(f)
     t0 = time.perf_counter()
-    grad_est = central_fdm(f, x0, h)
+    grad_est = central_fdm(f, np.zeros(f.dim), h)
     wall = (time.perf_counter() - t0) * 1e3
     return ResultRow(
         function=f.name,
@@ -338,28 +341,23 @@ def mse_sweep(spec: ExperimentSpec, n_values, threads: int = 1):
     squared euclidean distance between the estimate and the
     metric-transformed analytic gradient. Per-(N, rep) seeds derive from
     (spec.seed, N, rep) so sweeps with different laws pair up by seed.
+    A failed trial is left out of its N's mean.
 
-    Returns (points, slope) with points a list of (n, mse).
+    Returns (points, slope, n_failed) with points a list of (n, mse)
+    and n_failed the number of failed (N, rep) trials.
     """
     n_values = sorted({int(n) for n in n_values})
     if len(n_values) < 2:
         raise DomainError("mse_sweep needs at least two distinct sample sizes")
     if spec.cfg.decorrelate is not None:
         raise DomainError(f"mse_sweep measures raw batches, got decorrelate={spec.cfg.decorrelate!r}")
-    grad_dep = apply_inverse(spec.metric, _reference_gradient(spec.function, spec.x0))
-    cfgs = {n: replace(spec.cfg, n=n) for n in n_values}
-
-    def one(n: int, rep: int) -> float:
-        seed = derive_seed(spec.seed, n, rep)
-        try:
-            est = estimate_gradient(spec.function.fresh(), spec.x0, cfgs[n], spec.metric, seed=seed)
-        except LpgradError:
-            return float("nan")
-        diff = est.grad - grad_dep
-        return float(diff @ diff)
-
-    pairs = [(n, rep) for n in n_values for rep in range(spec.reps)]
-    sq = np.array(_map(lambda nr: one(*nr), pairs, threads)).reshape(len(n_values), spec.reps)
+    grad_dep = apply_inverse(spec.metric, _reference_gradient(spec.function))
+    cfgs = [replace(spec.cfg, n=n) for n in n_values]
+    jobs = [(cfg, derive_seed(spec.seed, cfg.n, rep)) for cfg in cfgs for rep in range(spec.reps)]
+    grads = [grad for grad, *_ in _map(lambda job: _trial(spec, *job), jobs, threads)]
+    n_failed = sum(grad is None for grad in grads)
+    sq = np.array([np.nan if g is None else (g - grad_dep) @ (g - grad_dep) for g in grads])
+    sq = sq.reshape(len(n_values), spec.reps)
     with np.errstate(invalid="ignore"):
         means = np.array([np.nanmean(col) if np.isfinite(col).any() else float("nan") for col in sq])
     points = [(n, float(m)) for n, m in zip(n_values, means)]
@@ -373,7 +371,7 @@ def mse_sweep(spec: ExperimentSpec, n_values, threads: int = 1):
         log_n = np.log([n for n, _ in positive])
         log_m = np.log([m for _, m in positive])
         slope = float(np.polyfit(log_n, log_m, 1)[0])
-    return points, slope
+    return points, slope, n_failed
 
 
 # RunConfig field type -> the JSON values it accepts (bool is an int

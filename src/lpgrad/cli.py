@@ -233,9 +233,10 @@ def cmd_mse_sweep(args) -> int:
         raise DomainError(f"--n-values must be comma-separated integers, got {args.n_values!r}") from None
     cfg = _estimate_config(args)
     spec = _build_spec(cfg)
-    points, slope = bench.mse_sweep(spec, n_values, threads=cfg.threads)
+    points, slope, n_failed = bench.mse_sweep(spec, n_values, threads=cfg.threads)
     _write_csv(cfg.out, ["n", "mse"], [[str(n), format(mse, ".17e")] for n, mse in points])
     print(f"log-log slope = {slope:.4f}", file=sys.stderr)
+    print(f"failed {n_failed} of {len(points) * spec.reps} trials", file=sys.stderr)
     return 0
 
 

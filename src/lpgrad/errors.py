@@ -27,7 +27,7 @@ class SingularSchemeError(LpgradError, ValueError):
 
 
 class EvaluationError(LpgradError, RuntimeError):
-    """An objective returned a non-finite value at ``point``."""
+    """An objective value, or a gradient estimate, at ``point`` is not finite."""
 
     def __init__(self, message: str, point=None):
         super().__init__(message)

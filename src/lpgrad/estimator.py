@@ -61,10 +61,21 @@ class ObjectiveFunction:
     grad: Callable | None = None
     eval_count: int = field(default=0, compare=False)
 
-    def __call__(self, x) -> float:
-        value = float(self.fun(np.asarray(x, dtype=float)))
-        self.eval_count += 1
-        return value
+    def __call__(self, x):
+        """f at a point ``(d,)`` as a float, or at each row of ``(N, d)`` as an
+        ``(N,)`` array. ``fun`` sees one point at a time; every evaluation is
+        counted, and the first non-finite value raises an ``EvaluationError``
+        naming its point."""
+        x = np.asarray(x, dtype=float)
+        rows = np.atleast_2d(x)
+        out = np.empty(rows.shape[0])
+        for i, row in enumerate(rows):
+            out[i] = self.fun(row)
+            self.eval_count += 1
+            if not math.isfinite(out[i]):
+                raise EvaluationError(f"objective {self.name!r} returned non-finite value {out[i]}",
+                                      point=row.copy())
+        return out if x.ndim == 2 else float(out[0])
 
     def fresh(self) -> "ObjectiveFunction":
         """A copy with its own zeroed evaluation counter."""
@@ -120,19 +131,6 @@ class GradientEstimate:
     n_evals: int
 
 
-def _evaluate_rows(f: ObjectiveFunction, points: np.ndarray) -> np.ndarray:
-    out = np.empty(points.shape[0])
-    for i in range(points.shape[0]):
-        value = f(points[i])
-        if not math.isfinite(value):
-            raise EvaluationError(
-                f"objective {f.name!r} returned non-finite value {value}",
-                point=points[i].copy(),
-            )
-        out[i] = value
-    return out
-
-
 def estimate_gradient(
     f: ObjectiveFunction,
     x,
@@ -144,8 +142,10 @@ def estimate_gradient(
 
     Deterministic in seed; evaluations run sequentially in a fixed
     order so results do not depend on any caller-side parallelism.
-    Costs L*N evaluations for L >= 2 and N for L = 1 (the centering
-    mean reuses the same evaluations).
+    Costs L*N evaluations, one rows call of ``f`` per stencil offset
+    (the L = 1 centering mean reuses the same evaluations). Raises
+    ``EvaluationError`` at the first non-finite objective value, and when
+    the estimate itself is not finite (e.g. it overflows).
     """
     x = np.asarray(x, dtype=float)
     d = x.shape[0]
@@ -160,19 +160,16 @@ def estimate_gradient(
     if cfg.decorrelate is not None:
         batch = decorrelate(batch, cfg.sigma, cfg.decorrelate)
     v = batch.values
-    h = cfg.h
+    weights = np.zeros(cfg.n)
+    for beta, c in zip(scheme.betas, scheme.coeffs):
+        weights += c * f(x[None, :] + beta * cfg.h * v)
     if scheme.l == 1:
-        q = _evaluate_rows(f, x[None, :] + scheme.betas[0] * h * v)
-        weights = scheme.coeffs[0] * (q - q.mean())
-        n_evals = cfg.n
-    else:
-        weights = np.zeros(cfg.n)
-        for beta, c in zip(scheme.betas, scheme.coeffs):
-            weights += c * _evaluate_rows(f, x[None, :] + beta * h * v)
-        n_evals = scheme.l * cfg.n
-    raw = v.T @ weights / (cfg.n * h * cfg.sigma**2)
+        weights -= weights.mean()
+    raw = v.T @ weights / (cfg.n * cfg.h * cfg.sigma**2)
     grad = apply_inverse(metric, raw)
-    return GradientEstimate(grad=grad, n_evals=n_evals)
+    if not np.isfinite(grad).all():
+        raise EvaluationError("the gradient estimate is not finite", point=x.copy())
+    return GradientEstimate(grad=grad, n_evals=scheme.l * cfg.n)
 
 
 def _log_bracket(d: int, p: float) -> float:

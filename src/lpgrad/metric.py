@@ -39,7 +39,6 @@ class TensorMetric:
     ginv: np.ndarray | None
     abs_ginv_ones_l1: float
     abs_ginv_ones_l2: float
-    spectral_norm_ginv: float
 
     @property
     def is_identity(self) -> bool:
@@ -60,7 +59,6 @@ def identity_metric(d: int) -> TensorMetric:
         ginv=None,
         abs_ginv_ones_l1=float(d),
         abs_ginv_ones_l2=math.sqrt(d),
-        spectral_norm_ginv=1.0,
     )
 
 
@@ -98,7 +96,6 @@ def from_matrix(g) -> TensorMetric:
         ginv=ginv,
         abs_ginv_ones_l1=float(row.sum()),
         abs_ginv_ones_l2=float(np.linalg.norm(row)),
-        spectral_norm_ginv=float(inv_w.max(initial=0.0)),
     )
 
 

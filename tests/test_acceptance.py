@@ -167,7 +167,7 @@ def test_criterion_6_mse_rate():
             reps=100,
             seed=6,
         )
-        _, slope = mse_sweep(spec, [32, 64, 128, 256, 512, 1024])
+        _, slope, _ = mse_sweep(spec, [32, 64, 128, 256, 512, 1024])
         assert -1.25 <= slope <= -0.75, slope
 
 
@@ -209,7 +209,7 @@ def test_criterion_7_dimension_robustness():
                 reps=reps,
                 seed=7,
             )
-            points, _ = mse_sweep(spec, [n, 2 * n])
+            points, _, _ = mse_sweep(spec, [n, 2 * n])
             mses[d] = points[0][1]
         for d in (50, 100, 200):
             ratio = mses[2 * d] / mses[d]

@@ -12,6 +12,7 @@ from lpgrad.bench import (
     RunConfig,
     _build_spec,
     central_fdm,
+    derive_seed,
     err,
     fdm_row,
     mse_sweep,
@@ -23,8 +24,9 @@ from lpgrad.bench import (
     table_specs,
     trig_sum,
 )
-from lpgrad.errors import DomainError
-from lpgrad.estimator import EstimatorConfig, ObjectiveFunction
+from lpgrad import bench
+from lpgrad.errors import DomainError, EvaluationError
+from lpgrad.estimator import EstimatorConfig, ObjectiveFunction, estimate_gradient
 from lpgrad.metric import exp_corr_metric, identity_metric
 from lpgrad.sampler import DirectionLaw, RadialLaw
 from lpgrad.scheme import one_point, two_point_central
@@ -105,6 +107,12 @@ class TestCentralFdm:
         central_fdm(f, np.zeros(5), 1e-4)
         assert f.eval_count == 10
 
+    def test_error_names_the_non_finite_point(self):
+        f = ObjectiveFunction(fun=lambda x: float("inf") if x[0] < 0.0 else 1.0, dim=2)
+        with pytest.raises(EvaluationError) as exc:
+            central_fdm(f, np.zeros(2), 1e-3)
+        np.testing.assert_array_equal(exc.value.point, [-1e-3, 0.0])
+
 
 class TestErr:
     def test_exact_estimate(self):
@@ -119,6 +127,11 @@ class TestErr:
         m = identity_metric(2)
         got = err(m, [-2.0, 0.0], [-2.1, 0.1])
         np.testing.assert_allclose(got, math.sqrt(0.02) / 2.0, rtol=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_extreme_reference_scale(self, scale):
+        # neither norm may underflow to "zero" or overflow to inf
+        assert err(identity_metric(2), [scale, scale], [0.0, 0.0]) == 1.0
 
     def test_degenerate_reference(self):
         with pytest.raises(DomainError):
@@ -216,7 +229,6 @@ class TestRunExperiment:
             ),
             reps=2,
             seed=0,
-            x0=np.zeros(d),
         )
         # reference gradient needs an analytic form for a non-finite objective
         bad.grad = lambda x: np.ones(d)
@@ -224,12 +236,35 @@ class TestRunExperiment:
         assert summary["n_failed"] == 2
         assert all(math.isnan(r.err) and r.note for r in rows)
 
+    def test_every_trial_and_reference_goes_through_the_bench_seams(self, monkeypatch):
+        # a benchmark harness wraps these two module globals to time each
+        # estimate and each reference gradient
+        calls = {"estimate_gradient": 0, "central_fdm": 0}
+
+        def counting(name):
+            inner = getattr(bench, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(bench, name, wrapper)
+
+        counting("estimate_gradient")
+        counting("central_fdm")
+        spec = _build_spec(RunConfig(function="expr:sum(sin(x))", d=4, l=2, n=8, sigma=0.01, reps=3))
+        run_experiment(spec, threads=2)
+        assert calls == {"estimate_gradient": 3, "central_fdm": 1}
+        mse_sweep(spec, [8, 16], threads=2)
+        assert calls == {"estimate_gradient": 3 + 2 * 3, "central_fdm": 2}
+        fdm_row(spec.function, spec.metric, h=1e-4)
+        assert calls == {"estimate_gradient": 9, "central_fdm": 4}
+
     def test_monotone_error_in_n(self):
         # paired reps at the two budgets of the small benchmark preset
         specs = table_specs("t2", reps=50, seed=3)
-        small = replace(specs[0])  # LN = 11
-        large = replace(specs[2])  # LN = 20
-        small.seed = large.seed = 77
+        small = replace(specs[0], seed=77)  # LN = 11
+        large = replace(specs[2], seed=77)  # LN = 20
         _, s_small = run_experiment(small)
         _, s_large = run_experiment(large)
         assert s_large["mean_err"] <= s_small["mean_err"]
@@ -267,7 +302,7 @@ class TestMseSweep:
                 reps=3,
                 seed=1,
             )
-            points, _ = mse_sweep(spec, [8, 16])
+            points, _, _ = mse_sweep(spec, [8, 16])
             assert all(m == 0.0 for _, m in points)
 
     def test_requires_two_sizes(self):
@@ -301,9 +336,35 @@ class TestMseSweep:
         with pytest.raises(DomainError):
             mse_sweep(spec, [4, 8])
 
+    def test_failed_trials_are_counted(self):
+        d, reps, n_values = 3, 6, [4, 8, 16]
+        cfg = EstimatorConfig(
+            scheme=two_point_central(),
+            law=DirectionLaw.sphere(2.0),
+            radial=RadialLaw.uniform(0.1),
+            n=4,
+            h=1e-2,
+        )
+        # non-finite beyond a threshold that some batches cross and some do not
+        flaky = ObjectiveFunction(
+            fun=lambda x: float("nan") if x[0] > 1.5e-3 else float(np.sin(x).sum()),
+            dim=d, name="flaky", grad=lambda x: np.cos(x),
+        )
+        spec = ExperimentSpec(function=flaky, metric=identity_metric(d), cfg=cfg, reps=reps, seed=4)
+        _, _, n_failed = mse_sweep(spec, n_values)
+        expected = 0
+        for n in n_values:
+            for rep in range(reps):
+                try:
+                    estimate_gradient(flaky.fresh(), np.zeros(d), replace(cfg, n=n), spec.metric,
+                                      seed=derive_seed(spec.seed, n, rep))
+                except EvaluationError:
+                    expected += 1
+        assert 0 < n_failed == expected < reps * len(n_values)
+
     def test_slope_near_inverse_n(self):
         spec = quick_spec(reps=40, d=5, n=16)
-        points, slope = mse_sweep(spec, [16, 32, 64, 128])
+        points, slope, _ = mse_sweep(spec, [16, 32, 64, 128])
         assert -1.4 <= slope <= -0.6
 
     def test_recommended_p_not_worse_than_p2(self):
@@ -328,7 +389,7 @@ class TestMseSweep:
                 reps=reps,
                 seed=11,
             )
-            points, _ = mse_sweep(spec, [n, 2 * n])
+            points, _, _ = mse_sweep(spec, [n, 2 * n])
             results[p] = points[0][1]
         assert results[4.0] <= 1.2 * results[2.0]
 

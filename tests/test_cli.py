@@ -3,6 +3,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import warnings
 from pathlib import Path
 
@@ -62,6 +63,23 @@ class TestEstimate:
             assert main(["estimate", "--function", "rosenbrock", "--d", "4", "--N", "8",
                          "--h", "10", "--sigma", "1", "--reps", "3"]) == 0
         assert sum("exceeds 1/2" in str(w.message) for w in record) == 1
+
+    @pytest.mark.parametrize("extreme", [["--m2", "1.79e308", "--reps", "6"],
+                                         ["--m2", "1e308", "--reps", "2"]])
+    def test_overflow_is_a_note_or_a_finite_err(self, tmp_path, capsys, extreme):
+        out = tmp_path / "rows.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert main(["estimate", "--function", "synthetic", "--d", "2", *extreme,
+                         "--format", "json", "--out", str(out)]) == 0
+        for row in json.loads(out.read_text()):
+            assert math.isfinite(row["err"]) or row["note"]
+
+    def test_tiny_gradient_is_not_zero(self, tmp_path, capsys):
+        out = tmp_path / "rows.json"
+        assert main(["estimate", "--function", "synthetic", "--d", "2", "--m1", "1e-200",
+                     "--m2", "1e-200", "--format", "json", "--out", str(out)]) == 0
+        assert math.isfinite(json.loads(out.read_text())[0]["err"])
 
     def test_unknown_subcommand(self, capsys):
         assert main(["bogus"]) == 2
@@ -298,6 +316,7 @@ class TestMseSweep:
         assert len(rows) == 4
         captured = capsys.readouterr()
         assert "slope" in captured.err
+        assert "failed 0 of 60 trials" in captured.err
 
 
 class TestGoldenOutput:

@@ -244,6 +244,24 @@ class TestAccountingAndErrors:
             estimate_gradient(f, np.zeros(d), cfg, identity_metric(d))
         assert exc.value.point is not None
 
+    def test_rows_call_matches_point_calls(self):
+        d, n = 5, 7
+        f = ObjectiveFunction(fun=lambda x: float(np.sin(x).sum() + x @ x), dim=d)
+        rows = np.random.default_rng(2).normal(size=(n, d))
+        values = f(rows)
+        assert values.shape == (n,) and f.eval_count == n
+        singles = [f.fresh()(row) for row in rows]
+        assert values.tobytes() == np.array(singles).tobytes()
+
+    def test_rows_call_stops_at_first_non_finite(self):
+        d, i = 3, 4
+        f = ObjectiveFunction(fun=lambda x: float("inf") if x[0] >= i else float(x[0]), dim=d)
+        rows = np.repeat(np.arange(8.0)[:, None], d, axis=1)
+        with pytest.raises(EvaluationError) as exc:
+            f(rows)
+        assert f.eval_count == i + 1
+        np.testing.assert_array_equal(exc.value.point, rows[i])
+
     def test_decorrelate_needs_enough_samples(self):
         d = 8
         f = ObjectiveFunction(fun=lambda x: float(x.sum()), dim=d)

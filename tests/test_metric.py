@@ -21,11 +21,10 @@ class TestIdentityMetric:
         assert m.is_identity
         assert m.abs_ginv_ones_l2 == pytest.approx(math.sqrt(10))
         assert m.abs_ginv_ones_l1 == 10.0
-        assert m.spectral_norm_ginv == 1.0
 
     def test_d1(self):
         m = identity_metric(1)
-        assert m.abs_ginv_ones_l1 == m.abs_ginv_ones_l2 == m.spectral_norm_ginv == 1.0
+        assert m.abs_ginv_ones_l1 == m.abs_ginv_ones_l2 == 1.0
 
     def test_apply_is_copy(self):
         m = identity_metric(3)
@@ -41,7 +40,6 @@ class TestFromMatrix:
         b = identity_metric(4)
         np.testing.assert_allclose(a.ginv, np.eye(4), atol=1e-14)
         assert a.abs_ginv_ones_l2 == pytest.approx(b.abs_ginv_ones_l2)
-        assert a.spectral_norm_ginv == pytest.approx(1.0)
 
     def test_diagonal(self):
         m = from_matrix(np.diag([4.0, 1.0]))
@@ -76,13 +74,10 @@ class TestFromMatrix:
         row = np.abs(m.ginv) @ np.ones(4)
         np.testing.assert_allclose(m.abs_ginv_ones_l1, row.sum(), rtol=1e-12)
         np.testing.assert_allclose(m.abs_ginv_ones_l2, np.linalg.norm(row), rtol=1e-12)
-        np.testing.assert_allclose(
-            m.spectral_norm_ginv, np.linalg.norm(m.ginv, 2), rtol=1e-10
-        )
 
     def test_remark_norm_inequality(self):
         m = exp_corr_metric(8, 0.5)
-        assert m.abs_ginv_ones_l2 <= math.sqrt(8) * m.spectral_norm_ginv + 1e-12
+        assert m.abs_ginv_ones_l2 <= math.sqrt(8) * np.linalg.norm(m.ginv, 2) + 1e-12
 
     def test_non_symmetric_rejected(self):
         with pytest.raises(DomainError):
