@@ -78,9 +78,10 @@ def rosenbrock(d: int) -> ObjectiveFunction:
         raise DomainError("rosenbrock requires d >= 2")
 
     def fun(x):
-        return np.sum((1.0 - x[:-1]) ** 2 + 100.0 * (x[1:] - x[:-1] ** 2) ** 2)
+        head = x[..., :-1]
+        return np.sum((1.0 - head) ** 2 + 100.0 * (x[..., 1:] - head**2) ** 2, axis=-1)
 
-    return ObjectiveFunction(fun=fun, dim=d, name="rosenbrock", m1=None, m2=None, grad=rosenbrock_grad)
+    return ObjectiveFunction(fun=fun, dim=d, name="rosenbrock", grad=rosenbrock_grad, vectorized=True)
 
 
 def synthetic_ms_grad(x, m1: float, m2: float) -> np.ndarray:
@@ -106,16 +107,16 @@ def synthetic_ms(d: int, m1: float, m2: float) -> ObjectiveFunction:
         raise DomainError(f"m1 and m2 must be finite, got {m1} and {m2}")
 
     def fun(x):
-        s = x.sum()
+        s = x.sum(axis=-1)
         return (
-            np.sum(m2 * np.sin(x[0::2]) + np.cos(x[1::2]))
+            np.sum(m2 * np.sin(x[..., 0::2]) + np.cos(x[..., 1::2]), axis=-1)
             + (m1 - m2) / (2.0 * d) * s * s
         )
 
     def grad(x):
         return synthetic_ms_grad(x, m1, m2)
 
-    return ObjectiveFunction(fun=fun, dim=d, name="synthetic", m1=m1, m2=m2, grad=grad)
+    return ObjectiveFunction(fun=fun, dim=d, name="synthetic", m1=m1, m2=m2, grad=grad, vectorized=True)
 
 
 def trig_sum_grad(x) -> np.ndarray:
@@ -127,11 +128,12 @@ def trig_sum(d: int) -> ObjectiveFunction:
     if d < 1:
         raise DomainError("dimension must be positive")
     return ObjectiveFunction(
-        fun=lambda x: float(np.sin(x).sum()),
+        fun=lambda x: np.sin(x).sum(axis=-1),
         dim=d,
         name="trig-sum",
         m2=1.0,
         grad=trig_sum_grad,
+        vectorized=True,
     )
 
 
@@ -460,7 +462,7 @@ def _build_function(name: str, d: int, m1=None, m2=None) -> ObjectiveFunction:
         return synthetic_ms(d, m1, m2)
     if name.startswith("expr:"):
         fun = compile_expression(name[len("expr:"):], d)
-        return ObjectiveFunction(fun=fun, dim=d, name="custom-expr")
+        return ObjectiveFunction(fun=fun, dim=d, name="custom-expr", vectorized=True)
     raise DomainError(
         f"unknown function {name!r}; use rosenbrock, synthetic or expr:<expression>"
     )

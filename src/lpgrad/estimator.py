@@ -59,22 +59,40 @@ class ObjectiveFunction:
     m1: float | None = None
     m2: float | None = None
     grad: Callable | None = None
+    vectorized: bool = False
     eval_count: int = field(default=0, compare=False)
 
     def __call__(self, x):
         """f at a point ``(d,)`` as a float, or at each row of ``(N, d)`` as an
-        ``(N,)`` array. ``fun`` sees one point at a time; every evaluation is
-        counted, and the first non-finite value raises an ``EvaluationError``
-        naming its point."""
+        ``(N,)`` array. A ``vectorized`` ``fun`` maps all rows ``(N, d)`` to
+        ``(N,)`` in one call; any other ``fun`` sees one point at a time and
+        stops at the first non-finite value. Every evaluation is counted, and
+        the first non-finite value raises an ``EvaluationError`` naming its
+        point."""
         x = np.asarray(x, dtype=float)
-        rows = np.atleast_2d(x)
-        out = np.empty(rows.shape[0])
-        for i, row in enumerate(rows):
-            out[i] = self.fun(row)
-            self.eval_count += 1
-            if not math.isfinite(out[i]):
-                raise EvaluationError(f"objective {self.name!r} returned non-finite value {out[i]}",
-                                      point=row.copy())
+        # row-major, so a sum over each row adds in the order it would for one point
+        rows = np.ascontiguousarray(np.atleast_2d(x))
+        n = rows.shape[0]
+        if self.vectorized:
+            with np.errstate(all="ignore"):  # non-finite values raise below
+                out = np.asarray(self.fun(rows), dtype=float)
+            if out.shape != (n,):
+                raise DomainError(f"objective {self.name!r} returned shape {out.shape} "
+                                  f"for {n} rows, expected ({n},)")
+            self.eval_count += n
+        else:
+            out = np.empty(n)
+            for i, row in enumerate(rows):
+                out[i] = self.fun(row)
+                self.eval_count += 1
+                if not math.isfinite(out[i]):
+                    out = out[:i + 1]
+                    break
+        bad = np.flatnonzero(~np.isfinite(out))
+        if bad.size:
+            i = bad[0]
+            raise EvaluationError(f"objective {self.name!r} returned non-finite value {out[i]}",
+                                  point=rows[i].copy())
         return out if x.ndim == 2 else float(out[0])
 
     def fresh(self) -> "ObjectiveFunction":
@@ -148,9 +166,9 @@ def estimate_gradient(
     the estimate itself is not finite (e.g. it overflows).
     """
     x = np.asarray(x, dtype=float)
-    d = x.shape[0]
     if x.ndim != 1:
         raise DomainError("x must be a vector")
+    d = x.shape[0]
     if f.dim != d:
         raise DomainError(f"objective dimension {f.dim} != len(x) = {d}")
     if metric.dim != d:
@@ -160,13 +178,19 @@ def estimate_gradient(
     if cfg.decorrelate is not None:
         batch = decorrelate(batch, cfg.sigma, cfg.decorrelate)
     v = batch.values
-    weights = np.zeros(cfg.n)
-    for beta, c in zip(scheme.betas, scheme.coeffs):
-        weights += c * f(x[None, :] + beta * cfg.h * v)
-    if scheme.l == 1:
-        weights -= weights.mean()
-    raw = v.T @ weights / (cfg.n * cfg.h * cfg.sigma**2)
-    grad = apply_inverse(metric, raw)
+    values = []
+    for beta in scheme.betas:
+        points = beta * cfg.h * v
+        points += x
+        values.append(f(points))
+    with np.errstate(all="ignore"):  # a non-finite estimate raises below
+        weights = np.zeros(cfg.n)
+        for c, fv in zip(scheme.coeffs, values):
+            weights += c * fv
+        if scheme.l == 1:
+            weights -= weights.mean()
+        raw = v.T @ weights / (cfg.n * cfg.h * cfg.sigma**2)
+        grad = apply_inverse(metric, raw)
     if not np.isfinite(grad).all():
         raise EvaluationError("the gradient estimate is not finite", point=x.copy())
     return GradientEstimate(grad=grad, n_evals=scheme.l * cfg.n)

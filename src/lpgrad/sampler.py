@@ -183,17 +183,24 @@ def lp_norm(x, p: float) -> np.ndarray | float:
     a = np.abs(x)
     m = a.max(axis=1)
     safe = np.where(m > 0.0, m, 1.0)
-    return m * np.sum((a / safe[:, None]) ** p, axis=1) ** (1.0 / p)
+    a /= safe[:, None]
+    a **= p
+    return m * np.sum(a, axis=1) ** (1.0 / p)
 
 
 def _pgauss_matrix(rng: np.random.Generator, n: int, d: int, p: float) -> np.ndarray:
     # |X| = U * (p G)^(1/p) with G ~ Gamma(1 + 1/p) has density
     # proportional to exp(-|x|^p / p); the shape parameter stays >= 1 so
-    # no gamma underflow occurs even for very large p.
+    # no gamma underflow occurs even for very large p. Worked in place to
+    # keep one n x d temporary besides the result.
     g = rng.gamma(1.0 + 1.0 / p, size=(n, d))
     u = rng.uniform(0.0, 1.0, size=(n, d))
-    sign = rng.integers(0, 2, size=(n, d)) * 2.0 - 1.0
-    return sign * u * (p * g) ** (1.0 / p)
+    negative = rng.integers(0, 2, size=(n, d)) == 0
+    np.negative(u, out=u, where=negative)
+    g *= p
+    g **= 1.0 / p
+    u *= g
+    return u
 
 
 def _direction_matrix(rng: np.random.Generator, n: int, d: int, p: float) -> np.ndarray:
@@ -214,7 +221,8 @@ def _direction_matrix(rng: np.random.Generator, n: int, d: int, p: float) -> np.
         norms = lp_norm(g, p)
     else:  # pragma: no cover - probability zero
         raise DegenerateSampleError("could not draw a nonzero direction")
-    return g / norms[:, None]
+    g /= norms[:, None]
+    return g
 
 
 def _log_er2_over_sigma2(d: int, p: float) -> float:

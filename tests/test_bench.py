@@ -32,6 +32,57 @@ from lpgrad.sampler import DirectionLaw, RadialLaw
 from lpgrad.scheme import one_point, two_point_central
 
 
+BATCH_EXPRESSIONS = [
+    "sum(x1*x)",
+    "x1 + x2^2",
+    "1 + 2*3^2",
+    "sum(x3)",
+    "exp(-sum(x))",
+    "sum(sin(x)) + 0.5*pow(sum(x), 2)",
+    "x1^3 + cos(x2)/x3",
+]
+
+
+def batched_objectives(d):
+    yield from (rosenbrock(d), synthetic_ms(d, 200.0, 1e-3), trig_sum(d))
+    for text in BATCH_EXPRESSIONS:
+        yield bench._build_function("expr:" + text, d)
+
+
+class TestBatchedObjectives:
+    @pytest.mark.parametrize("d,n", [(4, 4), (6, 6), (4, 9), (6, 1)])
+    def test_rows_call_equals_point_calls_bitwise(self, d, n):
+        rows = np.random.default_rng(d * 100 + n).normal(size=(n, d))
+        for f in batched_objectives(d):
+            assert f.vectorized, f.name
+            values = f(rows)
+            assert f.eval_count == n and values.shape == (n,)
+            singles = np.array([f.fresh()(row) for row in rows])
+            assert values.tobytes() == singles.tobytes(), f.name
+
+    def test_builtins_equal_their_one_point_forms_bitwise(self):
+        d = 6
+        rows = np.random.default_rng(5).normal(size=(9, d))
+        one_point_forms = [
+            (rosenbrock(d), lambda x: np.sum((1.0 - x[:-1]) ** 2 + 100.0 * (x[1:] - x[:-1] ** 2) ** 2)),
+            (synthetic_ms(d, 3.0, 2.0), lambda x: np.sum(2.0 * np.sin(x[0::2]) + np.cos(x[1::2]))
+             + (3.0 - 2.0) / (2.0 * d) * x.sum() * x.sum()),
+            (trig_sum(d), lambda x: np.sin(x).sum()),
+        ]
+        for f, fun in one_point_forms:
+            reference = ObjectiveFunction(fun=fun, dim=d)
+            assert f(rows).tobytes() == reference(rows).tobytes(), f.name
+
+    def test_one_rows_call_per_stencil_offset(self, monkeypatch):
+        calls = []
+        call = ObjectiveFunction.__call__
+        monkeypatch.setattr(ObjectiveFunction, "__call__",
+                            lambda self, x: calls.append(np.shape(x)) or call(self, x))
+        spec = _build_spec(RunConfig(function="expr:sum(sin(x))", d=5, l=2, n=7, decorrelate=None))
+        run_experiment(spec)
+        assert calls[-2:] == [(7, 5), (7, 5)]
+
+
 class TestRosenbrock:
     def test_gradient_at_origin(self):
         d = 100

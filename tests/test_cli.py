@@ -75,6 +75,18 @@ class TestEstimate:
         for row in json.loads(out.read_text()):
             assert math.isfinite(row["err"]) or row["note"]
 
+    def test_overflow_prints_no_numpy_warning(self, tmp_path, capsys):
+        out = tmp_path / "rows.json"
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            assert main(["estimate", "--function", "synthetic", "--d", "2", "--m2", "1.79e308",
+                         "--reps", "6", "--format", "json", "--out", str(out)]) == 0
+        assert not [w for w in record if issubclass(w.category, RuntimeWarning)]
+        assert "RuntimeWarning" not in capsys.readouterr().err
+        rows = json.loads(out.read_text())
+        failed = [row for row in rows if not math.isfinite(row["err"])]
+        assert failed and all(row["note"] for row in failed)
+
     def test_tiny_gradient_is_not_zero(self, tmp_path, capsys):
         out = tmp_path / "rows.json"
         assert main(["estimate", "--function", "synthetic", "--d", "2", "--m1", "1e-200",

@@ -262,6 +262,26 @@ class TestAccountingAndErrors:
         assert f.eval_count == i + 1
         np.testing.assert_array_equal(exc.value.point, rows[i])
 
+    def test_vectorized_call_counts_the_batch_and_names_the_first_bad_row(self):
+        d, n, i = 3, 8, 4
+        f = ObjectiveFunction(fun=lambda x: np.where(x[:, 0] >= i, np.inf, x[:, 0]), dim=d,
+                              vectorized=True)
+        rows = np.repeat(np.arange(n, dtype=float)[:, None], d, axis=1)
+        with pytest.raises(EvaluationError) as exc:
+            f(rows)
+        assert f.eval_count == n
+        np.testing.assert_array_equal(exc.value.point, rows[i])
+
+    @pytest.mark.parametrize("fun", [lambda x: x.sum(), lambda x: x, lambda x: x.sum(axis=0)])
+    def test_vectorized_call_checks_the_shape(self, fun):
+        f = ObjectiveFunction(fun=fun, dim=3, vectorized=True)
+        with pytest.raises(DomainError, match="shape"):
+            f(np.ones((4, 3)))
+
+    def test_vectorized_point_call_returns_a_float(self):
+        f = ObjectiveFunction(fun=lambda x: (x * x).sum(axis=-1), dim=3, vectorized=True)
+        assert f(np.array([1.0, 2.0, 3.0])) == 14.0 and f.eval_count == 1
+
     def test_decorrelate_needs_enough_samples(self):
         d = 8
         f = ObjectiveFunction(fun=lambda x: float(x.sum()), dim=d)
@@ -276,6 +296,11 @@ class TestAccountingAndErrors:
         a = estimate_gradient(f.fresh(), np.zeros(d), cfg, identity_metric(d))
         b = estimate_gradient(f.fresh(), np.zeros(d), cfg, identity_metric(d))
         np.testing.assert_array_equal(a.grad, b.grad)
+
+    def test_scalar_x_is_not_a_vector(self):
+        f = ObjectiveFunction(fun=lambda x: float(x.sum()), dim=1)
+        with pytest.raises(DomainError, match="x must be a vector"):
+            estimate_gradient(f, 0.0, base_config(1, n=6, decorrelate=None), identity_metric(1))
 
     def test_dimension_mismatch(self):
         f = ObjectiveFunction(fun=lambda x: float(x.sum()), dim=3)

@@ -39,6 +39,37 @@ class TestCompileExpression:
         with pytest.raises(DomainError):
             f(np.array([1.0, 2.0]))
 
+    def test_vector_result_rejected_at_d1(self):
+        # one value per row by shape, but still a vector expression
+        f = compile_expression("sin(x)", 1)
+        for x in (np.array([0.5]), np.full((3, 1), 0.5)):
+            with pytest.raises(DomainError, match="scalar"):
+                f(x)
+
+    def test_rows_broadcast_scalars_per_row_at_n_equal_d(self):
+        d = 3
+        rows = np.arange(9.0).reshape(d, d)
+        np.testing.assert_array_equal(compile_expression("sum(x1*x)", d)(rows),
+                                      rows[:, 0] * rows.sum(axis=1))
+
+    def test_scalar_power_matches_numpy_scalar_arithmetic(self):
+        # per point, x1 is a numpy scalar and ^ is libm pow; rows must not switch
+        # to numpy's array power kernel, which differs in the last bit
+        rows = np.abs(np.random.default_rng(0).normal(size=(2000, 2))) * 10
+        expected = [np.float64(a) ** np.float64(2.5) + b ** np.float64(3) for a, b in rows]
+        got = compile_expression("x1^2.5 + pow(x2, 3)", 2)(rows)
+        assert got.tobytes() == np.array(expected).tobytes()
+
+    def test_constant_expression_gives_one_value_per_row(self):
+        f = compile_expression("1 + 2*3^2", 2)
+        assert f(np.zeros(2)) == 19.0
+        np.testing.assert_array_equal(f(np.zeros((4, 2))), np.full(4, 19.0))
+
+    def test_constant_division_by_zero_folds_to_inf(self):
+        with np.errstate(all="raise"):  # folding itself must not warn or raise
+            f = compile_expression("x1 + 1/0", 1)
+        assert f(np.zeros(1)) == np.inf
+
     @pytest.mark.parametrize("bad", ["x1 +", "foo(x)", "1 2", "(x1", "x0", "x1 + x3"])
     def test_parse_errors(self, bad):
         with pytest.raises(DomainError):
