@@ -176,12 +176,21 @@ def cmd_table(args) -> int:
     return 0
 
 
-def _zscore(samples: np.ndarray, analytic: float) -> tuple[float, float]:
-    emp = float(samples.mean())
-    sd = float(samples.std())
-    if sd == 0.0:
-        return emp, 0.0 if emp == analytic else math.inf
-    return emp, (emp - analytic) / (sd / math.sqrt(samples.size))
+# moments-check draws in chunks of about this many batch elements, so
+# its memory does not grow with the number of draws
+_MOMENTS_CHUNK_ELEMENTS = 1 << 20
+
+
+def _moment_samples(v: np.ndarray, p: float) -> list[np.ndarray]:
+    """Per-draw samples of each empirical moment, in moments_report's order."""
+    r = lp_norm(v, p)  # ||V||_p = R because ||U||_p = 1
+    u1 = v[:, 0] / r
+    samples = [np.abs(u1) ** q for q in (1, 2, 3, 4)]
+    if v.shape[1] >= 2:
+        samples.append(u1**2 * np.abs(v[:, 1] / r))
+    samples.append(v[:, 0] ** 2)
+    samples += [r**q for q in (1, 2, 3, 4)]
+    return samples
 
 
 def moments_report(d: int, p: float, draws: int, seed: int, sigma: float = 1.0):
@@ -189,28 +198,44 @@ def moments_report(d: int, p: float, draws: int, seed: int, sigma: float = 1.0):
 
     Returns a list of (name, analytic, empirical, z) covering
     E[|U_1|^q] for q <= 4, E[U_1^2 |U_2|], the E[V_1^2] = sigma^2
-    calibration and E[R_0^q] for q <= 4.
+    calibration and E[R_0^q] for q <= 4. The draws come in chunks with
+    seeds derived from ``seed``; each moment's mean and variance are
+    merged chunk by chunk (Chan, Golub and LeVeque's pairwise update).
     """
     law = DirectionLaw.sphere(p)
-    batch = draw_batch(law, RadialLaw.uniform(sigma), draws, d, seed)
-    v = batch.values
-    r = lp_norm(v, p)  # ||V||_p = R because ||U||_p = 1
-    u1 = v[:, 0] / r
-    checks = []
-    for q in (1, 2, 3, 4):
-        emp, z = _zscore(np.abs(u1) ** q, sphere_abs_moment(q, d, p))
-        checks.append((f"E|U1|^{q}", sphere_abs_moment(q, d, p), emp, z))
+    radial = RadialLaw.uniform(sigma)
+    analytic = [(f"E|U1|^{q}", sphere_abs_moment(q, d, p)) for q in (1, 2, 3, 4)]
     if d >= 2:
-        u2 = v[:, 1] / r
-        ana = sphere_mixed_moment(d, p)
-        emp, z = _zscore(u1**2 * np.abs(u2), ana)
-        checks.append(("E[U1^2|U2|]", ana, emp, z))
-    emp, z = _zscore(v[:, 0] ** 2, sigma**2)
-    checks.append(("E[V1^2]", sigma**2, emp, z))
-    for q in (1, 2, 3, 4):
-        ana = moment_R0(q, d, p, sigma)
-        emp, z = _zscore(r**q, ana)
-        checks.append((f"E[R0^{q}]", ana, emp, z))
+        analytic.append(("E[U1^2|U2|]", sphere_mixed_moment(d, p)))
+    analytic.append(("E[V1^2]", sigma**2))
+    analytic += [(f"E[R0^{q}]", moment_R0(q, d, p, sigma)) for q in (1, 2, 3, 4)]
+    if draws < 1:
+        raise DomainError(f"draws must be a positive integer, got {draws}")
+    rows = max(1, _MOMENTS_CHUNK_ELEMENTS // d)
+    count = 0
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed moment gives z = 0 or nan
+        for k, start in enumerate(range(0, draws, rows)):
+            v = draw_batch(law, radial, min(rows, draws - start), d, bench.derive_seed(seed, k)).values
+            chunk = np.array(_moment_samples(v, p))
+            n = chunk.shape[1]
+            chunk_mean = chunk.mean(axis=1)
+            chunk -= chunk_mean[:, None]
+            chunk **= 2
+            chunk_m2 = chunk.sum(axis=1)
+            if count == 0:
+                mean, m2 = chunk_mean, chunk_m2
+            else:
+                delta = chunk_mean - mean
+                mean = mean + delta * (n / (count + n))
+                m2 = m2 + chunk_m2 + delta**2 * (count * n / (count + n))
+            count += n
+    checks = []
+    for (name, ana), emp, sd in zip(analytic, mean.tolist(), np.sqrt(m2 / count).tolist()):
+        if sd == 0.0:
+            z = 0.0 if emp == ana else math.inf
+        else:
+            z = (emp - ana) / (sd / math.sqrt(count))
+        checks.append((name, ana, emp, z))
     return checks
 
 

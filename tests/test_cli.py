@@ -12,9 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpgrad import bench
+from lpgrad import bench, cli
 from lpgrad.cli import CSV_HEADER, RunConfig, main
 from lpgrad.errors import DomainError
+from lpgrad.sampler import DirectionLaw, RadialLaw, draw_batch
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -86,6 +87,16 @@ class TestEstimate:
         rows = json.loads(out.read_text())
         failed = [row for row in rows if not math.isfinite(row["err"])]
         assert failed and all(row["note"] for row in failed)
+
+    @pytest.mark.parametrize("sigma,code", [("1e150", 2), ("1e50", 0)])
+    def test_moments_overflow_prints_no_numpy_warning(self, capsys, sigma, code):
+        # at 1e150 E[R0^3] overflows (an error); at 1e50 the variance of R0^4 does
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            assert main(["moments-check", "--d", "1", "--p", "1", "--draws", "10",
+                         "--sigma", sigma]) == code
+        assert not [w for w in record if issubclass(w.category, RuntimeWarning)]
+        assert "RuntimeWarning" not in capsys.readouterr().err
 
     def test_tiny_gradient_is_not_zero(self, tmp_path, capsys):
         out = tmp_path / "rows.json"
@@ -304,6 +315,22 @@ class TestMomentsCheck:
         captured = capsys.readouterr()
         assert code == 0
         assert "E[V1^2]" in captured.out
+
+    def test_chunks_merge_to_the_whole_sample(self, monkeypatch):
+        # pairwise-merged chunk moments equal those of all draws at once
+        d, p, draws, seed, rows = 3, 2.0, 1000, 4, 64  # 15 full chunks and one of 40
+        monkeypatch.setattr(cli, "_MOMENTS_CHUNK_ELEMENTS", rows * d)
+        checks = cli.moments_report(d, p, draws, seed)
+        v = np.vstack([
+            draw_batch(DirectionLaw.sphere(p), RadialLaw.uniform(1.0), min(rows, draws - start), d,
+                       bench.derive_seed(seed, k)).values
+            for k, start in enumerate(range(0, draws, rows))
+        ])
+        samples = cli._moment_samples(v, p)
+        assert len(samples) == len(checks)
+        for (_, analytic, emp, z), x in zip(checks, samples):
+            assert emp == pytest.approx(x.mean(), rel=1e-13)
+            assert z == pytest.approx((x.mean() - analytic) / (x.std() / math.sqrt(draws)), rel=1e-9)
 
     def test_d1_trivial(self, capsys):
         code = main([

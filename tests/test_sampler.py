@@ -1,9 +1,11 @@
 """Sampling laws: closed-form moments vs Monte Carlo, calibration, decorrelation."""
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from lpgrad import sampler
 from lpgrad.errors import (
     DegenerateSampleError,
     DomainError,
@@ -80,6 +82,33 @@ class TestPgauss:
             DirectionLaw.sphere(0.5)
         with pytest.raises(DomainError):
             pgauss_abs_moment(2, 0.5)
+
+
+def _lp_norm_reference(x, p):
+    # max-factored form: each row divided by its largest |x_i| first
+    a = np.abs(x)
+    m = a.max(axis=1)
+    return m * np.sum((a / m[:, None]) ** p, axis=1) ** (1.0 / p)
+
+
+class TestLpNorm:
+    @pytest.mark.parametrize("p", [1.0, 2.0, 4.0, 7.0, 50.0, 1500.0, 3000.0])
+    def test_matches_max_factored_form(self, p):
+        rng = np.random.default_rng(50)
+        x = rng.uniform(-2.0, 2.0, size=(200, 30))
+        x[0] = rng.uniform(0.45, 0.55, size=30)  # |x|^1500 underflows
+        x[1] = rng.uniform(-1.5e3, -0.5e3, size=30)  # |x|^3000 overflows
+        x[2] = 0.0
+        x[2, 3] = 1e-300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = lp_norm(x, p)
+        want = _lp_norm_reference(x, p)
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
+
+    def test_vector_and_zero_row(self):
+        assert lp_norm(np.array([3.0, -4.0]), 2.0) == 5.0
+        assert np.array_equal(lp_norm(np.zeros((2, 3)), 7.0), [0.0, 0.0])
 
 
 def _sphere_sample(d, p, n, seed):
@@ -216,6 +245,14 @@ class TestDrawBatch:
         c = draw_batch(law, radial, 100, 7, seed=100)
         assert not np.array_equal(a.values, c.values)
 
+    @pytest.mark.parametrize("law", [
+        DirectionLaw.sphere(5000.0), DirectionLaw.ball(2.0), DirectionLaw.iid_uniform(),
+    ], ids=["sphere-large-p", "ball", "iid-uniform"])
+    def test_determinism_other_laws(self, law):
+        a, b, c = (draw_batch(law, RadialLaw.dirac(0.5), 100, 7, seed) for seed in (99, 99, 100))
+        assert np.array_equal(a.values, b.values)
+        assert not np.array_equal(a.values, c.values)
+
     def test_iid_uniform_variance(self):
         # coordinates are U(-a, a) with a = sqrt(3) sigma
         batch = draw_batch(DirectionLaw.iid_uniform(), RadialLaw.uniform(0.5), 500_000, 2, seed=40)
@@ -238,6 +275,22 @@ class TestDrawBatch:
         assert abs(zscore(v[:, 0], 0.0)) < 4.0
         assert abs(zscore(v[:, 0] * v[:, 1], 0.0)) < 4.0
         assert abs(zscore(v[:, 0] ** 3, 0.0)) < 4.0
+
+    def test_zero_norm_row_is_redrawn(self, monkeypatch):
+        sizes = []
+
+        def pgauss_with_zero_row(rng, n, d, p):
+            g = _pgauss_matrix(rng, n, d, p)
+            if not sizes:
+                g[3] = 0.0
+            sizes.append(n)
+            return g
+
+        monkeypatch.setattr(sampler, "_pgauss_matrix", pgauss_with_zero_row)
+        batch = draw_batch(DirectionLaw.sphere(3.0), RadialLaw.dirac(1.0), 10, 4, seed=5)
+        assert sizes == [10, 1]
+        norms = lp_norm(batch.values, 3.0)
+        np.testing.assert_allclose(norms, norms[0], rtol=1e-14)
 
     def test_values_immutable(self):
         batch = draw_batch(DirectionLaw.sphere(2.0), RadialLaw.uniform(1.0), 10, 3, seed=0)
@@ -292,6 +345,15 @@ class TestDecorrelate:
         # at n = d centering would cost a rank, so only the scaling applies
         square = decorrelate(self.make(n=d, d=d, sigma=sigma), sigma, "sample").values
         np.testing.assert_allclose(square.T @ square, (d - 1) * sigma**2 * np.eye(d), atol=1e-12)
+
+    @pytest.mark.parametrize("mode,n,ddof", [("moment", 40, 0), ("sample", 6, 1)])
+    def test_one_multiply_equals_sign_then_scale(self, mode, n, ddof):
+        # flipping signs is exact, so folding it into the scale changes no bit
+        sigma = 0.3
+        batch = self.make(n=n, sigma=sigma)
+        q, r = np.linalg.qr(batch.values)
+        two_step = q * np.where(np.diag(r) < 0.0, -1.0, 1.0) * (math.sqrt(n - ddof) * sigma)
+        assert np.array_equal(decorrelate(batch, sigma, mode).values, two_step)
 
     def test_bad_mode_rejected(self):
         with pytest.raises(DomainError):
