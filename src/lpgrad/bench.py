@@ -186,7 +186,6 @@ class ExperimentSpec:
     reps: int = 50
     seed: int = 0
     name: str = ""
-    metric_label: str = ""
 
     def __post_init__(self):
         if self.reps < 1:
@@ -256,7 +255,7 @@ def _row_static(spec: ExperimentSpec) -> dict:
         "law": law.kind,
         "radial": cfg.radial.kind,
         "decorrelated": cfg.decorrelate is not None,
-        "metric": spec.metric_label or spec.metric.tag,
+        "metric": spec.metric.label,
     }
 
 
@@ -308,7 +307,7 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1):
     return rows, summary
 
 
-def fdm_row(function: ObjectiveFunction, metric: TensorMetric, h: float, metric_label: str = "") -> ResultRow:
+def fdm_row(function: ObjectiveFunction, metric: TensorMetric, h: float) -> ResultRow:
     """One deterministic central-difference baseline trial at the origin."""
     f = function.fresh()
     grad_true = _reference_gradient(f)
@@ -326,7 +325,7 @@ def fdm_row(function: ObjectiveFunction, metric: TensorMetric, h: float, metric_
         law="central-fdm",
         radial="none",
         decorrelated=False,
-        metric=metric_label or metric.tag,
+        metric=metric.label,
         rep=0,
         seed=0,
         err=err(metric, grad_true, grad_est),
@@ -469,18 +468,20 @@ def _build_function(name: str, d: int, m1=None, m2=None) -> ObjectiveFunction:
 
 
 def _build_metric(spec: str, d: int) -> TensorMetric:
-    """The metric named by a spec string; the spec doubles as the row label."""
+    """The metric named by a spec string, labelled with that string."""
     if spec == "identity":
-        return identity_metric(d)
-    if spec.startswith("exp-corr:"):
+        metric = identity_metric(d)
+    elif spec.startswith("exp-corr:"):
         try:
             rho = float(spec[len("exp-corr:"):])
         except ValueError:
             raise DomainError(f"exp-corr needs a numeric rho, got {spec!r}") from None
-        return exp_corr_metric(d, rho)
-    if spec.startswith("file:"):
-        return from_matrix(load_matrix(spec[len("file:"):]))
-    raise DomainError(f"unknown metric {spec!r}; use identity, exp-corr:<rho> or file:<path>")
+        metric = exp_corr_metric(d, rho)
+    elif spec.startswith("file:"):
+        metric = from_matrix(load_matrix(spec[len("file:"):]))
+    else:
+        raise DomainError(f"unknown metric {spec!r}; use identity, exp-corr:<rho> or file:<path>")
+    return replace(metric, label=spec)
 
 
 def _build_spec(cfg: RunConfig, name: str = "") -> ExperimentSpec:
@@ -510,7 +511,6 @@ def _build_spec(cfg: RunConfig, name: str = "") -> ExperimentSpec:
         reps=cfg.reps,
         seed=cfg.seed,
         name=name,
-        metric_label=cfg.metric,
     )
 
 

@@ -1,22 +1,24 @@
 """A small arithmetic grammar for user-supplied smooth objectives.
 
-Supports +, -, *, /, ^ (or pow(a, b)), sin, cos, exp, sum, numeric
-literals, the full coordinate vector ``x`` and 1-indexed coordinates
-``x1`` ... ``xd``. Arithmetic is elementwise on vectors; ``sum``
-reduces a vector to a scalar. The compiled expression must evaluate to
-a scalar.
++ - * / ^ (or pow(a, b)), sin, cos, exp, sum, numeric literals, the vector
+``x`` and coordinates ``x1`` ... ``xd``, elementwise; ``sum`` reduces a vector
+and the result must be a scalar. The callable takes a point ``(d,)`` or rows
+``(N, d)``; scalar terms keep a length-1 last axis, so they broadcast against
+``x`` row by row. Constant subexpressions fold at compile time.
 
-The compiled callable evaluates one point ``(d,)`` or all rows
-``(N, d)`` at once. A scalar term keeps a trailing length-1 axis, so it
-broadcasts against the vector ``x`` row by row for every N; constant-only
-subexpressions are folded once, at compile time.
-
-Examples: "sum(sin(x))", "x1*x1 + 100*pow(x2 - x1^2, 2)".
+Python's ``ast`` parses the text and one walker accepts only this grammar's
+nodes. ``^`` is rewritten to ``**`` first, because in Python ``^`` is XOR;
+so a literal ``**`` or ``//`` is rejected. As ``ast`` nests a chain of n
+terms n levels deep, the text is first cut at its top-level ``+ -``, then
+``* /`` signs (found with ``tokenize``), so such a chain may be of any length.
 """
 from __future__ import annotations
 
+import ast
+import io
 import operator
 import re
+import tokenize
 from dataclasses import dataclass
 from typing import Callable
 
@@ -26,36 +28,12 @@ from .errors import DomainError
 
 __all__ = ["compile_expression"]
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[()+\-*/^,]))"
-)
-
-_FUNCS = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "exp": np.exp,
-}
-
-
-def _tokenize(text: str):
-    pos = 0
-    tokens = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None or m.end() == pos:
-            raise DomainError(f"cannot parse expression at: {text[pos:]!r}")
-        if m.lastgroup == "num":
-            # numpy scalars, so constant arithmetic gives inf/nan like x does
-            tokens.append(("num", np.float64(m.group("num"))))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group("name")))
-        else:
-            tokens.append(("op", m.group("op")))
-        pos = m.end()
-    tokens.append(("end", None))
-    return tokens
+_MAX_DEPTH = 50  # nesting of calls, powers, unary minus and parenthesized chains
+_CHARS = re.compile(r"[0-9A-Za-z_.()+\-*/^, ]*")
+_NUMBER = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
+_LEADING_ZEROS = re.compile(r"(?<![\w.])0+(?=\d)")  # Python rejects 01; the grammar reads 1
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 
 
 @dataclass(frozen=True)
@@ -68,138 +46,105 @@ class _Node:
     value: np.float64 | None = None
 
 
-def _constant(value) -> _Node:
-    return _Node(lambda x: value, value=value)
-
-
 def _apply(op, *args: _Node) -> _Node:
     """``op`` of the argument nodes, folded now when every argument is constant."""
     if all(a.value is not None for a in args):
         with np.errstate(all="ignore"):  # 1/0 folds to inf, rejected when called
-            return _constant(op(*(a.value for a in args)))
+            value = op(*(a.value for a in args))
+        return _Node(lambda x: value, value=value)
     fns = [a.fn for a in args]
     return _Node(lambda x: op(*[f(x) for f in fns]), any(a.vector for a in args))
 
 
 def _power(base: _Node, expo: _Node) -> _Node:
-    # scalar terms use libm pow, as numpy scalar arithmetic does; numpy's
-    # array ** can differ from it in the last bit
-    op = operator.pow if base.vector or expo.vector else np.float_power
-    return _apply(op, base, expo)
+    """libm pow on scalar terms, as numpy scalars use; array ``**`` can differ in the last bit."""
+    return _apply(operator.pow if base.vector or expo.vector else np.float_power, base, expo)
 
 
-class _Parser:
-    def __init__(self, tokens, dim: int):
-        self.tokens = tokens
-        self.dim = dim
-        self.pos = 0
+def _compile(text: str, dim: int, depth: int = 0, signs: tuple = ("+", "-", "*", "/")) -> _Node:
+    """``text`` cut at its binary ``signs[:2]`` outside parentheses (binary: after
+    an operand), each piece compiled with ``signs[2:]`` and folded left to right,
+    the constant prefix now as _apply folds it and the rest in one loop. With no
+    signs left, ``text`` is one factor, parsed by ``ast``."""
+    if not signs:
+        try:
+            tree = ast.parse(text, mode="eval")
+        except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
+            raise DomainError(f"cannot parse {text.replace('**', '^')!r}: {exc}") from None
+        return _walk(tree.body, text, dim, depth)
+    bounds, ops, parens, after_operand = [0], [None], 0, False
+    try:
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.string in signs[:2] and parens == 0 and after_operand:
+                bounds += [tok.start[1], tok.end[1]]
+                ops.append(_OPS[tok.string])
+            parens += (tok.string == "(") - (tok.string == ")")
+            after_operand = tok.type in (tokenize.NAME, tokenize.NUMBER) or tok.string == ")"
+    except tokenize.TokenError:
+        raise DomainError(f"unbalanced parentheses in {text.replace('**', '^')!r}") from None
+    nodes = [_compile(text[a:b].strip(), dim, depth, signs[2:])
+             for a, b in zip(bounds[::2], bounds[1::2] + [len(text)])]
+    head, k = nodes[0], 1
+    while k < len(nodes) and head.value is not None:
+        head, k = _apply(ops[k], head, nodes[k]), k + 1
+    rest = [(op, node.fn) for op, node in zip(ops[k:], nodes[k:])]
 
-    def peek(self):
-        return self.tokens[self.pos]
+    def fn(x):
+        value = head.fn(x)
+        for op, f in rest:
+            value = op(value, f(x))
+        return value
 
-    def take(self, kind=None, value=None):
-        tok = self.tokens[self.pos]
-        if kind is not None and tok[0] != kind:
-            raise DomainError(f"expected {kind}, got {tok}")
-        if value is not None and tok[1] != value:
-            raise DomainError(f"expected {value!r}, got {tok[1]!r}")
-        self.pos += 1
-        return tok
+    return _Node(fn, any(node.vector for node in nodes)) if rest else head
 
-    def parse(self) -> _Node:
-        node = self.expr()
-        if self.peek()[0] != "end":
-            raise DomainError(f"trailing input at token {self.peek()}")
-        return node
 
-    def expr(self) -> _Node:
-        node = self.term()
-        while self.peek() in (("op", "+"), ("op", "-")):
-            op = operator.add if self.take()[1] == "+" else operator.sub
-            node = _apply(op, node, self.term())
-        return node
-
-    def term(self) -> _Node:
-        node = self.unary()
-        while self.peek() in (("op", "*"), ("op", "/")):
-            op = operator.mul if self.take()[1] == "*" else operator.truediv
-            node = _apply(op, node, self.unary())
-        return node
-
-    def unary(self) -> _Node:
-        if self.peek() == ("op", "-"):
-            self.take()
-            return _apply(operator.neg, self.unary())
-        return self.power()
-
-    def power(self) -> _Node:
-        base = self.atom()
-        if self.peek() == ("op", "^"):
-            self.take()
-            expo = self.unary()  # right-associative, allows -x in exponents
-            return _power(base, expo)
-        return base
-
-    def call(self, n_args: int = 1) -> list[_Node]:
-        self.take("op", "(")
-        args = [self.expr()]
-        while len(args) < n_args:
-            self.take("op", ",")
-            args.append(self.expr())
-        self.take("op", ")")
-        return args
-
-    def atom(self) -> _Node:
-        kind, value = self.peek()
-        if kind == "num":
-            self.take()
-            return _constant(value)
-        if kind == "op" and value == "(":
-            return self.call()[0]
-        if kind == "name":
-            self.take()
-            if value == "x":
-                return _Node(lambda x: x, vector=True)
-            m = re.fullmatch(r"x(\d+)", value)
-            if m:
-                idx = int(m.group(1)) - 1
-                if idx < 0:
-                    raise DomainError("coordinates are 1-indexed: x1, x2, ...")
-                if idx >= self.dim:
-                    raise DomainError(f"coordinate {value} is out of range for d={self.dim}")
-                return _Node(lambda x, i=idx: x[..., i:i + 1])
-            if value == "sum":
-                inner = self.call()[0]
-                if inner.value is not None:
-                    return inner  # the sum of one number is that number
-                return _Node(lambda x, f=inner.fn: np.sum(f(x), axis=-1, keepdims=True))
-            if value == "pow":
-                return _power(*self.call(2))
-            if value in _FUNCS:
-                return _apply(_FUNCS[value], *self.call())
-            raise DomainError(f"unknown identifier {value!r}")
-        raise DomainError(f"unexpected token {self.peek()}")
+def _walk(node: ast.AST, text: str, dim: int, depth: int) -> _Node:
+    """The compiled node of one grammar node of ``text``; any other node is an error."""
+    if depth > _MAX_DEPTH:
+        raise DomainError(f"expression nests deeper than {_MAX_DEPTH} levels")
+    segment = text[node.col_offset:node.end_col_offset]  # the text is one ASCII line
+    sub = lambda child: _walk(child, text, dim, depth + 1)  # noqa: E731
+    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub, ast.Mult, ast.Div)):
+        return _compile(segment, dim, depth + 1)  # a parenthesized chain, cut like the whole text
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        return _power(sub(node.left), sub(node.right))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return _apply(operator.neg, sub(node.operand))
+    if isinstance(node, ast.Constant) and _NUMBER.fullmatch(segment):
+        return _apply(lambda: np.float64(segment))  # folded; numpy scalars give inf as x does
+    if isinstance(node, ast.Name) and re.fullmatch(r"x\d*", node.id):
+        if node.id == "x":
+            return _Node(lambda x: x, vector=True)
+        if not 1 <= int(node.id[1:]) <= dim:
+            raise DomainError(f"coordinate {node.id} is out of range for d={dim}; x1 is the first")
+        return _Node(lambda x, i=int(node.id[1:]) - 1: x[..., i:i + 1])
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("pow", "sum", *_FUNCS):
+        name, args = node.func.id, node.args
+        # one argument, or two for pow; no keywords, (sin)(x) or trailing comma
+        if (len(args) != 1 + (name == "pow") or node.keywords or node.func.col_offset != node.col_offset
+                or "," in text[args[-1].end_col_offset:node.end_col_offset]):
+            raise DomainError(f"wrong arguments in {segment.replace('**', '^')!r}")
+        args = [sub(arg) for arg in args]
+        if name == "sum":  # the sum of one number is that number
+            return args[0] if args[0].value is not None else _Node(
+                lambda x, f=args[0].fn: np.sum(f(x), axis=-1, keepdims=True))
+        return _power(*args) if name == "pow" else _apply(_FUNCS[name], *args)
+    raise DomainError(f"{segment.replace('**', '^')!r} is not in the expression grammar")
 
 
 def compile_expression(text: str, dim: int):
-    """Compile the expression text into a callable of a point ``(dim,)``,
-    returning a float, or of rows ``(N, dim)``, returning an ``(N,)`` array.
-
-    Coordinates beyond x<dim> are rejected here; the callable raises if
-    the expression does not reduce to a scalar.
-    """
-    node = _Parser(_tokenize(text), dim).parse()
+    """A callable of a point ``(dim,)``, returning a float, or of rows ``(N, dim)``,
+    returning ``(N,)``. It raises if the expression does not reduce to a scalar."""
+    text = " ".join(text.split())
+    if not _CHARS.fullmatch(text) or "**" in text or "//" in text:
+        raise DomainError(f"{text!r} has a character or an operator outside the expression grammar")
+    node = _compile(_LEADING_ZEROS.sub("", text).replace("^", "**"), dim)
 
     def fun(x):
         if node.vector:
-            raise DomainError(
-                "expression must evaluate to a scalar; wrap vector terms in sum(...)"
-            )
+            raise DomainError("expression must evaluate to a scalar; wrap vector terms in sum(...)")
         x = np.asarray(x, dtype=float)
-        if node.value is None:
-            out = node.fn(x)[..., 0]
-        else:
-            out = np.full(x.shape[:-1], node.value)
+        out = node.fn(x)[..., 0] if node.value is None else np.full(x.shape[:-1], node.value)
         return float(out) if out.ndim == 0 else out
 
     return fun

@@ -31,7 +31,7 @@ class TensorMetric:
     """A metric G with its generalized inverse and bound norms.
 
     ``g`` / ``ginv`` are None for the identity marker, which skips all
-    matrix work in apply_inverse.
+    matrix work in apply_inverse. ``label`` names the metric in result rows.
     """
 
     dim: int
@@ -39,14 +39,11 @@ class TensorMetric:
     ginv: np.ndarray | None
     abs_ginv_ones_l1: float
     abs_ginv_ones_l2: float
+    label: str = "matrix"
 
     @property
     def is_identity(self) -> bool:
         return self.g is None
-
-    @property
-    def tag(self) -> str:
-        return "identity" if self.is_identity else "matrix"
 
 
 def identity_metric(d: int) -> TensorMetric:
@@ -59,6 +56,7 @@ def identity_metric(d: int) -> TensorMetric:
         ginv=None,
         abs_ginv_ones_l1=float(d),
         abs_ginv_ones_l2=math.sqrt(d),
+        label="identity",
     )
 
 

@@ -464,7 +464,7 @@ class TestTableSpecs:
     def test_t2dep_metric(self):
         specs = table_specs("t2dep", reps=1, seed=0)
         assert not specs[0].metric.is_identity
-        assert specs[0].metric_label == "exp-corr:0.5"
+        assert specs[0].metric.label == "exp-corr:0.5"
 
     def test_unknown_preset(self):
         with pytest.raises(DomainError):

@@ -131,6 +131,34 @@ class TestEstimate:
         rows = read_csv(out)
         assert rows[1][0] == "custom-expr"
 
+    def test_long_flat_expression_runs(self, tmp_path, capsys):
+        out = tmp_path / "rows.json"
+        assert main(["estimate", "--function", "expr:" + "+".join(["x1"] * 600), "--d", "2",
+                     "--reps", "1", "--format", "json", "--out", str(out)]) == 0
+        assert math.isfinite(json.loads(out.read_text())[0]["err"])
+
+    @pytest.mark.parametrize("expression", ["(" * 3000 + "x1" + ")" * 3000, "-" * 3000 + "x1"],
+                             ids=["parentheses", "unary-minus"])
+    def test_deep_expression_is_rejected_before_any_estimate(self, capsys, monkeypatch, expression):
+        def no_estimate(*args, **kwargs):
+            raise AssertionError("a deep expression must be rejected before any estimate")
+
+        monkeypatch.setattr(bench, "estimate_gradient", no_estimate)
+        assert main(["estimate", "--function", "expr:" + expression, "--d", "2", "--reps", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("metric", ["identity", "exp-corr:0.5", "file:"])
+    def test_metric_column_is_the_metric_spec(self, tmp_path, capsys, metric):
+        if metric == "file:":
+            g = tmp_path / "g.json"
+            g.write_text(json.dumps(np.diag([2.0, 1.0]).tolist()))
+            metric += str(g)
+        out = tmp_path / "rows.csv"
+        assert main(["estimate", "--function", "rosenbrock", "--d", "2", "--reps", "2",
+                     "--metric", metric, "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert [row[rows[0].index("metric")] for row in rows[1:]] == [metric, metric]
+
     def test_threads_env_fallback(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("LPGRAD_THREADS", "2")
         out_env = tmp_path / "env.csv"
@@ -331,6 +359,16 @@ class TestMomentsCheck:
         for (_, analytic, emp, z), x in zip(checks, samples):
             assert emp == pytest.approx(x.mean(), rel=1e-13)
             assert z == pytest.approx((x.mean() - analytic) / (x.std() / math.sqrt(draws)), rel=1e-9)
+
+    def test_overflowing_variance_is_scored(self):
+        # at sigma = 1e50 the raw sample variance of R0^4 overflows; the
+        # samples scaled by the analytic moment do not
+        z = {name: z for name, _, _, z in cli.moments_report(1, 1.0, 10, 0, 1e50)}
+        assert math.isfinite(z["E[R0^4]"]) and z["E[R0^4]"] != 0.0
+
+    def test_non_finite_z_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "moments_report", lambda *args: [("E[R0^4]", 1.0, 1.0, math.nan)])
+        assert main(["moments-check", "--d", "1", "--p", "1", "--draws", "10"]) == 1
 
     def test_d1_trivial(self, capsys):
         code = main([

@@ -70,7 +70,13 @@ class TestCompileExpression:
             f = compile_expression("x1 + 1/0", 1)
         assert f(np.zeros(1)) == np.inf
 
-    @pytest.mark.parametrize("bad", ["x1 +", "foo(x)", "1 2", "(x1", "x0", "x1 + x3"])
+    @pytest.mark.parametrize("bad", [
+        "x1 +", "foo(x)", "1 2", "(x1", "x0", "x1 + x3",
+        # Python accepts these; the grammar does not
+        "+x1", "x1**2", "x1//2", "x1 % 2", "0x10", "1_0", "1j", "True", "None", "(x1, x2)",
+        "x1 if x2 else 1", "x1 < 2", "not x1", "x1.real", "x1[0]", "sin(x1, )", "sin(x=1)",
+        "pow(1)", "sum()", "lambda: 1", "'a'", "x1;x2", "", "(sin)(x1)", "sin(x1)(x2)",
+    ])
     def test_parse_errors(self, bad):
         with pytest.raises(DomainError):
             compile_expression(bad, 2)(np.zeros(2))
@@ -83,3 +89,44 @@ class TestCompileExpression:
         assert compile_expression("x3", 3)(np.array([0.0, 0.0, 2.5])) == 2.5
         with pytest.raises(DomainError, match="x7"):
             compile_expression("sum(x) + x7", 3)
+
+    @pytest.mark.parametrize("text,expected", [
+        ("01", lambda a, b: np.float64(1)),
+        (".5", lambda a, b: np.float64(0.5)),
+        ("3.", lambda a, b: np.float64(3)),
+        ("1e-3", lambda a, b: np.float64("1e-3")),
+        ("-x1^2", lambda a, b: -(a ** np.float64(2))),
+        ("2^-x1", lambda a, b: np.float64(2) ** -a),
+        ("2^3^2", lambda a, b: np.float64(2) ** (np.float64(3) ** np.float64(2))),
+        ("1 - 2 - 3", lambda a, b: np.float64(1) - np.float64(2) - np.float64(3)),
+        ("8/4/2", lambda a, b: np.float64(8) / np.float64(4) / np.float64(2)),
+        ("x1 + 2^x2*3", lambda a, b: a + np.float64(2) ** b * np.float64(3)),
+        ("1.05 - 1e05 ", lambda a, b: np.float64(1.05) - np.float64(1e5)),
+    ])
+    def test_values_match_numpy_scalar_arithmetic(self, text, expected):
+        rows = np.random.default_rng(3).normal(size=(4, 2))
+        f = compile_expression(text, 2)
+        want = np.array([expected(a, b) for a, b in rows])
+        assert np.float64(f(rows[0])).tobytes() == want[0].tobytes()
+        assert f(rows).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("signs", ["+", "+-", "*/"])
+    def test_long_flat_chain_is_the_left_fold(self, signs):
+        # 3000 terms: deeper than Python's ast builds a left-nested chain
+        rows = np.random.default_rng(4).uniform(0.9, 1.1, size=(5, 3))
+        ops = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
+        text, want = "x1", rows[:, 0]
+        for k in range(1, 3000):
+            sign = signs[k % len(signs)]
+            text += f" {sign} x{k % 3 + 1}"
+            want = ops[sign](want, rows[:, k % 3])
+        f = compile_expression(text, 3)
+        assert f(rows).tobytes() == want.tobytes()
+        assert np.float64(f(rows[1])).tobytes() == want[1].tobytes()
+
+    def test_nesting_bound(self):
+        for depth_ok in ("-" * 50 + "x1", "sin(" * 49 + "x1" + ")" * 49):
+            assert compile_expression(depth_ok, 1)(np.array([0.5])) is not None
+        for too_deep in ("-" * 51 + "x1", "sin(" * 51 + "x1" + ")" * 51, "(" * 3000 + "x1" + ")" * 3000):
+            with pytest.raises(DomainError):
+                compile_expression(too_deep, 1)
