@@ -57,6 +57,7 @@ from .sampler import (
     decorrelate,
     draw_batch,
     log_gamma,
+    log_radius_moment,
     lp_norm,
     moment_R0,
     pgauss_abs_moment,

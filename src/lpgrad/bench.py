@@ -116,7 +116,7 @@ def synthetic_ms(d: int, m1: float, m2: float) -> ObjectiveFunction:
     def grad(x):
         return synthetic_ms_grad(x, m1, m2)
 
-    return ObjectiveFunction(fun=fun, dim=d, name="synthetic", m1=m1, m2=m2, grad=grad, vectorized=True)
+    return ObjectiveFunction(fun=fun, dim=d, name="synthetic", m2=m2, grad=grad, vectorized=True)
 
 
 def trig_sum_grad(x) -> np.ndarray:
@@ -183,8 +183,8 @@ class ExperimentSpec:
     function: ObjectiveFunction
     metric: TensorMetric
     cfg: EstimatorConfig
-    reps: int = 50
-    seed: int = 0
+    reps: int
+    seed: int
     name: str = ""
 
     def __post_init__(self):
@@ -442,11 +442,11 @@ def _check_run_options(**options) -> None:
             raise DomainError(f"{name} must be an integer >= {low[name]}, got {value!r}")
 
 
-def _resolve_sigma(sigma, metric: TensorMetric, d: int, p: float) -> float:
+def _resolve_sigma(sigma, metric: TensorMetric, p: float) -> float:
     if sigma == "auto-c3":
-        return recommended_sigma(metric, d, p, "self-normalizing")
+        return recommended_sigma(metric, p, "self-normalizing")
     if sigma == "auto-d2":
-        return recommended_sigma(metric, d, p, "d_pow_neg2")
+        return recommended_sigma(metric, p, "d_pow_neg2")
     try:
         return float(sigma)
     except (TypeError, ValueError):
@@ -489,7 +489,7 @@ def _build_spec(cfg: RunConfig, name: str = "") -> ExperimentSpec:
     centered stencil, L=2 the antithetic (1, -1) one, L >= 3 offsets 1..L."""
     function = _build_function(cfg.function, cfg.d, cfg.m1, cfg.m2)
     metric = _build_metric(cfg.metric, cfg.d)
-    sigma = _resolve_sigma(cfg.sigma, metric, cfg.d, cfg.p)
+    sigma = _resolve_sigma(cfg.sigma, metric, cfg.p)
     if cfg.l == 1:
         scheme = one_point()
     elif cfg.l == 2:
@@ -556,7 +556,7 @@ TABLE_PRESETS = {
 }
 
 
-def table_specs(name: str, reps: int = 50, seed: int = 0) -> list[ExperimentSpec]:
+def table_specs(name: str, reps: int, seed: int) -> list[ExperimentSpec]:
     """Experiment specs for every randomized cell of a table preset."""
     if name not in TABLE_PRESETS:
         raise DomainError(f"unknown table preset {name!r}; choose from {sorted(TABLE_PRESETS)}")

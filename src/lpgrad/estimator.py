@@ -24,10 +24,10 @@ from .sampler import (
     DECORRELATE_SAMPLE,
     DirectionLaw,
     RadialLaw,
-    _log_er2_over_sigma2,
     decorrelate,
     draw_batch,
     log_gamma,
+    log_radius_moment,
 )
 from .scheme import PointScheme, validate_bandwidth
 
@@ -48,15 +48,14 @@ __all__ = [
 class ObjectiveFunction:
     """A deterministic scalar objective with an evaluation counter.
 
-    ``m1`` / ``m2`` are optional first/second-order smoothness constants
-    used by the bound calculators; ``grad`` an optional analytic
+    ``m2`` is an optional second-order smoothness constant, to pass to
+    ``surrogate_bias_bound``; ``grad`` an optional analytic
     gradient callable used by the benchmark harness.
     """
 
     fun: Callable
     dim: int
     name: str = "custom"
-    m1: float | None = None
     m2: float | None = None
     grad: Callable | None = None
     vectorized: bool = False
@@ -214,11 +213,6 @@ def _log_k1(d: int, p: float) -> float:
     )
 
 
-def _log_r3_ratio(d: int, p: float) -> float:
-    # ln(E[R0^3] / sigma^3) for the U(0, xi) radius; sigma-free
-    return 1.5 * math.log(3.0) - math.log(4.0) + 1.5 * _log_er2_over_sigma2(d, p)
-
-
 def k1(d: int, p: float) -> float:
     """The direction-moment constant E[|U_1|^3 + (d-1) U_1^2 |U_2|].
 
@@ -235,7 +229,7 @@ def k2(d: int, p: float, regime: str | None = None) -> float:
     "small_p" for p << d, "large_p" for d << p.
     """
     if regime is None:
-        return math.exp(_log_k1(d, p) + _log_r3_ratio(d, p))
+        return math.exp(_log_k1(d, p) + log_radius_moment(3, d, p))
     if regime == "small_p":
         return math.exp(
             1.5 * math.log(3.0)
@@ -249,50 +243,30 @@ def k2(d: int, p: float, regime: str | None = None) -> float:
     raise DomainError(f"unknown regime {regime!r}")
 
 
-def surrogate_bias_bound(
-    metric: TensorMetric,
-    d: int,
-    p: float,
-    m2: float,
-    h: float,
-    sigma: float,
-    norm: str = "l2",
-    radial: str | RadialLaw = "uniform",
-) -> float:
-    """Upper bound on the surrogate error: m2 h E[R^3]/sigma^2 * ||.|| * k1.
+def surrogate_bias_bound(metric: TensorMetric, p: float, m2: float, h: float, radial: RadialLaw) -> float:
+    """Upper bound on the surrogate error, m2 h k1 E[R^3]/sigma^2 || |G^{-1}| 1 ||_2.
 
-    ``norm`` picks which norm of |G^{-1}| 1 enters ("l1" or "l2").
-    For the U(0, xi) radius E[R^3] is the exact third moment; for the
-    constant radius it is sigma^3. With sigma from
-    recommended_sigma(..., "self-normalizing") the l2 bound collapses to m2*h.
+    d is ``metric.dim`` and sigma ``radial.sigma``. E[R^3] is that of the
+    radius ``draw_batch`` draws for sphere directions: xi^3 / 4 for the
+    U(0, xi) radius, r^3 for the constant one. With the uniform radius and
+    sigma from recommended_sigma(..., "self-normalizing") the bound
+    collapses to m2*h.
     """
-    if isinstance(radial, RadialLaw):
-        radial = radial.kind
-    if norm == "l2":
-        norm_val = metric.abs_ginv_ones_l2
-    elif norm == "l1":
-        norm_val = metric.abs_ginv_ones_l1
-    else:
-        raise DomainError(f"unknown norm {norm!r}")
-    if radial == "uniform":
-        factor = math.exp(_log_r3_ratio(d, p) + _log_k1(d, p))
-    elif radial == "dirac":
-        factor = k1(d, p)
-    else:
-        raise DomainError(f"unknown radial law {radial!r}")
-    return m2 * h * factor * sigma * norm_val
+    if not isinstance(radial, RadialLaw):
+        raise DomainError(f"a radial law is required, got {radial!r}")
+    factor = math.exp(log_radius_moment(3, metric.dim, p, radial.kind) + _log_k1(metric.dim, p))
+    return m2 * h * factor * radial.sigma * metric.abs_ginv_ones_l2
 
 
-def recommended_sigma(metric: TensorMetric, d: int, p: float, rule: str) -> float:
-    """Sigma choices that keep the bias bound dimension-free.
+def recommended_sigma(metric: TensorMetric, p: float, rule: str) -> float:
+    """Sigma choices that keep the bias bound dimension-free, for d = ``metric.dim``.
 
-    "self-normalizing" returns 1 / (|| |G^{-1}| 1 ||_2 * k2); "d_pow_3_2" and
-    "d_pow_neg2" are the simple d^(3/2) and d^(-2) prescriptions.
+    "self-normalizing" returns 1 / (|| |G^{-1}| 1 ||_2 * k2), the uniform
+    radius's choice, whatever the radial law; "d_pow_neg2" is d^(-2).
     """
+    d = metric.dim
     if rule == "self-normalizing":
         return 1.0 / (metric.abs_ginv_ones_l2 * k2(d, p))
-    if rule == "d_pow_3_2":
-        return float(d) ** 1.5
     if rule == "d_pow_neg2":
         return float(d) ** -2.0
     raise DomainError(f"unknown sigma rule {rule!r}")

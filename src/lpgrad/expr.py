@@ -46,6 +46,13 @@ class _Node:
     value: np.float64 | None = None
 
 
+def _quote(text: str) -> str:
+    """``text`` quoted for an error message, with ``^`` for the ``**`` it was
+    rewritten to, and cut to its head and tail when long."""
+    text = text.replace("**", "^")
+    return repr(text if len(text) <= 60 else f"{text[:30]} ... {text[-25:]}")
+
+
 def _apply(op, *args: _Node) -> _Node:
     """``op`` of the argument nodes, folded now when every argument is constant."""
     if all(a.value is not None for a in args):
@@ -70,7 +77,7 @@ def _compile(text: str, dim: int, depth: int = 0, signs: tuple = ("+", "-", "*",
         try:
             tree = ast.parse(text, mode="eval")
         except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
-            raise DomainError(f"cannot parse {text.replace('**', '^')!r}: {exc}") from None
+            raise DomainError(f"cannot parse {_quote(text)}: {exc}") from None
         return _walk(tree.body, text, dim, depth)
     bounds, ops, parens, after_operand = [0], [None], 0, False
     try:
@@ -81,7 +88,7 @@ def _compile(text: str, dim: int, depth: int = 0, signs: tuple = ("+", "-", "*",
             parens += (tok.string == "(") - (tok.string == ")")
             after_operand = tok.type in (tokenize.NAME, tokenize.NUMBER) or tok.string == ")"
     except tokenize.TokenError:
-        raise DomainError(f"unbalanced parentheses in {text.replace('**', '^')!r}") from None
+        raise DomainError(f"unbalanced parentheses in {_quote(text)}") from None
     nodes = [_compile(text[a:b].strip(), dim, depth, signs[2:])
              for a, b in zip(bounds[::2], bounds[1::2] + [len(text)])]
     head, k = nodes[0], 1
@@ -115,29 +122,33 @@ def _walk(node: ast.AST, text: str, dim: int, depth: int) -> _Node:
     if isinstance(node, ast.Name) and re.fullmatch(r"x\d*", node.id):
         if node.id == "x":
             return _Node(lambda x: x, vector=True)
-        if not 1 <= int(node.id[1:]) <= dim:
-            raise DomainError(f"coordinate {node.id} is out of range for d={dim}; x1 is the first")
-        return _Node(lambda x, i=int(node.id[1:]) - 1: x[..., i:i + 1])
+        digits = node.id[1:].lstrip("0")
+        i = int(digits) if 0 < len(digits) <= 18 else 0  # more than 18 digits exceeds any d
+        if not 1 <= i <= dim:
+            raise DomainError(f"coordinate {_quote(node.id)} is out of range for d={dim}; x1 is the first")
+        return _Node(lambda x: x[..., i - 1:i])
     if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("pow", "sum", *_FUNCS):
         name, args = node.func.id, node.args
         # one argument, or two for pow; no keywords, (sin)(x) or trailing comma
         if (len(args) != 1 + (name == "pow") or node.keywords or node.func.col_offset != node.col_offset
                 or "," in text[args[-1].end_col_offset:node.end_col_offset]):
-            raise DomainError(f"wrong arguments in {segment.replace('**', '^')!r}")
+            raise DomainError(f"wrong arguments in {_quote(segment)}")
         args = [sub(arg) for arg in args]
         if name == "sum":  # the sum of one number is that number
             return args[0] if args[0].value is not None else _Node(
                 lambda x, f=args[0].fn: np.sum(f(x), axis=-1, keepdims=True))
         return _power(*args) if name == "pow" else _apply(_FUNCS[name], *args)
-    raise DomainError(f"{segment.replace('**', '^')!r} is not in the expression grammar")
+    raise DomainError(f"{_quote(segment)} is not in the expression grammar")
 
 
 def compile_expression(text: str, dim: int):
     """A callable of a point ``(dim,)``, returning a float, or of rows ``(N, dim)``,
     returning ``(N,)``. It raises if the expression does not reduce to a scalar."""
     text = " ".join(text.split())
-    if not _CHARS.fullmatch(text) or "**" in text or "//" in text:
-        raise DomainError(f"{text!r} has a character or an operator outside the expression grammar")
+    if "**" in text or "//" in text:
+        raise DomainError("** and // are not in the expression grammar; use ^ and /")
+    if not _CHARS.fullmatch(text):
+        raise DomainError(f"{_quote(text)} has a character outside the expression grammar")
     node = _compile(_LEADING_ZEROS.sub("", text).replace("^", "**"), dim)
 
     def fun(x):

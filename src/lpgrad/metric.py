@@ -2,8 +2,8 @@
 
 For dependent inputs the gradient of interest is G^{-1} grad_f where G
 is the (symmetric PSD) tensor metric; for independent inputs G is the
-identity and everything reduces to the plain gradient. The norms of
-|G^{-1}| 1 stored here feed the bias-bound calculators.
+identity and everything reduces to the plain gradient. The norm of
+|G^{-1}| 1 stored here feeds the bias-bound calculators.
 """
 from __future__ import annotations
 
@@ -28,7 +28,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TensorMetric:
-    """A metric G with its generalized inverse and bound norms.
+    """A metric G with its generalized inverse and the bound norm
+    || |G^{-1}| 1 ||_2.
 
     ``g`` / ``ginv`` are None for the identity marker, which skips all
     matrix work in apply_inverse. ``label`` names the metric in result rows.
@@ -37,7 +38,6 @@ class TensorMetric:
     dim: int
     g: np.ndarray | None
     ginv: np.ndarray | None
-    abs_ginv_ones_l1: float
     abs_ginv_ones_l2: float
     label: str = "matrix"
 
@@ -54,7 +54,6 @@ def identity_metric(d: int) -> TensorMetric:
         dim=d,
         g=None,
         ginv=None,
-        abs_ginv_ones_l1=float(d),
         abs_ginv_ones_l2=math.sqrt(d),
         label="identity",
     )
@@ -92,7 +91,6 @@ def from_matrix(g) -> TensorMetric:
         dim=d,
         g=g,
         ginv=ginv,
-        abs_ginv_ones_l1=float(row.sum()),
         abs_ginv_ones_l2=float(np.linalg.norm(row)),
     )
 

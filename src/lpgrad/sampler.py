@@ -27,6 +27,7 @@ __all__ = [
     "sphere_abs_moment",
     "sphere_mixed_moment",
     "radial_xi",
+    "log_radius_moment",
     "moment_R0",
     "draw_batch",
     "decorrelate",
@@ -237,14 +238,20 @@ def _direction_matrix(rng: np.random.Generator, n: int, d: int, p: float) -> np.
     return g
 
 
-def _log_er2_over_sigma2(d: int, p: float) -> float:
-    # E[R^2]/sigma^2 = Gamma(1/p) Gamma((d+2)/p) / (Gamma(3/p) Gamma(d/p))
-    return (
-        log_gamma(1 / p)
-        + log_gamma((d + 2) / p)
-        - log_gamma(3 / p)
-        - log_gamma(d / p)
-    )
+def log_radius_moment(q: int, d: int, p: float, kind: str = RADIAL_UNIFORM) -> float:
+    """ln(E[R^q] / sigma^q) for the radius draw_batch draws with sphere
+    directions. Both radii have E[R^2] = sigma^2 / E[U_1^2]: "uniform" is
+    R ~ U(0, xi) with xi^2 = 3 E[R^2], so E[R^q] = xi^q / (q+1), and
+    "dirac" the constant R = sqrt(E[R^2])."""
+    _check_dp(d, p)
+    # ln(E[R^2] / sigma^2) = ln(Gamma(1/p) Gamma((d+2)/p) / (Gamma(3/p) Gamma(d/p)))
+    log_r2 = log_gamma(1 / p) + log_gamma((d + 2) / p) - log_gamma(3 / p) - log_gamma(d / p)
+    half = q / 2
+    if kind == RADIAL_UNIFORM:
+        return half * math.log(3.0) - math.log(q + 1) + half * log_r2
+    if kind == RADIAL_DIRAC:
+        return half * log_r2
+    raise DomainError(f"unknown radial law kind {kind!r}")
 
 
 def radial_xi(d: int, p: float, sigma: float, variant: str = SPHERE) -> float:
@@ -254,10 +261,9 @@ def radial_xi(d: int, p: float, sigma: float, variant: str = SPHERE) -> float:
     directions; the ball variant carries the extra sqrt((d+2)/d) needed
     because ball directions satisfy E[U_1^2]_ball = E[U_1^2] d/(d+2).
     """
-    _check_dp(d, p)
     if sigma <= 0.0:
         raise DomainError("sigma must be positive")
-    xi = sigma * math.sqrt(3.0 * math.exp(_log_er2_over_sigma2(d, p)))
+    xi = sigma * math.sqrt(3.0 * math.exp(log_radius_moment(2, d, p)))
     if variant == BALL:
         xi *= math.sqrt((d + 2) / d)
     elif variant != SPHERE:
@@ -268,19 +274,24 @@ def radial_xi(d: int, p: float, sigma: float, variant: str = SPHERE) -> float:
 def moment_R0(q: int, d: int, p: float, sigma: float, regime: str | None = None) -> float:
     """q-th moment of the U(0, xi) radius (sphere calibration).
 
-    The exact value is xi^q / (q+1). ``regime`` exposes the two
-    asymptotic approximations as diagnostics: "small_p" for p << d and
-    "large_p" for d << p; estimators always use the exact value.
+    The exact value is xi^q / (q+1); one that under- or overflows a float
+    raises ``DomainError``. ``regime`` exposes the two asymptotic
+    approximations as diagnostics: "small_p" for p << d and "large_p" for
+    d << p; estimators always use the exact value.
     """
     if q < 0 or int(q) != q:
         raise DomainError(f"moment order must be a nonnegative integer, got {q}")
     _check_dp(d, p)
+    if not sigma > 0.0:
+        raise DomainError(f"sigma must be positive, got {sigma}")
     if regime is None:
-        xi = radial_xi(d, p, sigma, SPHERE)
         try:
-            return xi**q / (q + 1)
+            value = sigma**q * math.exp(log_radius_moment(q, d, p))
         except OverflowError:
-            raise DomainError(f"E[R0^{q}] overflows at sigma = {sigma}") from None
+            value = math.inf
+        if not 0.0 < value < math.inf:
+            raise DomainError(f"E[R0^{q}] {'overflows' if value else 'underflows'} at sigma = {sigma}")
+        return value
     if regime == "small_p":
         lg = log_gamma(1 / p) - log_gamma(3 / p)
         return (

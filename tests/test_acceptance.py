@@ -112,9 +112,9 @@ def test_criterion_4_dimension_free_bias_constant():
     with criterion("4 dimension-free-bias"):
         for d, p in [(10, 3.0), (100, 5.0), (1000, 7.0)]:
             metric = identity_metric(d)
-            sigma = recommended_sigma(metric, d, p, "self-normalizing")
+            sigma = recommended_sigma(metric, p, "self-normalizing")
             m2, h = 3.0, 1e-4
-            bound = surrogate_bias_bound(metric, d, p, m2=m2, h=h, sigma=sigma)
+            bound = surrogate_bias_bound(metric, p, m2=m2, h=h, radial=RadialLaw.uniform(sigma))
             assert abs(bound - m2 * h) <= 1e-10 * m2 * h
 
 
@@ -184,7 +184,7 @@ def _fixed_smoothness_trig(d):
         g[1] = -np.sin(x[1])
         return g
 
-    return ObjectiveFunction(fun=fun, dim=d, name="trig-2coord", m1=2.0, m2=1.0, grad=grad)
+    return ObjectiveFunction(fun=fun, dim=d, name="trig-2coord", m2=1.0, grad=grad)
 
 
 def test_criterion_7_dimension_robustness():

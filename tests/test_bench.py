@@ -458,8 +458,9 @@ class TestTableSpecs:
     def test_t6_preset_constants(self):
         specs = table_specs("t6", reps=1, seed=0)
         f = specs[0].function
-        assert f.m1 == 200.0 and f.m2 == 1e-3
-        assert f.dim == 200
+        assert f.m2 == 1e-3 and f.dim == 200
+        # at x = 1 the coupling ((m1 - m2)/(2d)) (sum x)^2 adds m1 - m2 to every coordinate
+        assert f.grad(np.ones(200))[1] == pytest.approx(200.0 - 1e-3 - math.sin(1.0), rel=1e-14)
 
     def test_t2dep_metric(self):
         specs = table_specs("t2dep", reps=1, seed=0)
@@ -468,4 +469,4 @@ class TestTableSpecs:
 
     def test_unknown_preset(self):
         with pytest.raises(DomainError):
-            table_specs("t9")
+            table_specs("t9", reps=1, seed=0)

@@ -222,20 +222,36 @@ class TestInvalidInput:
         ["estimate", "--d", "4", "--sigma", "1e200", "--h", "1e-300"],
         ["moments-check", "--d", "2", "--p", "2", "--draws", "10", "--sigma", "1e308"],
         ["moments-check", "--d", "1", "--p", "1", "--draws", "10", "--sigma", "1e150"],
+        ["moments-check", "--d", "2", "--p", "2", "--draws", "10", "--sigma", "1e-100"],
         ["estimate", "--d", "4", "--function", "expr:1/0"],
         ["estimate", "--d", "4", "--function", "expr:sum(x)+pow(0,-1)"],
         ["estimate", "--d", "4", "--function", "expr:sum(x)*10^400"],
         ["estimate", "--d", "4", "--function", "expr:sum(x)+(-1)^0.5"],
         ["estimate", "--d", "4", "--function", "synthetic", "--m1", "nan"],
         ["estimate", "--d", "4", "--function", "synthetic", "--m2", "inf"],
+        ["estimate", "--d", "4", "--function", "expr:x" + "1" * 5000],
         SWEEP_ARGS + ["--decorrelate", "sample"],
     ], ids=["estimate-expr-index", "sweep-expr-index", "exp-corr-rho", "sweep-n-values",
             "moments-seed", "sigma-square-overflow", "sigma-h-overflow", "moments-sigma-overflow",
-            "moments-r0-overflow", "expr-div-zero", "expr-pow-zero", "expr-overflow",
-            "expr-complex", "synthetic-m1-nan", "synthetic-m2-inf", "sweep-decorrelate"])
+            "moments-r0-overflow", "moments-r0-underflow", "expr-div-zero", "expr-pow-zero", "expr-overflow",
+            "expr-complex", "synthetic-m1-nan", "synthetic-m2-inf", "expr-huge-index",
+            "sweep-decorrelate"])
     def test_bad_specs(self, capsys, argv):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("expression,problem", [
+        ("sin(" + "+".join(["x1"] * 2000) + ", x2)", "wrong arguments"),
+        ("(" * 3000 + "x1", "unbalanced parentheses"),
+        ("x" + "1" * 3000, "out of range"),
+        ("x1 + " * 1000 + "foo(x1)", "not in the expression grammar"),
+        ("x1 + " * 1000 + "x1 $", "outside the expression grammar"),
+    ], ids=["arguments", "parentheses", "index", "name", "character"])
+    def test_expression_error_is_one_short_line(self, capsys, expression, problem):
+        assert main(["estimate", "--function", "expr:" + expression, "--d", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and problem in err
+        assert err.count("\n") == 1 and len(err) < 200
 
     @pytest.mark.parametrize("name,matrix", [
         ("g.json", "[[1.0, 0.0], [0.0, -1.0]]"),

@@ -202,7 +202,7 @@ class TestBiasBoundSanity:
         # the self-normalizing sigma the surrogate error obeys m2*h
         d, p = 5, 3.0
         metric = identity_metric(d)
-        sigma = recommended_sigma(metric, d, p, "self-normalizing")
+        sigma = recommended_sigma(metric, p, "self-normalizing")
         f = ObjectiveFunction(fun=lambda x: float(np.sin(x).sum()), dim=d, name="sin-sum")
         grad_true = np.ones(d)
         common = dict(
@@ -217,7 +217,7 @@ class TestBiasBoundSanity:
         ])
         mean = chunks.mean(axis=0)
         se = chunks.std(axis=0, ddof=1) / math.sqrt(len(chunks))
-        bound = surrogate_bias_bound(metric, d, p, m2=1.0, h=h, sigma=sigma)
+        bound = surrogate_bias_bound(metric, p, m2=1.0, h=h, radial=common["radial"])
         assert np.linalg.norm(mean - grad_true) <= bound + 4.0 * np.linalg.norm(se)
 
 
@@ -440,36 +440,55 @@ class TestBiasBound:
     @pytest.mark.parametrize("d,p", [(10, 3.0), (100, 5.0), (1000, 7.0)])
     def test_self_normalizing_sigma_collapses_bound(self, d, p):
         metric = identity_metric(d)
-        sigma = recommended_sigma(metric, d, p, "self-normalizing")
+        sigma = recommended_sigma(metric, p, "self-normalizing")
         m2, h = 2.5, 1e-3
-        bound = surrogate_bias_bound(metric, d, p, m2=m2, h=h, sigma=sigma)
+        bound = surrogate_bias_bound(metric, p, m2=m2, h=h, radial=RadialLaw.uniform(sigma))
         np.testing.assert_allclose(bound, m2 * h, rtol=1e-10)
 
     def test_d1_reduces_to_k1_one(self):
         metric = identity_metric(1)
         sigma = 0.2
-        bound = surrogate_bias_bound(metric, 1, 3.0, m2=1.0, h=0.1, sigma=sigma, radial="dirac")
+        bound = surrogate_bias_bound(metric, 3.0, m2=1.0, h=0.1, radial=RadialLaw.dirac(sigma))
         np.testing.assert_allclose(bound, 0.1 * sigma, rtol=1e-12)
 
-    def test_l1_vs_l2_norms(self):
-        metric = exp_corr_metric(6, 0.5)
-        b1 = surrogate_bias_bound(metric, 6, 3.0, 1.0, 1e-3, 0.01, norm="l1")
-        b2 = surrogate_bias_bound(metric, 6, 3.0, 1.0, 1e-3, 0.01, norm="l2")
-        assert b1 > b2  # l1 norm of a nonnegative vector dominates its l2 norm
+    @staticmethod
+    def drawn_bound(metric, p, m2, h, radial, n):
+        # m2 h k1 E[R^3] / sigma^2 || |G^-1| 1 ||_2, E[R^3] from the radii draw_batch draws
+        v = draw_batch(DirectionLaw.sphere(p), radial, n, metric.dim, seed=8).values
+        r3 = lp_norm(v, p) ** 3
+        scale = m2 * h * k1(metric.dim, p) / radial.sigma**2 * metric.abs_ginv_ones_l2
+        return scale * r3.mean(), scale * r3.std() / math.sqrt(n)
 
     def test_dirac_radial(self):
-        metric = identity_metric(4)
-        got = surrogate_bias_bound(metric, 4, 2.0, m2=1.0, h=0.01, sigma=0.1, radial="dirac")
-        np.testing.assert_allclose(got, 0.01 * k1(4, 2.0) * 0.1 * 2.0, rtol=1e-12)
+        # the constant radius is sigma / sqrt(E[U_1^2]), not sigma
+        radial = RadialLaw.dirac(0.1)
+        for d, p in [(4, 2.0), (100, 5.0), (1000, 7.0)]:
+            metric = exp_corr_metric(d, 0.5)
+            expected, _ = self.drawn_bound(metric, p, 1.0, 0.01, radial, n=4)
+            got = surrogate_bias_bound(metric, p, m2=1.0, h=0.01, radial=radial)
+            np.testing.assert_allclose(got, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("d,p", [(4, 2.0), (100, 5.0)])
+    def test_uniform_radial(self, d, p):
+        metric = exp_corr_metric(d, 0.5)
+        radial = RadialLaw.uniform(0.1)
+        expected, se = self.drawn_bound(metric, p, 1.0, 0.01, radial, n=20_000)
+        got = surrogate_bias_bound(metric, p, m2=1.0, h=0.01, radial=radial)
+        assert abs(got - expected) <= 4.0 * se
+
+    def test_radial_law_required(self):
+        with pytest.raises(DomainError):
+            surrogate_bias_bound(identity_metric(4), 2.0, m2=1.0, h=0.01, radial="dirac")
 
 
 class TestParameterRules:
     def test_recommended_sigma_rules(self):
         metric = identity_metric(100)
-        assert recommended_sigma(metric, 100, 5.0, "d_pow_neg2") == pytest.approx(1e-4)
-        assert recommended_sigma(metric, 100, 5.0, "d_pow_3_2") == pytest.approx(1000.0)
+        assert recommended_sigma(metric, 5.0, "d_pow_neg2") == pytest.approx(1e-4)
         one = identity_metric(1)
-        assert recommended_sigma(one, 1, 3.0, "self-normalizing") == pytest.approx(1.0 / k2(1, 3.0))
+        assert recommended_sigma(one, 3.0, "self-normalizing") == pytest.approx(1.0 / k2(1, 3.0))
+        with pytest.raises(DomainError):
+            recommended_sigma(metric, 5.0, "d_pow_3_2")
 
     def test_recommend_p(self):
         assert recommend_p(100) == 5

@@ -234,6 +234,11 @@ class TestMomentR0:
         with pytest.raises(DomainError):
             moment_R0(-1, 10, 3.0, 1.0)
 
+    @pytest.mark.parametrize("q,sigma", [(4, 1e-100), (3, 1e150), (2, 0.0), (2, math.nan)])
+    def test_unrepresentable_or_bad_sigma_rejected(self, q, sigma):
+        with pytest.raises(DomainError):
+            moment_R0(q, 2, 2.0, sigma)
+
 
 class TestDrawBatch:
     def test_determinism(self):
