@@ -78,8 +78,15 @@ def rosenbrock(d: int) -> ObjectiveFunction:
         raise DomainError("rosenbrock requires d >= 2")
 
     def fun(x):
+        # (1 - head)^2 + 100 (tail - head^2)^2 in two blocks, same ufuncs in the same order
         head = x[..., :-1]
-        return np.sum((1.0 - head) ** 2 + 100.0 * (x[..., 1:] - head**2) ** 2, axis=-1)
+        a = np.subtract(1.0, head)
+        np.square(a, out=a)
+        b = np.square(head)
+        np.subtract(x[..., 1:], b, out=b)
+        np.square(b, out=b)
+        np.multiply(100.0, b, out=b)
+        return np.sum(np.add(a, b, out=a), axis=-1)
 
     return ObjectiveFunction(fun=fun, dim=d, name="rosenbrock", grad=rosenbrock_grad, vectorized=True)
 

@@ -17,11 +17,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, EvaluationError
+from .errors import DomainError, EvaluationError, NotApplicableError
 from .metric import TensorMetric, apply_inverse
 from .sampler import (
+    BALL,
     DECORRELATE_MOMENT,
     DECORRELATE_SAMPLE,
+    IID_UNIFORM,
     DirectionLaw,
     RadialLaw,
     decorrelate,
@@ -173,10 +175,10 @@ def estimate_gradient(
     if metric.dim != d:
         raise DomainError(f"metric dimension {metric.dim} != len(x) = {d}")
     scheme = cfg.scheme
-    batch = draw_batch(cfg.law, cfg.radial, cfg.n, d, seed)
-    if cfg.decorrelate is not None:
-        batch = decorrelate(batch, cfg.sigma, cfg.decorrelate)
-    v = batch.values
+    if cfg.decorrelate is None:
+        v = draw_batch(cfg.law, cfg.radial, cfg.n, d, seed).values
+    else:  # passed on unnamed, so no name here keeps the raw batch through the QR
+        v = decorrelate(draw_batch(cfg.law, cfg.radial, cfg.n, d, seed), cfg.sigma, cfg.decorrelate).values
     values = []
     for beta in scheme.betas:
         points = beta * cfg.h * v
@@ -243,19 +245,24 @@ def k2(d: int, p: float, regime: str | None = None) -> float:
     raise DomainError(f"unknown regime {regime!r}")
 
 
-def surrogate_bias_bound(metric: TensorMetric, p: float, m2: float, h: float, radial: RadialLaw) -> float:
+def surrogate_bias_bound(metric: TensorMetric, m2: float, cfg: EstimatorConfig) -> float:
     """Upper bound on the surrogate error, m2 h k1 E[R^3]/sigma^2 || |G^{-1}| 1 ||_2.
 
-    d is ``metric.dim`` and sigma ``radial.sigma``. E[R^3] is that of the
-    radius ``draw_batch`` draws for sphere directions: xi^3 / 4 for the
-    U(0, xi) radius, r^3 for the constant one. With the uniform radius and
-    sigma from recommended_sigma(..., "self-normalizing") the bound
-    collapses to m2*h.
+    d is ``metric.dim``; p, h, sigma and the laws are those of ``cfg``.
+    E[R^3] is that of the radius ``draw_batch`` draws: xi^3 / 4 for the
+    U(0, xi) radius, r^3 for the constant one. The ball law's radius is
+    sqrt((d+2)/d) times the sphere law's and its directions W^(1/d) U
+    scale k1 by E[W^(3/d)], a factor ((d+2)/d)^(3/2) d/(d+3) in all;
+    iid-uniform raises ``NotApplicableError``. Sphere directions, the
+    uniform radius and the "self-normalizing" sigma give m2*h.
     """
-    if not isinstance(radial, RadialLaw):
-        raise DomainError(f"a radial law is required, got {radial!r}")
-    factor = math.exp(log_radius_moment(3, metric.dim, p, radial.kind) + _log_k1(metric.dim, p))
-    return m2 * h * factor * radial.sigma * metric.abs_ginv_ones_l2
+    d, p = metric.dim, cfg.law.p
+    if cfg.law.kind == IID_UNIFORM:
+        raise NotApplicableError("the bias bound assumes an lp-spherical direction law")
+    log_factor = log_radius_moment(3, d, p, cfg.radial.kind) + _log_k1(d, p)
+    if cfg.law.kind == BALL:
+        log_factor += 1.5 * math.log((d + 2) / d) + math.log(d / (d + 3))
+    return m2 * cfg.h * math.exp(log_factor) * cfg.sigma * metric.abs_ginv_ones_l2
 
 
 def recommended_sigma(metric: TensorMetric, p: float, rule: str) -> float:

@@ -329,10 +329,10 @@ def draw_batch(
         a = math.sqrt(3.0) * radial.sigma
         values = rng.uniform(-a, a, size=(n, d))
     else:
-        u = _direction_matrix(rng, n, d, law.p)
+        values = _direction_matrix(rng, n, d, law.p)
         if law.kind == BALL:
             # the radial cdf of the uniform ball law is r^d: scale by W^(1/d)
-            u = u * rng.uniform(0.0, 1.0, size=n)[:, None] ** (1.0 / d)
+            values *= rng.uniform(0.0, 1.0, size=n)[:, None] ** (1.0 / d)
         if radial.kind == RADIAL_UNIFORM:
             xi = radial_xi(d, law.p, radial.sigma, law.kind)
             r = rng.uniform(0.0, xi, size=n)
@@ -341,7 +341,7 @@ def draw_batch(
             if law.kind == BALL:
                 eu2 *= d / (d + 2)  # E[U_1^2] of the uniform ball law
             r = np.full(n, radial.sigma / math.sqrt(eu2))
-        values = u * r[:, None]
+        values *= r[:, None]
     values.flags.writeable = False
     return SampleBatch(values)
 
@@ -374,6 +374,7 @@ def decorrelate(batch: SampleBatch, sigma: float, mode: str = DECORRELATE_MOMENT
     if n <= ddof:
         raise NotApplicableError("sample-convention decorrelation needs n >= 2")
     w = batch.values - batch.values.mean(axis=0) if sample and n > d else batch.values
+    del batch  # so a draw_batch(...) passed straight in is freed before the QR copies w
     q, r = np.linalg.qr(w)
     diag = np.diag(r)
     tol = n * np.finfo(float).eps * np.abs(diag).max()

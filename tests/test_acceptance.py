@@ -114,7 +114,9 @@ def test_criterion_4_dimension_free_bias_constant():
             metric = identity_metric(d)
             sigma = recommended_sigma(metric, p, "self-normalizing")
             m2, h = 3.0, 1e-4
-            bound = surrogate_bias_bound(metric, p, m2=m2, h=h, radial=RadialLaw.uniform(sigma))
+            cfg = EstimatorConfig(two_point_central(), DirectionLaw.sphere(p),
+                                  RadialLaw.uniform(sigma), n=1, h=h)
+            bound = surrogate_bias_bound(metric, m2, cfg)
             assert abs(bound - m2 * h) <= 1e-10 * m2 * h
 
 

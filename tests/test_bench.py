@@ -108,6 +108,17 @@ class TestRosenbrock:
         with pytest.raises(DomainError):
             rosenbrock(1)
 
+    def test_same_bits_as_the_plain_expression(self):
+        def plain(x):
+            head = x[..., :-1]
+            return np.sum((1.0 - head) ** 2 + 100.0 * (x[..., 1:] - head**2) ** 2, axis=-1)
+
+        rng = np.random.default_rng(11)
+        rows = rng.normal(size=(300, 40)) * np.logspace(-3, 3, 40)
+        f = rosenbrock(40)
+        assert f(rows).tobytes() == plain(rows).tobytes()
+        assert f(rows[7]) == plain(rows[7])
+
 
 class TestSynthetic:
     def test_gradient_at_origin(self):

@@ -61,6 +61,11 @@ def base_config(d, n, scheme=None, **kw):
     return EstimatorConfig(**defaults)
 
 
+def bound_config(p, h, radial, law=None):
+    # a run's settings as surrogate_bias_bound reads them: p, h, the laws, sigma
+    return EstimatorConfig(one_point(), law or DirectionLaw.sphere(p), radial, n=1, h=h)
+
+
 class TestExactness:
     @pytest.mark.parametrize("d", [5, 50])
     @pytest.mark.parametrize("dep", [False, True])
@@ -217,7 +222,7 @@ class TestBiasBoundSanity:
         ])
         mean = chunks.mean(axis=0)
         se = chunks.std(axis=0, ddof=1) / math.sqrt(len(chunks))
-        bound = surrogate_bias_bound(metric, p, m2=1.0, h=h, radial=common["radial"])
+        bound = surrogate_bias_bound(metric, 1.0, EstimatorConfig(n=1, **common))
         assert np.linalg.norm(mean - grad_true) <= bound + 4.0 * np.linalg.norm(se)
 
 
@@ -442,19 +447,20 @@ class TestBiasBound:
         metric = identity_metric(d)
         sigma = recommended_sigma(metric, p, "self-normalizing")
         m2, h = 2.5, 1e-3
-        bound = surrogate_bias_bound(metric, p, m2=m2, h=h, radial=RadialLaw.uniform(sigma))
+        bound = surrogate_bias_bound(metric, m2, bound_config(p, h, RadialLaw.uniform(sigma)))
         np.testing.assert_allclose(bound, m2 * h, rtol=1e-10)
 
     def test_d1_reduces_to_k1_one(self):
         metric = identity_metric(1)
         sigma = 0.2
-        bound = surrogate_bias_bound(metric, 3.0, m2=1.0, h=0.1, radial=RadialLaw.dirac(sigma))
+        bound = surrogate_bias_bound(metric, 1.0, bound_config(3.0, 0.1, RadialLaw.dirac(sigma)))
         np.testing.assert_allclose(bound, 0.1 * sigma, rtol=1e-12)
 
     @staticmethod
-    def drawn_bound(metric, p, m2, h, radial, n):
-        # m2 h k1 E[R^3] / sigma^2 || |G^-1| 1 ||_2, E[R^3] from the radii draw_batch draws
-        v = draw_batch(DirectionLaw.sphere(p), radial, n, metric.dim, seed=8).values
+    def drawn_bound(metric, p, m2, h, radial, n, law=None):
+        # m2 h k1 E[|V|_p^3] / sigma^2 || |G^-1| 1 ||_2, from the rows draw_batch draws:
+        # |V|_p = R for sphere directions, R W^(1/d) for ball ones
+        v = draw_batch(law or DirectionLaw.sphere(p), radial, n, metric.dim, seed=8).values
         r3 = lp_norm(v, p) ** 3
         scale = m2 * h * k1(metric.dim, p) / radial.sigma**2 * metric.abs_ginv_ones_l2
         return scale * r3.mean(), scale * r3.std() / math.sqrt(n)
@@ -465,7 +471,7 @@ class TestBiasBound:
         for d, p in [(4, 2.0), (100, 5.0), (1000, 7.0)]:
             metric = exp_corr_metric(d, 0.5)
             expected, _ = self.drawn_bound(metric, p, 1.0, 0.01, radial, n=4)
-            got = surrogate_bias_bound(metric, p, m2=1.0, h=0.01, radial=radial)
+            got = surrogate_bias_bound(metric, 1.0, bound_config(p, 0.01, radial))
             np.testing.assert_allclose(got, expected, rtol=1e-12)
 
     @pytest.mark.parametrize("d,p", [(4, 2.0), (100, 5.0)])
@@ -473,12 +479,27 @@ class TestBiasBound:
         metric = exp_corr_metric(d, 0.5)
         radial = RadialLaw.uniform(0.1)
         expected, se = self.drawn_bound(metric, p, 1.0, 0.01, radial, n=20_000)
-        got = surrogate_bias_bound(metric, p, m2=1.0, h=0.01, radial=radial)
+        got = surrogate_bias_bound(metric, 1.0, bound_config(p, 0.01, radial))
         assert abs(got - expected) <= 4.0 * se
+
+    @pytest.mark.parametrize("d,p", [(2, 3.0), (4, 2.0)])
+    @pytest.mark.parametrize("kind", ["uniform", "dirac"])
+    def test_ball_law(self, d, p, kind):
+        # the ball law's factor ((d+2)/d)^(3/2) d/(d+3) is 1.13 at d=2 and 1.05 at d=4
+        metric = exp_corr_metric(d, 0.5)
+        radial, law = RadialLaw(kind, 0.1), DirectionLaw.ball(p)
+        expected, se = self.drawn_bound(metric, p, 1.0, 0.01, radial, n=20_000, law=law)
+        got = surrogate_bias_bound(metric, 1.0, bound_config(p, 0.01, radial, law))
+        assert abs(got - expected) <= 4.0 * se
+
+    def test_iid_uniform_not_applicable(self):
+        cfg = bound_config(2.0, 0.01, RadialLaw.uniform(0.1), DirectionLaw.iid_uniform())
+        with pytest.raises(NotApplicableError):
+            surrogate_bias_bound(identity_metric(4), 1.0, cfg)
 
     def test_radial_law_required(self):
         with pytest.raises(DomainError):
-            surrogate_bias_bound(identity_metric(4), 2.0, m2=1.0, h=0.01, radial="dirac")
+            surrogate_bias_bound(identity_metric(4), 1.0, bound_config(2.0, 0.01, "dirac"))
 
 
 class TestParameterRules:

@@ -360,6 +360,15 @@ class TestDecorrelate:
         two_step = q * np.where(np.diag(r) < 0.0, -1.0, 1.0) * (math.sqrt(n - ddof) * sigma)
         assert np.array_equal(decorrelate(batch, sigma, mode).values, two_step)
 
+    @pytest.mark.parametrize("mode,n", [("sample", 40), ("sample", 6), ("moment", 40)])
+    def test_same_bits_whether_or_not_the_batch_is_kept(self, mode, n):
+        # decorrelate drops its reference to the raw batch; the caller's copy is untouched
+        kept = self.make(n=n)
+        before = kept.values.copy()
+        out = decorrelate(kept, 0.3, mode).values
+        assert out.tobytes() == decorrelate(self.make(n=n), 0.3, mode).values.tobytes()
+        assert kept.values.tobytes() == before.tobytes()
+
     def test_bad_mode_rejected(self):
         with pytest.raises(DomainError):
             decorrelate(self.make(), 0.3, "center")
