@@ -60,7 +60,6 @@ from .sampler import (
     log_radius_moment,
     lp_norm,
     moment_R0,
-    pgauss_abs_moment,
     radial_xi,
     sphere_abs_moment,
     sphere_mixed_moment,

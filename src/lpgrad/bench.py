@@ -411,7 +411,7 @@ class RunConfig:
     format: str = "csv"
 
     def __post_init__(self):
-        _check_run_options(seed=self.seed, reps=self.reps, threads=self.threads)
+        _check_run_options(seed=self.seed, reps=self.reps, threads=self.threads, L=self.l)
         if self.format not in ("csv", "json"):
             raise DomainError(f"unknown output format {self.format!r}")
 
@@ -443,7 +443,7 @@ class RunConfig:
 
 def _check_run_options(**options) -> None:
     """Reject run options that would only fail deep inside a run."""
-    low = {"seed": 0, "reps": 1, "threads": 0}
+    low = {"seed": 0, "reps": 1, "threads": 0, "L": 1}
     for name, value in options.items():
         if not isinstance(value, int) or value < low[name]:
             raise DomainError(f"{name} must be an integer >= {low[name]}, got {value!r}")

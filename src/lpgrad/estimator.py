@@ -197,22 +197,12 @@ def estimate_gradient(
     return GradientEstimate(grad=grad, n_evals=scheme.l * cfg.n)
 
 
-def _log_bracket(d: int, p: float) -> float:
-    # ln[ Gamma(4/p) Gamma(1/p) + (d-1) Gamma(3/p) Gamma(2/p) ]
-    first = log_gamma(4 / p) + log_gamma(1 / p)
-    if d == 1:
-        return first
-    second = math.log(d - 1) + log_gamma(3 / p) + log_gamma(2 / p)
-    return float(np.logaddexp(first, second))
-
-
 def _log_k1(d: int, p: float) -> float:
-    return (
-        log_gamma(d / p)
-        + _log_bracket(d, p)
-        - 2 * log_gamma(1 / p)
-        - log_gamma((d + 3) / p)
-    )
+    # the bracket is ln[ Gamma(4/p) Gamma(1/p) + (d-1) Gamma(3/p) Gamma(2/p) ]
+    bracket = log_gamma(4 / p) + log_gamma(1 / p)
+    if d > 1:
+        bracket = float(np.logaddexp(bracket, math.log(d - 1) + log_gamma(3 / p) + log_gamma(2 / p)))
+    return log_gamma(d / p) + bracket - 2 * log_gamma(1 / p) - log_gamma((d + 3) / p)
 
 
 def k1(d: int, p: float) -> float:
@@ -224,44 +214,27 @@ def k1(d: int, p: float) -> float:
     return math.exp(_log_k1(d, p))
 
 
-def k2(d: int, p: float, regime: str | None = None) -> float:
-    """The sigma-free bias constant, k1 * E[R0^3] / sigma^3.
-
-    ``regime`` exposes the asymptotic approximations as diagnostics:
-    "small_p" for p << d, "large_p" for d << p.
-    """
-    if regime is None:
-        return math.exp(_log_k1(d, p) + log_radius_moment(3, d, p))
-    if regime == "small_p":
-        return math.exp(
-            1.5 * math.log(3.0)
-            - math.log(4.0)
-            + _log_bracket(d, p)
-            - 0.5 * log_gamma(1 / p)
-            - 1.5 * log_gamma(3 / p)
-        )
-    if regime == "large_p":
-        return 9.0 * (d + 3) * (2 * d + 1) * math.sqrt(d) / (16.0 * (d + 2) ** 1.5)
-    raise DomainError(f"unknown regime {regime!r}")
+def k2(d: int, p: float) -> float:
+    """The sigma-free bias constant, k1 * E[R0^3] / sigma^3."""
+    return math.exp(_log_k1(d, p) + log_radius_moment(3, d, p))
 
 
 def surrogate_bias_bound(metric: TensorMetric, m2: float, cfg: EstimatorConfig) -> float:
     """Upper bound on the surrogate error, m2 h k1 E[R^3]/sigma^2 || |G^{-1}| 1 ||_2.
 
     d is ``metric.dim``; p, h, sigma and the laws are those of ``cfg``.
-    E[R^3] is that of the radius ``draw_batch`` draws: xi^3 / 4 for the
-    U(0, xi) radius, r^3 for the constant one. The ball law's radius is
-    sqrt((d+2)/d) times the sphere law's and its directions W^(1/d) U
-    scale k1 by E[W^(3/d)], a factor ((d+2)/d)^(3/2) d/(d+3) in all;
-    iid-uniform raises ``NotApplicableError``. Sphere directions, the
-    uniform radius and the "self-normalizing" sigma give m2*h.
+    E[R^3] is that of the radius ``draw_batch`` draws, from
+    ``log_radius_moment``; the ball law's directions W^(1/d) U also scale
+    k1 by E[W^(3/d)] = d/(d+3). iid-uniform raises ``NotApplicableError``.
+    Sphere directions, the uniform radius and the "self-normalizing" sigma
+    give m2*h.
     """
     d, p = metric.dim, cfg.law.p
     if cfg.law.kind == IID_UNIFORM:
         raise NotApplicableError("the bias bound assumes an lp-spherical direction law")
-    log_factor = log_radius_moment(3, d, p, cfg.radial.kind) + _log_k1(d, p)
+    log_factor = log_radius_moment(3, d, p, cfg.radial.kind, cfg.law.kind) + _log_k1(d, p)
     if cfg.law.kind == BALL:
-        log_factor += 1.5 * math.log((d + 2) / d) + math.log(d / (d + 3))
+        log_factor += math.log(d / (d + 3))
     return m2 * cfg.h * math.exp(log_factor) * cfg.sigma * metric.abs_ginv_ones_l2
 
 

@@ -23,7 +23,6 @@ __all__ = [
     "SampleBatch",
     "log_gamma",
     "lp_norm",
-    "pgauss_abs_moment",
     "sphere_abs_moment",
     "sphere_mixed_moment",
     "radial_xi",
@@ -60,16 +59,6 @@ def log_gamma(x: float) -> float:
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"log_gamma requires a finite x > 0, got {x}")
     return math.lgamma(x)
-
-
-def pgauss_abs_moment(q: float, p: float) -> float:
-    """E[|X|^q] for a coordinate X of the generalized Gaussian with
-    density proportional to exp(-|x|^p / p)."""
-    if p < 1.0:
-        raise DomainError(f"p >= 1 required, got {p}")
-    return math.exp(
-        (q / p) * math.log(p) + log_gamma((q + 1) / p) - log_gamma(1 / p)
-    )
 
 
 def sphere_abs_moment(q: float, d: int, p: float) -> float:
@@ -238,14 +227,19 @@ def _direction_matrix(rng: np.random.Generator, n: int, d: int, p: float) -> np.
     return g
 
 
-def log_radius_moment(q: int, d: int, p: float, kind: str = RADIAL_UNIFORM) -> float:
-    """ln(E[R^q] / sigma^q) for the radius draw_batch draws with sphere
+def log_radius_moment(q: int, d: int, p: float, kind: str = RADIAL_UNIFORM, law: str = SPHERE) -> float:
+    """ln(E[R^q] / sigma^q) for the radius draw_batch draws with ``law``
     directions. Both radii have E[R^2] = sigma^2 / E[U_1^2]: "uniform" is
     R ~ U(0, xi) with xi^2 = 3 E[R^2], so E[R^q] = xi^q / (q+1), and
-    "dirac" the constant R = sqrt(E[R^2])."""
+    "dirac" the constant R = sqrt(E[R^2]). Ball directions have
+    E[U_1^2] = d/(d+2) times the sphere law's."""
     _check_dp(d, p)
     # ln(E[R^2] / sigma^2) = ln(Gamma(1/p) Gamma((d+2)/p) / (Gamma(3/p) Gamma(d/p)))
     log_r2 = log_gamma(1 / p) + log_gamma((d + 2) / p) - log_gamma(3 / p) - log_gamma(d / p)
+    if law == BALL:
+        log_r2 += math.log((d + 2) / d)
+    elif law != SPHERE:
+        raise DomainError(f"no radius calibration for the {law!r} law")
     half = q / 2
     if kind == RADIAL_UNIFORM:
         return half * math.log(3.0) - math.log(q + 1) + half * log_r2
@@ -254,56 +248,31 @@ def log_radius_moment(q: int, d: int, p: float, kind: str = RADIAL_UNIFORM) -> f
     raise DomainError(f"unknown radial law kind {kind!r}")
 
 
-def radial_xi(d: int, p: float, sigma: float, variant: str = SPHERE) -> float:
-    """Upper endpoint xi of the U(0, xi) radial law, xi = sqrt(3 E[R^2]).
-
-    The sphere variant calibrates E[V_k^2] = sigma^2 for cone-measure
-    directions; the ball variant carries the extra sqrt((d+2)/d) needed
-    because ball directions satisfy E[U_1^2]_ball = E[U_1^2] d/(d+2).
-    """
-    if sigma <= 0.0:
-        raise DomainError("sigma must be positive")
-    xi = sigma * math.sqrt(3.0 * math.exp(log_radius_moment(2, d, p)))
-    if variant == BALL:
-        xi *= math.sqrt((d + 2) / d)
-    elif variant != SPHERE:
-        raise DomainError(f"unknown radial variant {variant!r}")
-    return xi
+def radial_xi(d: int, p: float, sigma: float, law: str = SPHERE) -> float:
+    """Upper endpoint xi = sqrt(3 E[R^2]) of the U(0, xi) radius that
+    calibrates E[V_k^2] = sigma^2 for ``law`` directions."""
+    if not sigma > 0.0:
+        raise DomainError(f"sigma must be positive, got {sigma}")
+    return sigma * math.sqrt(3.0 * math.exp(log_radius_moment(2, d, p, law=law)))
 
 
-def moment_R0(q: int, d: int, p: float, sigma: float, regime: str | None = None) -> float:
-    """q-th moment of the U(0, xi) radius (sphere calibration).
+def moment_R0(q: int, d: int, p: float, sigma: float) -> float:
+    """q-th moment xi^q / (q+1) of the U(0, xi) radius (sphere calibration).
 
-    The exact value is xi^q / (q+1); one that under- or overflows a float
-    raises ``DomainError``. ``regime`` exposes the two asymptotic
-    approximations as diagnostics: "small_p" for p << d and "large_p" for
-    d << p; estimators always use the exact value.
+    One that under- or overflows a float raises ``DomainError``.
     """
     if q < 0 or int(q) != q:
         raise DomainError(f"moment order must be a nonnegative integer, got {q}")
     _check_dp(d, p)
     if not sigma > 0.0:
         raise DomainError(f"sigma must be positive, got {sigma}")
-    if regime is None:
-        try:
-            value = sigma**q * math.exp(log_radius_moment(q, d, p))
-        except OverflowError:
-            value = math.inf
-        if not 0.0 < value < math.inf:
-            raise DomainError(f"E[R0^{q}] {'overflows' if value else 'underflows'} at sigma = {sigma}")
-        return value
-    if regime == "small_p":
-        lg = log_gamma(1 / p) - log_gamma(3 / p)
-        return (
-            3.0 ** (q / 2)
-            * sigma**q
-            * d ** (q / p)
-            / ((q + 1) * p ** (q / p))
-            * math.exp(0.5 * q * lg)
-        )
-    if regime == "large_p":
-        return 3.0**q * sigma**q / (q + 1) * (d / (d + 2)) ** (q / 2)
-    raise DomainError(f"unknown regime {regime!r}")
+    try:
+        value = sigma**q * math.exp(log_radius_moment(q, d, p))
+    except OverflowError:
+        value = math.inf
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"E[R0^{q}] {'overflows' if value else 'underflows'} at sigma = {sigma}")
+    return value
 
 
 def draw_batch(
@@ -322,8 +291,8 @@ def draw_batch(
     """
     if n < 1 or d < 1:
         raise DomainError("n and d must be positive")
-    if radial is None:
-        raise DomainError("a radial law is required")
+    if not isinstance(law, DirectionLaw) or not isinstance(radial, RadialLaw):
+        raise DomainError(f"a DirectionLaw and a RadialLaw are required, got {law!r} and {radial!r}")
     rng = np.random.Generator(np.random.SFC64(seed))
     if law.kind == IID_UNIFORM:
         a = math.sqrt(3.0) * radial.sigma
@@ -335,13 +304,9 @@ def draw_batch(
             values *= rng.uniform(0.0, 1.0, size=n)[:, None] ** (1.0 / d)
         if radial.kind == RADIAL_UNIFORM:
             xi = radial_xi(d, law.p, radial.sigma, law.kind)
-            r = rng.uniform(0.0, xi, size=n)
+            values *= rng.uniform(0.0, xi, size=n)[:, None]
         else:
-            eu2 = sphere_abs_moment(2, d, law.p)
-            if law.kind == BALL:
-                eu2 *= d / (d + 2)  # E[U_1^2] of the uniform ball law
-            r = np.full(n, radial.sigma / math.sqrt(eu2))
-        values *= r[:, None]
+            values *= radial.sigma * math.exp(log_radius_moment(1, d, law.p, RADIAL_DIRAC, law.kind))
     values.flags.writeable = False
     return SampleBatch(values)
 
@@ -363,8 +328,8 @@ def decorrelate(batch: SampleBatch, sigma: float, mode: str = DECORRELATE_MOMENT
     n, d = batch.values.shape
     if mode not in (DECORRELATE_MOMENT, DECORRELATE_SAMPLE):
         raise DomainError(f"unknown decorrelate mode {mode!r}")
-    if sigma <= 0.0:
-        raise DomainError("sigma must be positive")
+    if not sigma > 0.0:
+        raise DomainError(f"sigma must be positive, got {sigma}")
     if n < d:
         raise NotApplicableError(
             f"decorrelation needs at least as many samples as dimensions (n={n} < d={d})"

@@ -231,11 +231,12 @@ class TestInvalidInput:
         ["estimate", "--d", "4", "--function", "synthetic", "--m2", "inf"],
         ["estimate", "--d", "4", "--function", "expr:x" + "1" * 5000],
         SWEEP_ARGS + ["--decorrelate", "sample"],
+        ["estimate", "--d", "4", "--L", "0"],
     ], ids=["estimate-expr-index", "sweep-expr-index", "exp-corr-rho", "sweep-n-values",
             "moments-seed", "sigma-square-overflow", "sigma-h-overflow", "moments-sigma-overflow",
             "moments-r0-overflow", "moments-r0-underflow", "expr-div-zero", "expr-pow-zero", "expr-overflow",
             "expr-complex", "synthetic-m1-nan", "synthetic-m2-inf", "expr-huge-index",
-            "sweep-decorrelate"])
+            "sweep-decorrelate", "L-zero"])
     def test_bad_specs(self, capsys, argv):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
@@ -283,11 +284,19 @@ class TestInvalidInput:
             {"d": 4, "sigma": [0.01]},
             {"d": 4, "decorrelate": True},
             {"d": 4, "format": "xml", "reps": 3},
+            {"d": 4, "l": 0},
         ]:
             cfg.write_text(json.dumps(bad))
             assert main(["estimate", "--config", str(cfg)]) == 2, bad
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, (bad, err)
+
+    def test_stencil_size_message(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"d": 4, "l": 0}))
+        for argv in (["estimate", "--d", "4", "--L", "0"], ["estimate", "--config", str(cfg)]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == "error: L must be an integer >= 1, got 0\n"
 
     def test_threads_env_checked(self, capsys, monkeypatch):
         monkeypatch.setenv("LPGRAD_THREADS", "many")

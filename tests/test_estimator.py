@@ -426,19 +426,12 @@ class TestBoundConstants:
         np.testing.assert_allclose(k1(d, p), float(k1_ref), rtol=1e-12)
         np.testing.assert_allclose(k2(d, p), float(k2_ref), rtol=1e-12)
 
-    def test_k2_small_p_regime(self):
-        exact = k2(10**6, 2.0)
-        approx = k2(10**6, 2.0, regime="small_p")
-        assert abs(exact - approx) / approx < 0.01
-
     def test_k2_large_p_regime(self):
+        # the d << p limit is 9 (d+3) (2d+1) sqrt(d) / (16 (d+2)^(3/2))
         d = 5
         exact = k2(d, 10**6)
-        approx = k2(d, 10**6, regime="large_p")
+        approx = 9.0 * 8 * 11 * math.sqrt(5) / (16.0 * 7**1.5)
         assert abs(exact - approx) / approx < 0.01
-        np.testing.assert_allclose(
-            approx, 9.0 * 8 * 11 * math.sqrt(5) / (16.0 * 7**1.5), rtol=1e-12
-        )
 
 
 class TestBiasBound:

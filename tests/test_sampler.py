@@ -21,8 +21,8 @@ from lpgrad.sampler import (
     draw_batch,
     log_gamma,
     lp_norm,
+    log_radius_moment,
     moment_R0,
-    pgauss_abs_moment,
     radial_xi,
     sphere_abs_moment,
     sphere_mixed_moment,
@@ -68,20 +68,16 @@ class TestPgauss:
     def test_appendix_moment_p3(self):
         # E[|X|^2] = 3^(2/3) Gamma(1) / Gamma(1/3)
         expected = 3.0 ** (2.0 / 3.0) / math.gamma(1.0 / 3.0)
-        np.testing.assert_allclose(pgauss_abs_moment(2, 3.0), expected, rtol=1e-14)
         x = _pgauss_matrix(np.random.default_rng(12), 1000, 1000, 3.0).ravel()
         assert abs(zscore(np.abs(x) ** 2, expected)) < 3.0
 
     def test_laplace_at_p1(self):
-        assert pgauss_abs_moment(1, 1.0) == pytest.approx(1.0, rel=1e-14)
         x = _pgauss_matrix(np.random.default_rng(13), 1000, 1000, 1.0).ravel()
         assert abs(zscore(np.abs(x), 1.0)) < 3.0
 
     def test_p_below_one_rejected(self):
         with pytest.raises(DomainError):
             DirectionLaw.sphere(0.5)
-        with pytest.raises(DomainError):
-            pgauss_abs_moment(2, 0.5)
 
 
 def _lp_norm_reference(x, p):
@@ -199,10 +195,14 @@ class TestRadialXi:
     def test_ball_variant_ratio(self):
         d, p = 5, 2.0
         np.testing.assert_allclose(
-            radial_xi(d, p, 1.0, variant="ball"),
+            radial_xi(d, p, 1.0, "ball"),
             radial_xi(d, p, 1.0) * math.sqrt(7.0 / 5.0),
             rtol=1e-14,
         )
+
+    def test_nan_sigma_rejected(self):
+        with pytest.raises(DomainError):
+            radial_xi(3, 2.0, math.nan)
 
 
 class TestMomentR0:
@@ -222,13 +222,6 @@ class TestMomentR0:
         exact = moment_R0(3, d, p, sigma)
         approx = 27.0 / 4.0 * sigma**3 * (d / (d + 2)) ** 1.5
         assert abs(exact - approx) / approx < 0.05
-        np.testing.assert_allclose(moment_R0(3, d, p, sigma, regime="large_p"), approx, rtol=1e-12)
-
-    def test_small_p_regime_close_for_large_d(self):
-        d, p, sigma = 5000, 3.0, 1.0
-        exact = moment_R0(2, d, p, sigma)
-        approx = moment_R0(2, d, p, sigma, regime="small_p")
-        assert abs(exact - approx) / exact < 0.01
 
     def test_negative_order_rejected(self):
         with pytest.raises(DomainError):
@@ -273,6 +266,35 @@ class TestDrawBatch:
         batch = draw_batch(law, radial, 400_000, d, seed=41)
         z = zscore(batch.values[:, 0] ** 2, sigma**2)
         assert abs(z) < 4.0, f"{kind}/{radial_kind}: z={z}"
+
+    @pytest.mark.parametrize("d,p", [(3, 1.0), (50, 6.0), (5, 3000.0)])
+    @pytest.mark.parametrize("kind", ["sphere", "ball"])
+    @pytest.mark.parametrize("radial_kind", ["uniform", "dirac"])
+    def test_every_coordinate_second_moment_is_sigma2(self, d, p, kind, radial_kind):
+        # exchangeable coordinates, so the row mean of V_k^2 has mean sigma^2 iff every E[V_k^2] does
+        sigma = 0.3
+        v = draw_batch(DirectionLaw(kind, p=p), RadialLaw(radial_kind, sigma), 40_000, d, seed=43).values
+        z = zscore((v**2).mean(axis=1), sigma**2)
+        assert abs(z) < 4.0, f"{kind}/{radial_kind} at d={d}, p={p}: z={z}"
+
+    @pytest.mark.parametrize("d,p", [(1, 1.0), (4, 2.0), (100, 5.0), (1000, 7.0), (7, 3000.0)])
+    def test_dirac_radius_is_the_calibration(self, d, p):
+        # sphere rows lie on the lp-sphere of that radius; ball rows W^(1/d) U inside it
+        sigma = 0.1
+        for kind in ("sphere", "ball"):
+            r = sigma * math.exp(log_radius_moment(1, d, p, "dirac", kind))
+            norms = lp_norm(draw_batch(DirectionLaw(kind, p=p), RadialLaw.dirac(sigma), 50, d, seed=44).values, p)
+            if kind == "sphere":
+                np.testing.assert_allclose(norms, r, rtol=1e-15)
+            else:
+                assert (norms <= r * (1.0 + 1e-15)).all()
+
+    @pytest.mark.parametrize("law,radial", [
+        (DirectionLaw.sphere(2.0), "uniform"), ("sphere", RadialLaw.uniform(1.0)), (None, None),
+    ], ids=["radial-str", "law-str", "none"])
+    def test_malformed_law_rejected(self, law, radial):
+        with pytest.raises(DomainError):
+            draw_batch(law, radial, 3, 2, 0)
 
     def test_odd_moments_vanish(self):
         batch = draw_batch(DirectionLaw.sphere(3.0), RadialLaw.uniform(1.0), 500_000, 5, seed=42)
@@ -368,6 +390,10 @@ class TestDecorrelate:
         out = decorrelate(kept, 0.3, mode).values
         assert out.tobytes() == decorrelate(self.make(n=n), 0.3, mode).values.tobytes()
         assert kept.values.tobytes() == before.tobytes()
+
+    def test_nan_sigma_rejected(self):
+        with pytest.raises(DomainError):
+            decorrelate(self.make(), math.nan)
 
     def test_bad_mode_rejected(self):
         with pytest.raises(DomainError):
