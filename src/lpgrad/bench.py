@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -360,7 +361,9 @@ def mse_sweep(spec: ExperimentSpec, n_values, threads: int = 1):
     if spec.cfg.decorrelate is not None:
         raise DomainError(f"mse_sweep measures raw batches, got decorrelate={spec.cfg.decorrelate!r}")
     grad_dep = apply_inverse(spec.metric, _reference_gradient(spec.function))
-    cfgs = [replace(spec.cfg, n=n) for n in n_values]
+    with warnings.catch_warnings():  # spec.cfg gave the bandwidth warning, which n does not change
+        warnings.simplefilter("ignore", RuntimeWarning)
+        cfgs = [replace(spec.cfg, n=n) for n in n_values]
     jobs = [(cfg, derive_seed(spec.seed, cfg.n, rep)) for cfg in cfgs for rep in range(spec.reps)]
     grads = [grad for grad, *_ in _map(lambda job: _trial(spec, *job), jobs, threads)]
     n_failed = sum(grad is None for grad in grads)
@@ -417,10 +420,13 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
+        """The run ``data`` describes; its values are JSON types, and ``d`` is required."""
         types = {f.name: f.type for f in fields(cls)}
         unknown = set(data) - set(types)
         if unknown:
             raise DomainError(f"unknown config keys: {sorted(unknown)}")
+        if "d" not in data:
+            raise DomainError("d is required: give --d or the config key 'd'")
         for name, value in data.items():
             allowed = tuple(_JSON_TYPES[t.strip()] for t in types[name].split("|"))
             if isinstance(value, bool) or not isinstance(value, allowed):
@@ -428,16 +434,20 @@ class RunConfig:
         return cls(**data)
 
     @classmethod
-    def from_json(cls, path: str) -> "RunConfig":
+    def from_json(cls, path: str, **overrides) -> "RunConfig":
+        """The run the JSON object in ``path`` describes, ``overrides`` replacing its keys."""
         with open(path) as fh:
-            return cls.from_dict(json.load(fh))
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+            try:
+                data = json.load(fh)
+            except ValueError as exc:  # malformed JSON, or bytes that are not text
+                raise DomainError(f"config {path} is not valid JSON: {exc}") from None
+        if not isinstance(data, dict):
+            raise DomainError(f"config {path} must hold a JSON object, got {type(data).__name__}")
+        return cls.from_dict({**data, **overrides})
 
     def to_json(self, path: str) -> None:
         with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
+            json.dump(asdict(self), fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 

@@ -11,7 +11,6 @@ import contextlib
 import csv
 import json
 import math
-import os
 import sys
 from dataclasses import asdict, fields
 
@@ -82,14 +81,6 @@ def write_rows(rows, out: str | None, fmt: str = "csv") -> None:
         _write_csv(out, CSV_HEADER, lines)
 
 
-def _threads_default() -> int:
-    value = os.environ.get("LPGRAD_THREADS", "1")
-    try:
-        return int(value)
-    except ValueError:
-        raise DomainError(f"LPGRAD_THREADS must be an integer, got {value!r}") from None
-
-
 _CHOICES = {
     "law": ["sphere", "ball", "iid-uniform"],
     "radial": ["uniform", "dirac"],
@@ -98,7 +89,7 @@ _CHOICES = {
 }
 _HELP = {
     "function": "rosenbrock | synthetic | expr:<expression>",
-    "d": "dimension (required unless --config)",
+    "d": "dimension (required, here or in --config)",
     "sigma": "number | auto-c3 | auto-d2",
     "decorrelate": "orthogonalize each batch; the bare flag means moment",
     "metric": "identity | exp-corr:<rho> | file:<path>",
@@ -107,7 +98,7 @@ _HELP = {
 
 def _add_estimate_args(sub: argparse.ArgumentParser) -> None:
     """One flag per RunConfig field; defaults stay in the dataclass."""
-    sub.add_argument("--config", help="JSON run configuration (other flags ignored)")
+    sub.add_argument("--config", help="JSON run configuration; flags given override its keys")
     for f in fields(RunConfig):
         flag = "--" + _UPPER.get(f.name, f.name).replace("_", "-")
         kw = {"dest": f.name, "default": None, "help": _HELP.get(f.name),
@@ -119,26 +110,21 @@ def _add_estimate_args(sub: argparse.ArgumentParser) -> None:
                      help="write the effective run configuration to this JSON path")
 
 
-def _estimate_config(args) -> RunConfig:
-    if args.config:
-        cfg = RunConfig.from_json(args.config)
-        if args.out is not None:
-            cfg.out = args.out
-        return cfg
-    if args.d is None:
-        raise DomainError("--d is required")
+def _run_config(args) -> RunConfig:
+    """The run that the given flags describe over the --config object, if
+    any: a flag given wins. Saved to --save-config once it is checked."""
     given = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
     given = {name: value for name, value in given.items() if value is not None}
-    given.setdefault("threads", _threads_default())
-    return RunConfig(**given)
+    cfg = RunConfig.from_json(args.config, **given) if args.config else RunConfig.from_dict(given)
+    if cfg.decorrelate and cfg.n < cfg.d:
+        raise DomainError(f"--decorrelate needs N >= d (N={cfg.n}, d={cfg.d})")
+    if args.save_config:
+        cfg.to_json(args.save_config)
+    return cfg
 
 
 def cmd_estimate(args) -> int:
-    cfg = _estimate_config(args)
-    if cfg.decorrelate and cfg.n < cfg.d:
-        raise DomainError(f"--decorrelate needs N >= d (N={cfg.n}, d={cfg.d})")
-    if getattr(args, "save_config", None):
-        cfg.to_json(args.save_config)
+    cfg = _run_config(args)
     spec = _build_spec(cfg)
     rows, summary = bench.run_experiment(spec, threads=cfg.threads)
     write_rows(rows, cfg.out, cfg.format)
@@ -151,12 +137,11 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_table(args) -> int:
-    threads = args.threads if args.threads is not None else _threads_default()
-    _check_run_options(seed=args.seed, reps=args.reps, threads=threads)
+    _check_run_options(seed=args.seed, reps=args.reps, threads=args.threads)
     specs = bench.table_specs(args.name, reps=args.reps, seed=args.seed)
     rows = []
     for spec in specs:
-        cell_rows, summary = bench.run_experiment(spec, threads=threads)
+        cell_rows, summary = bench.run_experiment(spec, threads=args.threads)
         rows.extend(cell_rows)
         print(
             f"{spec.name}: mean err = {summary['mean_err']:.4g} over {spec.reps} reps",
@@ -255,7 +240,9 @@ def cmd_mse_sweep(args) -> int:
         n_values = [int(tok) for tok in args.n_values.split(",") if tok.strip()]
     except ValueError:
         raise DomainError(f"--n-values must be comma-separated integers, got {args.n_values!r}") from None
-    cfg = _estimate_config(args)
+    cfg = _run_config(args)
+    if cfg.format != "csv":
+        raise DomainError(f"mse-sweep writes CSV only, got format {cfg.format!r}")
     spec = _build_spec(cfg)
     points, slope, n_failed = bench.mse_sweep(spec, n_values, threads=cfg.threads)
     _write_csv(cfg.out, ["n", "mse"], [[str(n), format(mse, ".17e")] for n, mse in points])
@@ -276,7 +263,7 @@ def main(argv=None) -> int:
     tab.add_argument("--name", required=True, choices=sorted(bench.TABLE_PRESETS))
     tab.add_argument("--reps", type=int, default=50)
     tab.add_argument("--seed", type=int, default=0)
-    tab.add_argument("--threads", type=int, default=None)
+    tab.add_argument("--threads", type=int, default=RunConfig.threads)
     tab.add_argument("--out", default=None)
     tab.set_defaults(handler=cmd_table)
 

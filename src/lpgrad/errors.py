@@ -13,8 +13,8 @@ class NotApplicableError(LpgradError, ValueError):
     """The requested operation does not apply to the given inputs.
 
     Raised e.g. when decorrelation is requested for a batch with fewer
-    samples than dimensions; callers may catch it and proceed with the
-    raw batch.
+    samples than dimensions; the benchmark runner turns it, like any
+    ``LpgradError`` in a trial, into that trial's row note.
     """
 
 

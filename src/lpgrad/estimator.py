@@ -24,6 +24,7 @@ from .sampler import (
     DECORRELATE_MOMENT,
     DECORRELATE_SAMPLE,
     IID_UNIFORM,
+    RADIAL_DIRAC,
     DirectionLaw,
     RadialLaw,
     decorrelate,
@@ -125,6 +126,8 @@ class EstimatorConfig:
             raise DomainError("sample size n must be >= 1")
         if not isinstance(self.radial, RadialLaw):
             raise DomainError(f"a radial law is required, got {self.radial!r}")
+        if self.radial.kind == RADIAL_DIRAC and getattr(self.law, "kind", None) == IID_UNIFORM:
+            raise DomainError("the iid-uniform law draws no radius, so the dirac radial does not apply")
         if self.h is None or not (math.isfinite(self.h) and self.h > 0.0):
             raise DomainError(f"h must be finite and positive, got {self.h}")
         if self.decorrelate not in (None, DECORRELATE_MOMENT, DECORRELATE_SAMPLE):

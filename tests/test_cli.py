@@ -5,6 +5,7 @@ import io
 import json
 import math
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +65,16 @@ class TestEstimate:
             assert main(["estimate", "--function", "rosenbrock", "--d", "4", "--N", "8",
                          "--h", "10", "--sigma", "1", "--reps", "3"]) == 0
         assert sum("exceeds 1/2" in str(w.message) for w in record) == 1
+
+    def test_sweep_bandwidth_warning_once(self, capsys):
+        # the bandwidth does not depend on N, so one warning per sweep, at
+        # the line that builds the run's config, as for estimate
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            assert main(["mse-sweep", "--function", "expr:sum(sin(x))", "--d", "3", "--L", "2",
+                         "--sigma", "1", "--h", "10", "--n-values", "8,16,32"]) == 0
+        hits = [w for w in record if "exceeds 1/2" in str(w.message)]
+        assert [w.filename for w in hits] == [bench.__file__]
 
     @pytest.mark.parametrize("extreme", [["--m2", "1.79e308", "--reps", "6"],
                                          ["--m2", "1e308", "--reps", "2"]])
@@ -159,18 +170,6 @@ class TestEstimate:
         rows = read_csv(out)
         assert [row[rows[0].index("metric")] for row in rows[1:]] == [metric, metric]
 
-    def test_threads_env_fallback(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("LPGRAD_THREADS", "2")
-        out_env = tmp_path / "env.csv"
-        out_one = tmp_path / "one.csv"
-        args = [
-            "estimate", "--function", "rosenbrock", "--d", "6", "--N", "8",
-            "--sigma", "0.01", "--reps", "4", "--seed", "2",
-        ]
-        assert main(args + ["--out", str(out_env)]) == 0
-        assert main(args + ["--threads", "1", "--out", str(out_one)]) == 0
-        assert strip_wall_ms(read_csv(out_env)) == strip_wall_ms(read_csv(out_one))
-
     def test_threads_zero_is_auto(self, tmp_path, capsys):
         out = tmp_path / "auto.csv"
         args = [
@@ -232,11 +231,13 @@ class TestInvalidInput:
         ["estimate", "--d", "4", "--function", "expr:x" + "1" * 5000],
         SWEEP_ARGS + ["--decorrelate", "sample"],
         ["estimate", "--d", "4", "--L", "0"],
+        SWEEP_ARGS + ["--format", "json"],
+        ["estimate", "--d", "4", "--law", "iid-uniform", "--radial", "dirac"],
     ], ids=["estimate-expr-index", "sweep-expr-index", "exp-corr-rho", "sweep-n-values",
             "moments-seed", "sigma-square-overflow", "sigma-h-overflow", "moments-sigma-overflow",
             "moments-r0-overflow", "moments-r0-underflow", "expr-div-zero", "expr-pow-zero", "expr-overflow",
             "expr-complex", "synthetic-m1-nan", "synthetic-m2-inf", "expr-huge-index",
-            "sweep-decorrelate", "L-zero"])
+            "sweep-decorrelate", "L-zero", "sweep-format-json", "iid-uniform-dirac"])
     def test_bad_specs(self, capsys, argv):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
@@ -285,8 +286,12 @@ class TestInvalidInput:
             {"d": 4, "decorrelate": True},
             {"d": 4, "format": "xml", "reps": 3},
             {"d": 4, "l": 0},
+            {},
+            5,
+            [1],
+            '{"d": 4,',
         ]:
-            cfg.write_text(json.dumps(bad))
+            cfg.write_text(bad if isinstance(bad, str) else json.dumps(bad))
             assert main(["estimate", "--config", str(cfg)]) == 2, bad
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1, (bad, err)
@@ -298,10 +303,14 @@ class TestInvalidInput:
             assert main(argv) == 2
             assert capsys.readouterr().err == "error: L must be an integer >= 1, got 0\n"
 
-    def test_threads_env_checked(self, capsys, monkeypatch):
-        monkeypatch.setenv("LPGRAD_THREADS", "many")
-        assert main(TABLE_ARGS) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+
+# a valid value other than the default for each RunConfig field but out,
+# which each test points into its own directory
+NON_DEFAULT = {
+    "function": "synthetic", "d": 5, "p": 2.5, "l": 3, "n": 9, "h": 1e-3, "sigma": "0.02",
+    "law": "ball", "radial": "dirac", "decorrelate": "sample", "metric": "exp-corr:0.5",
+    "seed": 4, "reps": 2, "m1": 3.0, "m2": 0.5, "threads": 2, "format": "json",
+}
 
 
 class TestRunConfig:
@@ -343,6 +352,35 @@ class TestRunConfig:
         assert code == 0
         saved = RunConfig.from_json(cfg_path)
         assert saved.d == 5 and saved.n == 4
+
+    def test_flags_override_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 6, "sigma": 0.01, "reps": 5}))
+        out = tmp_path / "rows.csv"
+        assert main(["estimate", "--config", str(cfg), "--d", "4", "--reps", "2", "--out", str(out)]) == 0
+        rows = read_csv(out)
+        assert [row[rows[0].index("d")] for row in rows[1:]] == ["4", "4"]
+
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flags", "config"])
+    @pytest.mark.parametrize("command,name", [
+        (command, f.name) for command in ("estimate", "mse-sweep") for f in fields(RunConfig)
+        if (command, f.name) != ("mse-sweep", "format")  # the sweep writes CSV only
+    ])
+    def test_every_flag_is_saved(self, tmp_path, capsys, command, name, via_config):
+        # every RunConfig field reaches the run, so no command drops a flag
+        value = {**NON_DEFAULT, "out": str(tmp_path / "rows")}[name]
+        assert value != getattr(RunConfig, name)
+        base = {"function": "expr:sum(sin(x))", "d": 3, "l": 2, "n": 4, "sigma": "0.01"}
+        argv = [command, "--n-values", "4,8"] if command == "mse-sweep" else [command]
+        if via_config:
+            (tmp_path / "base.json").write_text(json.dumps(base))
+            argv += ["--config", str(tmp_path / "base.json")]
+        else:
+            argv += [f"--{cli._UPPER.get(k, k)}={v}" for k, v in base.items()]
+        flag = "--" + cli._UPPER.get(name, name).replace("_", "-")
+        saved = tmp_path / "saved.json"
+        main(argv + [flag, str(value), "--save-config", str(saved)])
+        assert getattr(RunConfig.from_json(saved), name) == value
 
 
 class TestTable:
@@ -419,6 +457,13 @@ class TestMseSweep:
         captured = capsys.readouterr()
         assert "slope" in captured.err
         assert "failed 0 of 60 trials" in captured.err
+
+    def test_saved_config_replays(self, tmp_path, capsys):
+        saved = tmp_path / "sweep.json"
+        out_a, out_b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(SWEEP_ARGS + ["--seed", "5", "--save-config", str(saved), "--out", str(out_a)]) == 0
+        assert main(["mse-sweep", "--config", str(saved), "--n-values", "8,16", "--out", str(out_b)]) == 0
+        assert out_b.read_bytes() == out_a.read_bytes()
 
 
 class TestGoldenOutput:

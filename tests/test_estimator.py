@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lpgrad.errors import DomainError, EvaluationError, NotApplicableError
@@ -108,6 +108,7 @@ class TestExactness:
         # exact when sum C_l beta_l^2 = 0 too (central stencil, L >= 3).
         # L=1 and sample mode are left out: their mean-centering and
         # (N-1)/N terms are not exact by design.
+        assume((kind, radial_kind) != ("iid-uniform", "dirac"))  # iid-uniform draws no radius
         rng = np.random.default_rng(seed)
         a = rng.uniform(0.5, 2.0, d) * rng.choice([-1.0, 1.0], d)
         m = rng.normal(size=(d, d)) / d
@@ -126,10 +127,12 @@ class TestExactness:
             est = estimate_gradient(f, x, cfg, identity_metric(d), seed=seed)
             assert np.linalg.norm(est.grad - grad) <= 1e-9 * np.linalg.norm(grad)
 
-    @pytest.mark.parametrize("kind", ["sphere", "ball", "iid-uniform"])
-    @pytest.mark.parametrize("radial", [RadialLaw.uniform(0.02), RadialLaw.dirac(0.02)],
-                             ids=["uniform", "dirac"])
-    def test_sigma_only_from_radial_law(self, kind, radial):
+    @pytest.mark.parametrize("radial,kind", [
+        (radial, kind) for radial in (RadialLaw.uniform(0.02), RadialLaw.dirac(0.02))
+        for kind in ("sphere", "ball", "iid-uniform")
+        if (radial.kind, kind) != ("dirac", "iid-uniform")  # iid-uniform draws no radius
+    ], ids=lambda value: getattr(value, "kind", value))
+    def test_sigma_only_from_radial_law(self, radial, kind):
         # without decorrelation nothing pins the batch scale: the estimate
         # is right only if each law is calibrated by the sigma that
         # divides the final sum
@@ -346,6 +349,11 @@ class TestConfig:
         for kind in ("sphere", "ball", "iid-uniform"):
             with pytest.raises(DomainError):
                 base_config(5, n=8, law=DirectionLaw(kind), radial=None)
+
+    def test_iid_uniform_takes_no_dirac_radial(self):
+        # iid-uniform draws no radius, so a dirac row would be a uniform one mislabelled
+        with pytest.raises(DomainError):
+            base_config(5, n=8, law=DirectionLaw.iid_uniform(), radial=RadialLaw.dirac(0.01))
 
     def test_bandwidth_warning(self):
         with pytest.warns(RuntimeWarning) as record:
