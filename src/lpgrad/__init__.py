@@ -56,13 +56,12 @@ from .sampler import (
     SampleBatch,
     decorrelate,
     draw_batch,
+    log_direction_moment,
     log_gamma,
     log_radius_moment,
     lp_norm,
     moment_R0,
     radial_xi,
-    sphere_abs_moment,
-    sphere_mixed_moment,
 )
 from .scheme import (
     PointScheme,

@@ -25,10 +25,9 @@ from .sampler import (
     DirectionLaw,
     RadialLaw,
     draw_batch,
+    log_direction_moment,
     lp_norm,
     moment_R0,
-    sphere_abs_moment,
-    sphere_mixed_moment,
 )
 
 __all__ = ["RunConfig", "main", "CSV_HEADER"]
@@ -96,10 +95,13 @@ _HELP = {
 }
 
 
-def _add_estimate_args(sub: argparse.ArgumentParser) -> None:
-    """One flag per RunConfig field; defaults stay in the dataclass."""
+def _add_estimate_args(sub: argparse.ArgumentParser, unread=()) -> None:
+    """One flag per RunConfig field the command reads, none for the ``unread``
+    ones; defaults stay in the dataclass."""
     sub.add_argument("--config", help="JSON run configuration; flags given override its keys")
     for f in fields(RunConfig):
+        if f.name in unread:
+            continue
         flag = "--" + _UPPER.get(f.name, f.name).replace("_", "-")
         kw = {"dest": f.name, "default": None, "help": _HELP.get(f.name),
               "type": {"int": int, "float": float}.get(f.type, str), "choices": _CHOICES.get(f.name)}
@@ -107,26 +109,25 @@ def _add_estimate_args(sub: argparse.ArgumentParser) -> None:
             kw.update(nargs="?", const=DECORRELATE_MOMENT)
         sub.add_argument(flag, **kw)
     sub.add_argument("--save-config", default=None,
-                     help="write the effective run configuration to this JSON path")
+                     help="write the run configuration to this JSON path once the run is done")
 
 
 def _run_config(args) -> RunConfig:
     """The run that the given flags describe over the --config object, if
-    any: a flag given wins. Saved to --save-config once it is checked."""
-    given = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
+    any: a flag given wins."""
+    given = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
     given = {name: value for name, value in given.items() if value is not None}
-    cfg = RunConfig.from_json(args.config, **given) if args.config else RunConfig.from_dict(given)
-    if cfg.decorrelate and cfg.n < cfg.d:
-        raise DomainError(f"--decorrelate needs N >= d (N={cfg.n}, d={cfg.d})")
-    if args.save_config:
-        cfg.to_json(args.save_config)
-    return cfg
+    return RunConfig.from_json(args.config, **given) if args.config else RunConfig.from_dict(given)
 
 
 def cmd_estimate(args) -> int:
     cfg = _run_config(args)
+    if cfg.decorrelate and cfg.n < cfg.d:
+        raise DomainError(f"--decorrelate needs N >= d (N={cfg.n}, d={cfg.d})")
     spec = _build_spec(cfg)
     rows, summary = bench.run_experiment(spec, threads=cfg.threads)
+    if args.save_config:  # only a run that passed every check
+        cfg.to_json(args.save_config)
     write_rows(rows, cfg.out, cfg.format)
     print(
         f"mean err = {summary['mean_err']:.6g} (sd {summary['sd_err']:.3g}, "
@@ -187,9 +188,9 @@ def moments_report(d: int, p: float, draws: int, seed: int, sigma: float = 1.0):
     """
     law = DirectionLaw.sphere(p)
     radial = RadialLaw.uniform(sigma)
-    analytic = [(f"E|U1|^{q}", sphere_abs_moment(q, d, p)) for q in (1, 2, 3, 4)]
+    analytic = [(f"E|U1|^{q}", math.exp(log_direction_moment(q, 0, d, p))) for q in (1, 2, 3, 4)]
     if d >= 2:
-        analytic.append(("E[U1^2|U2|]", sphere_mixed_moment(d, p)))
+        analytic.append(("E[U1^2|U2|]", math.exp(log_direction_moment(2, 1, d, p))))
     analytic.append(("E[V1^2]", sigma**2))
     analytic += [(f"E[R0^{q}]", moment_R0(q, d, p, sigma)) for q in (1, 2, 3, 4)]
     if draws < 1:
@@ -245,6 +246,8 @@ def cmd_mse_sweep(args) -> int:
         raise DomainError(f"mse-sweep writes CSV only, got format {cfg.format!r}")
     spec = _build_spec(cfg)
     points, slope, n_failed = bench.mse_sweep(spec, n_values, threads=cfg.threads)
+    if args.save_config:  # only a run that passed every check
+        cfg.to_json(args.save_config)
     _write_csv(cfg.out, ["n", "mse"], [[str(n), format(mse, ".17e")] for n, mse in points])
     print(f"log-log slope = {slope:.4f}", file=sys.stderr)
     print(f"failed {n_failed} of {len(points) * spec.reps} trials", file=sys.stderr)
@@ -276,9 +279,9 @@ def main(argv=None) -> int:
     mom.set_defaults(handler=cmd_moments_check)
 
     swp = sub.add_parser("mse-sweep", help="empirical MSE against sample size")
-    _add_estimate_args(swp)
-    swp.add_argument("--n-values", default="32,64,128,256,512,1024",
-                     help="comma-separated sample sizes")
+    _add_estimate_args(swp, unread=("n", "format"))  # it writes CSV at each of --n-values
+    swp.add_argument("--n-values", required=True,
+                     help="comma-separated sample sizes (not saved by --save-config)")
     swp.set_defaults(handler=cmd_mse_sweep)
 
     try:

@@ -20,16 +20,16 @@ import numpy as np
 from .errors import DomainError, EvaluationError, NotApplicableError
 from .metric import TensorMetric, apply_inverse
 from .sampler import (
-    BALL,
     DECORRELATE_MOMENT,
     DECORRELATE_SAMPLE,
     IID_UNIFORM,
     RADIAL_DIRAC,
+    SPHERE,
     DirectionLaw,
     RadialLaw,
     decorrelate,
     draw_batch,
-    log_gamma,
+    log_direction_moment,
     log_radius_moment,
 )
 from .scheme import PointScheme, validate_bandwidth
@@ -200,20 +200,16 @@ def estimate_gradient(
     return GradientEstimate(grad=grad, n_evals=scheme.l * cfg.n)
 
 
-def _log_k1(d: int, p: float) -> float:
-    # the bracket is ln[ Gamma(4/p) Gamma(1/p) + (d-1) Gamma(3/p) Gamma(2/p) ]
-    bracket = log_gamma(4 / p) + log_gamma(1 / p)
+def _log_k1(d: int, p: float, law: str = SPHERE) -> float:
+    log_k1 = log_direction_moment(3, 0, d, p, law)
     if d > 1:
-        bracket = float(np.logaddexp(bracket, math.log(d - 1) + log_gamma(3 / p) + log_gamma(2 / p)))
-    return log_gamma(d / p) + bracket - 2 * log_gamma(1 / p) - log_gamma((d + 3) / p)
+        log_k1 = float(np.logaddexp(log_k1, math.log(d - 1) + log_direction_moment(2, 1, d, p, law)))
+    return log_k1
 
 
 def k1(d: int, p: float) -> float:
-    """The direction-moment constant E[|U_1|^3 + (d-1) U_1^2 |U_2|].
-
-    Equals Gamma(d/p) [Gamma(4/p)Gamma(1/p) + (d-1)Gamma(3/p)Gamma(2/p)]
-    / (Gamma^2(1/p) Gamma((d+3)/p)), evaluated in log space.
-    """
+    """The direction-moment constant E[|U_1|^3 + (d-1) U_1^2 |U_2|] of the
+    cone measure, from ``log_direction_moment``."""
     return math.exp(_log_k1(d, p))
 
 
@@ -227,17 +223,15 @@ def surrogate_bias_bound(metric: TensorMetric, m2: float, cfg: EstimatorConfig) 
 
     d is ``metric.dim``; p, h, sigma and the laws are those of ``cfg``.
     E[R^3] is that of the radius ``draw_batch`` draws, from
-    ``log_radius_moment``; the ball law's directions W^(1/d) U also scale
-    k1 by E[W^(3/d)] = d/(d+3). iid-uniform raises ``NotApplicableError``.
+    ``log_radius_moment``, and k1 that of its directions, from
+    ``log_direction_moment``. iid-uniform raises ``NotApplicableError``.
     Sphere directions, the uniform radius and the "self-normalizing" sigma
     give m2*h.
     """
     d, p = metric.dim, cfg.law.p
     if cfg.law.kind == IID_UNIFORM:
         raise NotApplicableError("the bias bound assumes an lp-spherical direction law")
-    log_factor = log_radius_moment(3, d, p, cfg.radial.kind, cfg.law.kind) + _log_k1(d, p)
-    if cfg.law.kind == BALL:
-        log_factor += math.log(d / (d + 3))
+    log_factor = log_radius_moment(3, d, p, cfg.radial.kind, cfg.law.kind) + _log_k1(d, p, cfg.law.kind)
     return m2 * cfg.h * math.exp(log_factor) * cfg.sigma * metric.abs_ginv_ones_l2
 
 

@@ -31,19 +31,18 @@ class TensorMetric:
     """A metric G with its generalized inverse and the bound norm
     || |G^{-1}| 1 ||_2.
 
-    ``g`` / ``ginv`` are None for the identity marker, which skips all
-    matrix work in apply_inverse. ``label`` names the metric in result rows.
+    ``ginv`` is None for the identity marker, which skips all matrix work
+    in apply_inverse. ``label`` names the metric in result rows.
     """
 
     dim: int
-    g: np.ndarray | None
     ginv: np.ndarray | None
     abs_ginv_ones_l2: float
     label: str = "matrix"
 
     @property
     def is_identity(self) -> bool:
-        return self.g is None
+        return self.ginv is None
 
 
 def identity_metric(d: int) -> TensorMetric:
@@ -52,7 +51,6 @@ def identity_metric(d: int) -> TensorMetric:
         raise DomainError("dimension must be positive")
     return TensorMetric(
         dim=d,
-        g=None,
         ginv=None,
         abs_ginv_ones_l2=math.sqrt(d),
         label="identity",
@@ -89,7 +87,6 @@ def from_matrix(g) -> TensorMetric:
     row = np.abs(ginv).sum(axis=1)
     return TensorMetric(
         dim=d,
-        g=g,
         ginv=ginv,
         abs_ginv_ones_l2=float(np.linalg.norm(row)),
     )

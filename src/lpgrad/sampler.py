@@ -23,8 +23,7 @@ __all__ = [
     "SampleBatch",
     "log_gamma",
     "lp_norm",
-    "sphere_abs_moment",
-    "sphere_mixed_moment",
+    "log_direction_moment",
     "radial_xi",
     "log_radius_moment",
     "moment_R0",
@@ -59,32 +58,6 @@ def log_gamma(x: float) -> float:
     if not math.isfinite(x) or x <= 0.0:
         raise DomainError(f"log_gamma requires a finite x > 0, got {x}")
     return math.lgamma(x)
-
-
-def sphere_abs_moment(q: float, d: int, p: float) -> float:
-    """E[|U_1|^q] for U distributed by the cone measure on the unit
-    lp-sphere in dimension d."""
-    _check_dp(d, p)
-    return math.exp(
-        log_gamma((q + 1) / p)
-        + log_gamma(d / p)
-        - log_gamma(1 / p)
-        - log_gamma((d + q) / p)
-    )
-
-
-def sphere_mixed_moment(d: int, p: float) -> float:
-    """E[U_1^2 |U_2|] for the cone measure on the unit lp-sphere."""
-    _check_dp(d, p)
-    if d < 2:
-        raise DomainError("mixed moment requires d >= 2")
-    return math.exp(
-        log_gamma(3 / p)
-        + log_gamma(2 / p)
-        + log_gamma(d / p)
-        - 2 * log_gamma(1 / p)
-        - log_gamma((d + 3) / p)
-    )
 
 
 def _check_dp(d: int, p: float) -> None:
@@ -227,19 +200,31 @@ def _direction_matrix(rng: np.random.Generator, n: int, d: int, p: float) -> np.
     return g
 
 
+def log_direction_moment(a: float, b: float, d: int, p: float, law: str = SPHERE) -> float:
+    """ln E[|U_1|^a |U_2|^b] for ``law`` directions: the cone measure on the
+    unit lp-sphere ("sphere"), or W^(1/d) times it with W ~ U(0, 1) ("ball"),
+    whose factor E[W^((a+b)/d)] is d/(d+a+b). The sphere moment is
+    Gamma((a+1)/p) Gamma((b+1)/p) Gamma(d/p) / (Gamma(1/p)^2 Gamma((d+a+b)/p))."""
+    _check_dp(d, p)
+    if b > 0 and d < 2:
+        raise DomainError("a moment of U_2 requires d >= 2")
+    if law not in (SPHERE, BALL):
+        raise DomainError(f"no direction moments for the {law!r} law")
+    # summed as the negative log, so log_radius_moment's E[R^2] = sigma^2 / E[U_1^2] keeps its bits
+    neg = log_gamma(1 / p) + log_gamma((d + a + b) / p) - log_gamma((a + 1) / p) - log_gamma(d / p)
+    if b:
+        neg += log_gamma(1 / p) - log_gamma((b + 1) / p)
+    if law == BALL:
+        neg += math.log((d + a + b) / d)
+    return -neg
+
+
 def log_radius_moment(q: int, d: int, p: float, kind: str = RADIAL_UNIFORM, law: str = SPHERE) -> float:
     """ln(E[R^q] / sigma^q) for the radius draw_batch draws with ``law``
     directions. Both radii have E[R^2] = sigma^2 / E[U_1^2]: "uniform" is
     R ~ U(0, xi) with xi^2 = 3 E[R^2], so E[R^q] = xi^q / (q+1), and
-    "dirac" the constant R = sqrt(E[R^2]). Ball directions have
-    E[U_1^2] = d/(d+2) times the sphere law's."""
-    _check_dp(d, p)
-    # ln(E[R^2] / sigma^2) = ln(Gamma(1/p) Gamma((d+2)/p) / (Gamma(3/p) Gamma(d/p)))
-    log_r2 = log_gamma(1 / p) + log_gamma((d + 2) / p) - log_gamma(3 / p) - log_gamma(d / p)
-    if law == BALL:
-        log_r2 += math.log((d + 2) / d)
-    elif law != SPHERE:
-        raise DomainError(f"no radius calibration for the {law!r} law")
+    "dirac" the constant R = sqrt(E[R^2])."""
+    log_r2 = -log_direction_moment(2, 0, d, p, law)
     half = q / 2
     if kind == RADIAL_UNIFORM:
         return half * math.log(3.0) - math.log(q + 1) + half * log_r2

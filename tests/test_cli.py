@@ -213,7 +213,7 @@ class TestInvalidInput:
 
     @pytest.mark.parametrize("argv", [
         ["estimate", "--function", "expr:x7", "--d", "3"],
-        ["mse-sweep", "--function", "expr:x1 + x4", "--d", "3"],
+        ["mse-sweep", "--function", "expr:x1 + x4", "--d", "3", "--n-values", "8,16"],
         ["estimate", "--function", "rosenbrock", "--d", "3", "--metric", "exp-corr:abc"],
         SWEEP_ARGS + ["--n-values", "8,abc"],
         ["moments-check", "--d", "3", "--p", "2", "--draws", "100", "--seed", "-1"],
@@ -231,14 +231,16 @@ class TestInvalidInput:
         ["estimate", "--d", "4", "--function", "expr:x" + "1" * 5000],
         SWEEP_ARGS + ["--decorrelate", "sample"],
         ["estimate", "--d", "4", "--L", "0"],
-        SWEEP_ARGS + ["--format", "json"],
+        SWEEP_ARGS + ["--config", "format-json.json"],
         ["estimate", "--d", "4", "--law", "iid-uniform", "--radial", "dirac"],
     ], ids=["estimate-expr-index", "sweep-expr-index", "exp-corr-rho", "sweep-n-values",
             "moments-seed", "sigma-square-overflow", "sigma-h-overflow", "moments-sigma-overflow",
             "moments-r0-overflow", "moments-r0-underflow", "expr-div-zero", "expr-pow-zero", "expr-overflow",
             "expr-complex", "synthetic-m1-nan", "synthetic-m2-inf", "expr-huge-index",
             "sweep-decorrelate", "L-zero", "sweep-format-json", "iid-uniform-dirac"])
-    def test_bad_specs(self, capsys, argv):
+    def test_bad_specs(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        Path("format-json.json").write_text(json.dumps({"format": "json"}))  # mse-sweep writes CSV only
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
@@ -364,23 +366,39 @@ class TestRunConfig:
     @pytest.mark.parametrize("via_config", [False, True], ids=["flags", "config"])
     @pytest.mark.parametrize("command,name", [
         (command, f.name) for command in ("estimate", "mse-sweep") for f in fields(RunConfig)
-        if (command, f.name) != ("mse-sweep", "format")  # the sweep writes CSV only
+        if not (command == "mse-sweep" and f.name in ("n", "format"))  # no flags for what the sweep ignores
     ])
     def test_every_flag_is_saved(self, tmp_path, capsys, command, name, via_config):
         # every RunConfig field reaches the run, so no command drops a flag
         value = {**NON_DEFAULT, "out": str(tmp_path / "rows")}[name]
         assert value != getattr(RunConfig, name)
-        base = {"function": "expr:sum(sin(x))", "d": 3, "l": 2, "n": 4, "sigma": "0.01"}
+        # the save follows the run, so the run must pass: d = 4 lets "synthetic" run
+        base = {"function": "expr:sum(sin(x))", "d": 4, "l": 2, "n": 4, "sigma": "0.01"}
         argv = [command, "--n-values", "4,8"] if command == "mse-sweep" else [command]
         if via_config:
             (tmp_path / "base.json").write_text(json.dumps(base))
             argv += ["--config", str(tmp_path / "base.json")]
         else:
-            argv += [f"--{cli._UPPER.get(k, k)}={v}" for k, v in base.items()]
+            argv += [f"--{cli._UPPER.get(k, k)}={v}" for k, v in base.items()
+                     if not (command == "mse-sweep" and k == "n")]
         flag = "--" + cli._UPPER.get(name, name).replace("_", "-")
         saved = tmp_path / "saved.json"
-        main(argv + [flag, str(value), "--save-config", str(saved)])
-        assert getattr(RunConfig.from_json(saved), name) == value
+        code = main(argv + [flag, str(value), "--save-config", str(saved)])
+        if (command, name) == ("mse-sweep", "decorrelate"):  # reaches the sweep, which rejects it
+            assert code == 2 and "decorrelate='sample'" in capsys.readouterr().err and not saved.exists()
+        else:
+            assert getattr(RunConfig.from_json(saved), name) == value
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--function", "bogus", "--d", "3"],
+        ["mse-sweep", "--function", "expr:sum(x)", "--d", "3", "--decorrelate", "sample",
+         "--n-values", "8,16"],
+    ], ids=["estimate-function", "mse-sweep-decorrelate"])
+    def test_rejected_run_saves_nothing(self, tmp_path, capsys, argv):
+        saved = tmp_path / "saved.json"
+        assert main(argv + ["--save-config", str(saved)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not saved.exists()
 
 
 class TestTable:
@@ -465,6 +483,18 @@ class TestMseSweep:
         assert main(["mse-sweep", "--config", str(saved), "--n-values", "8,16", "--out", str(out_b)]) == 0
         assert out_b.read_bytes() == out_a.read_bytes()
 
+    def test_n_values_required(self, tmp_path, capsys):
+        # the saved run holds no sample sizes, so a replay must give them
+        saved, out = tmp_path / "sweep.json", tmp_path / "out.csv"
+        assert main(SWEEP_ARGS + ["--save-config", str(saved)]) == 0
+        assert main(["mse-sweep", "--config", str(saved), "--out", str(out)]) == 2
+        assert "--n-values" in capsys.readouterr().err and not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--N", "--format"])
+    def test_no_flags_the_sweep_ignores(self, capsys, flag):
+        assert main(SWEEP_ARGS + [flag, "csv" if flag == "--format" else "3"]) == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
 
 class TestGoldenOutput:
     """Byte-for-byte CSV output, timing column aside, pinned by fixture files."""
@@ -513,7 +543,7 @@ FUZZ_FLAGS = {
 # command -> (flags always given, optional flags)
 FUZZ_COMMANDS = {
     "estimate": (["--d"], [*FUZZ_FLAGS]),
-    "mse-sweep": (["--d"], [*FUZZ_FLAGS, "--n-values"]),
+    "mse-sweep": (["--d", "--n-values"], [flag for flag in FUZZ_FLAGS if flag not in ("--N", "--format")]),
     "table": (["--name"], ["--reps", "--seed", "--threads"]),
     "moments-check": (["--d", "--p"], ["--draws", "--seed", "--sigma"]),
 }

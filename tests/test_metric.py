@@ -56,7 +56,7 @@ class TestFromMatrix:
             a = rng.normal(size=(6, 6))
             g = a @ a.T
             m = from_matrix(g)
-            np.testing.assert_allclose(m.g @ m.ginv @ m.g, m.g, atol=1e-8)
+            np.testing.assert_allclose(g @ m.ginv @ g, g, atol=1e-8)
 
     def test_inverse_roundtrip(self):
         rng = np.random.default_rng(6)
@@ -100,21 +100,25 @@ class TestFromMatrix:
 class TestExpCorrMetric:
     def test_d1(self):
         m = exp_corr_metric(1, 0.5)
-        np.testing.assert_allclose(m.g, [[1.0]])
+        np.testing.assert_allclose(m.ginv, [[1.0]])
 
     def test_d2_hand_value(self):
         m = exp_corr_metric(2, 0.5)
-        np.testing.assert_allclose(m.g, [[1.25, 1.0], [1.0, 1.25]], atol=1e-14)
+        # G = [[1.25, 1], [1, 1.25]] has determinant 9/16
+        np.testing.assert_allclose(m.ginv, [[20 / 9, -16 / 9], [-16 / 9, 20 / 9]], atol=1e-14)
 
     def test_d10_inverse_consistency(self):
         m = exp_corr_metric(10, 0.5)
-        np.testing.assert_allclose(m.g @ m.ginv, np.eye(10), atol=1e-8)
+        idx = np.arange(10)
+        corr = 0.5 ** np.abs(idx[:, None] - idx[None, :])
+        g = corr @ corr
+        np.testing.assert_allclose(g @ m.ginv, np.eye(10), atol=1e-8)
         v = np.ones(10)
-        np.testing.assert_allclose(apply_inverse(m, m.g @ v), v, atol=1e-8)
+        np.testing.assert_allclose(apply_inverse(m, g @ v), v, atol=1e-8)
 
     def test_rho_zero_is_identity(self):
         m = exp_corr_metric(6, 0.0)
-        np.testing.assert_allclose(m.g, np.eye(6), atol=1e-15)
+        np.testing.assert_allclose(m.ginv, np.eye(6), atol=1e-15)
         assert m.abs_ginv_ones_l2 == pytest.approx(math.sqrt(6))
 
     @pytest.mark.parametrize("d,rho", [(200, 0.99), (200, -0.99), (50, 0.999)])

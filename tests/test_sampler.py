@@ -19,13 +19,12 @@ from lpgrad.sampler import (
     _pgauss_matrix,
     decorrelate,
     draw_batch,
+    log_direction_moment,
     log_gamma,
     lp_norm,
     log_radius_moment,
     moment_R0,
     radial_xi,
-    sphere_abs_moment,
-    sphere_mixed_moment,
 )
 
 
@@ -128,18 +127,18 @@ class TestUnitSphere:
     def test_abs_moments(self, d, p, n):
         u = _sphere_sample(d, p, n, seed=22)
         for q in (1, 2, 3, 4):
-            z = zscore(np.abs(u[:, 0]) ** q, sphere_abs_moment(q, d, p))
+            z = zscore(np.abs(u[:, 0]) ** q, math.exp(log_direction_moment(q, 0, d, p)))
             assert abs(z) < 4.0, f"q={q}: z={z}"
 
     def test_mixed_moment(self):
         d, p = 10, 3.0
         u = _sphere_sample(d, p, 1_000_000, seed=23)
-        z = zscore(u[:, 0] ** 2 * np.abs(u[:, 1]), sphere_mixed_moment(d, p))
+        z = zscore(u[:, 0] ** 2 * np.abs(u[:, 1]), math.exp(log_direction_moment(2, 1, d, p)))
         assert abs(z) < 4.0
 
     def test_euclidean_sphere_second_moment(self):
         # uniform on the 2-sphere in R^3: E[U_1^2] = 1/3 exactly
-        assert sphere_abs_moment(2, 3, 2.0) == pytest.approx(1.0 / 3.0, rel=1e-14)
+        assert math.exp(log_direction_moment(2, 0, 3, 2.0)) == pytest.approx(1.0 / 3.0, rel=1e-14)
 
     def test_large_p_fallback_matches_formulas(self):
         # above the fallback threshold directions come from U(-1,1)
@@ -147,13 +146,13 @@ class TestUnitSphere:
         d, p = 5, 5000.0
         u = _sphere_sample(d, p, 500_000, seed=24)
         for q in (1, 2, 3):
-            assert abs(zscore(np.abs(u[:, 0]) ** q, sphere_abs_moment(q, d, p))) < 4.0
+            assert abs(zscore(np.abs(u[:, 0]) ** q, math.exp(log_direction_moment(q, 0, d, p)))) < 4.0
 
 
 def _ball_sample(d, p, n, seed):
     # with sigma^2 = E[U_1^2] of the ball law (the sphere value times
     # d/(d+2)) the calibrated constant radius is 1: rows are ball draws
-    sigma = math.sqrt(sphere_abs_moment(2, d, p) * d / (d + 2))
+    sigma = math.sqrt(math.exp(log_direction_moment(2, 0, d, p, "ball")))
     return draw_batch(DirectionLaw.ball(p), RadialLaw.dirac(sigma), n, d, seed).values
 
 
@@ -181,6 +180,46 @@ class TestUnitBall:
         assert abs(zscore(draws**2, 1.0 / 3.0)) < 4.0
 
 
+class TestDirectionMoments:
+    @pytest.mark.parametrize("law", ["sphere", "ball"])
+    @pytest.mark.parametrize("d,p", [(2, 1.0), (10, 3.0), (100, 5.0), (1000, 7.0), (50, 50.0), (5, 5000.0)])
+    def test_against_high_precision(self, d, p, law):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        G, p_mp = mpmath.gamma, mpmath.mpf(p)
+        for a, b in [(1, 0), (2, 0), (3, 0), (4, 0), (2, 1), (2, 2)]:
+            ref = (G((a + 1) / p_mp) * G((b + 1) / p_mp) * G(d / p_mp)
+                   / (G(1 / p_mp) ** 2 * G((d + a + b) / p_mp)))
+            if law == "ball":
+                ref *= mpmath.mpf(d) / (d + a + b)
+            got = math.exp(log_direction_moment(a, b, d, p, law))
+            np.testing.assert_allclose(got, float(ref), rtol=1e-12, err_msg=f"(a, b) = ({a}, {b})")
+
+    @pytest.mark.parametrize("args", [(2, 1, 1, 3.0), (2, 0, 4, 3.0, "iid-uniform"), (2, 0, 4, 0.5)],
+                             ids=["U2-at-d1", "iid-uniform", "p-below-one"])
+    def test_rejected(self, args):
+        with pytest.raises(DomainError):
+            log_direction_moment(*args)
+
+    def test_ball_fourth_moments(self):
+        d, p = 5, 3.0
+        u = _ball_sample(d, p, 400_000, seed=34)
+        z4 = zscore(u[:, 0] ** 4, math.exp(log_direction_moment(4, 0, d, p, "ball")))
+        z22 = zscore(u[:, 0] ** 2 * u[:, 1] ** 2, math.exp(log_direction_moment(2, 2, d, p, "ball")))
+        assert abs(z4) < 4.0 and abs(z22) < 4.0, (z4, z22)
+
+    def test_radius_bits_kept(self):
+        # log_radius_moment reads the (2, 0) moment with the sum order it
+        # always had, so every draw_batch stream keeps its bits
+        assert radial_xi(1000, 7.0, 1.0).hex() == "0x1.90a56af0e97bcp+2"
+        assert radial_xi(50, 4.0, 1.0).hex() == "0x1.64bc2fe71e3e7p+2"
+        for d in (1, 2, 5, 50, 1000, 10**6):
+            for p in (1.0, 1.5, 3.0, 7.0, 50.0, 5000.0):
+                log_r2 = log_gamma(1 / p) + log_gamma((d + 2) / p) - log_gamma(3 / p) - log_gamma(d / p)
+                assert log_radius_moment(2, d, p, "dirac") == log_r2
+                assert log_radius_moment(2, d, p, "dirac", "ball") == log_r2 + math.log((d + 2) / d)
+
+
 class TestRadialXi:
     def test_d1_p2_collapses(self):
         np.testing.assert_allclose(radial_xi(1, 2.0, 1.0), math.sqrt(3.0), rtol=1e-14)
@@ -189,7 +228,7 @@ class TestRadialXi:
         # (xi^2 / 3) * E[U_1^2] = sigma^2
         for d, p, sigma in [(100, 5.0, 1.0), (10, 3.0, 0.01), (1000, 7.0, 1e-6)]:
             xi = radial_xi(d, p, sigma)
-            lhs = xi**2 / 3.0 * sphere_abs_moment(2, d, p)
+            lhs = xi**2 / 3.0 * math.exp(log_direction_moment(2, 0, d, p))
             np.testing.assert_allclose(lhs, sigma**2, rtol=1e-10)
 
     def test_ball_variant_ratio(self):
