@@ -57,11 +57,8 @@ from .sampler import (
     decorrelate,
     draw_batch,
     log_direction_moment,
-    log_gamma,
     log_radius_moment,
     lp_norm,
-    moment_R0,
-    radial_xi,
 )
 from .scheme import (
     PointScheme,

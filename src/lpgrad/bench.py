@@ -147,8 +147,8 @@ def trig_sum(d: int) -> ObjectiveFunction:
 
 def central_fdm(f: ObjectiveFunction, x, h: float) -> np.ndarray:
     """Coordinate-wise central differences; 2d evaluations in one rows call."""
-    if h <= 0.0:
-        raise DomainError("h must be positive")
+    if not 0.0 < h < math.inf:
+        raise DomainError(f"h must be finite and positive, got {h}")
     x = np.asarray(x, dtype=float)
     d = x.shape[0]
     points = np.tile(x, (2 * d, 1))
@@ -419,9 +419,10 @@ class RunConfig:
             raise DomainError(f"unknown output format {self.format!r}")
 
     @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        """The run ``data`` describes; its values are JSON types, and ``d`` is required."""
-        types = {f.name: f.type for f in fields(cls)}
+    def from_dict(cls, data: dict, unread=()) -> "RunConfig":
+        """The run ``data`` describes; its values are JSON types, ``d`` is required,
+        and a field in ``unread`` (one the command does not read) is an unknown key."""
+        types = {f.name: f.type for f in fields(cls) if f.name not in unread}
         unknown = set(data) - set(types)
         if unknown:
             raise DomainError(f"unknown config keys: {sorted(unknown)}")
@@ -434,7 +435,7 @@ class RunConfig:
         return cls(**data)
 
     @classmethod
-    def from_json(cls, path: str, **overrides) -> "RunConfig":
+    def from_json(cls, path: str, unread=(), **overrides) -> "RunConfig":
         """The run the JSON object in ``path`` describes, ``overrides`` replacing its keys."""
         with open(path) as fh:
             try:
@@ -443,11 +444,12 @@ class RunConfig:
                 raise DomainError(f"config {path} is not valid JSON: {exc}") from None
         if not isinstance(data, dict):
             raise DomainError(f"config {path} must hold a JSON object, got {type(data).__name__}")
-        return cls.from_dict({**data, **overrides})
+        return cls.from_dict({**data, **overrides}, unread)
 
-    def to_json(self, path: str) -> None:
+    def to_json(self, path: str, unread=()) -> None:
+        saved = {name: value for name, value in asdict(self).items() if name not in unread}
         with open(path, "w") as fh:
-            json.dump(asdict(self), fh, indent=2, sort_keys=True)
+            json.dump(saved, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
 

@@ -26,8 +26,8 @@ from .sampler import (
     RadialLaw,
     draw_batch,
     log_direction_moment,
+    log_radius_moment,
     lp_norm,
-    moment_R0,
 )
 
 __all__ = ["RunConfig", "main", "CSV_HEADER"]
@@ -112,12 +112,17 @@ def _add_estimate_args(sub: argparse.ArgumentParser, unread=()) -> None:
                      help="write the run configuration to this JSON path once the run is done")
 
 
-def _run_config(args) -> RunConfig:
+# the RunConfig fields mse-sweep does not read: it runs at each of --n-values,
+# writes CSV and measures raw batches; it takes no flag or config key for them
+_SWEEP_UNREAD = ("n", "format", "decorrelate")
+
+
+def _run_config(args, unread=()) -> RunConfig:
     """The run that the given flags describe over the --config object, if
-    any: a flag given wins."""
+    any: a flag given wins, and a key in ``unread`` is rejected."""
     given = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
     given = {name: value for name, value in given.items() if value is not None}
-    return RunConfig.from_json(args.config, **given) if args.config else RunConfig.from_dict(given)
+    return RunConfig.from_json(args.config, unread, **given) if args.config else RunConfig.from_dict(given)
 
 
 def cmd_estimate(args) -> int:
@@ -192,7 +197,14 @@ def moments_report(d: int, p: float, draws: int, seed: int, sigma: float = 1.0):
     if d >= 2:
         analytic.append(("E[U1^2|U2|]", math.exp(log_direction_moment(2, 1, d, p))))
     analytic.append(("E[V1^2]", sigma**2))
-    analytic += [(f"E[R0^{q}]", moment_R0(q, d, p, sigma)) for q in (1, 2, 3, 4)]
+    for q in (1, 2, 3, 4):
+        try:
+            value = sigma**q * math.exp(log_radius_moment(q, d, p))
+        except OverflowError:
+            value = math.inf
+        if not 0.0 < value < math.inf:
+            raise DomainError(f"E[R0^{q}] {'overflows' if value else 'underflows'} at sigma = {sigma}")
+        analytic.append((f"E[R0^{q}]", value))
     if draws < 1:
         raise DomainError(f"draws must be a positive integer, got {draws}")
     rows = max(1, _MOMENTS_CHUNK_ELEMENTS // d)
@@ -241,13 +253,11 @@ def cmd_mse_sweep(args) -> int:
         n_values = [int(tok) for tok in args.n_values.split(",") if tok.strip()]
     except ValueError:
         raise DomainError(f"--n-values must be comma-separated integers, got {args.n_values!r}") from None
-    cfg = _run_config(args)
-    if cfg.format != "csv":
-        raise DomainError(f"mse-sweep writes CSV only, got format {cfg.format!r}")
+    cfg = _run_config(args, _SWEEP_UNREAD)
     spec = _build_spec(cfg)
     points, slope, n_failed = bench.mse_sweep(spec, n_values, threads=cfg.threads)
     if args.save_config:  # only a run that passed every check
-        cfg.to_json(args.save_config)
+        cfg.to_json(args.save_config, _SWEEP_UNREAD)
     _write_csv(cfg.out, ["n", "mse"], [[str(n), format(mse, ".17e")] for n, mse in points])
     print(f"log-log slope = {slope:.4f}", file=sys.stderr)
     print(f"failed {n_failed} of {len(points) * spec.reps} trials", file=sys.stderr)
@@ -279,7 +289,7 @@ def main(argv=None) -> int:
     mom.set_defaults(handler=cmd_moments_check)
 
     swp = sub.add_parser("mse-sweep", help="empirical MSE against sample size")
-    _add_estimate_args(swp, unread=("n", "format"))  # it writes CSV at each of --n-values
+    _add_estimate_args(swp, _SWEEP_UNREAD)
     swp.add_argument("--n-values", required=True,
                      help="comma-separated sample sizes (not saved by --save-config)")
     swp.set_defaults(handler=cmd_mse_sweep)

@@ -251,6 +251,6 @@ def recommended_sigma(metric: TensorMetric, p: float, rule: str) -> float:
 
 def recommend_p(d: int) -> int:
     """Practical norm exponent: floor(max(2, ln d)) + 1, at least 2."""
-    if d < 1:
-        raise DomainError("dimension must be positive")
+    if not 1 <= d < math.inf:
+        raise DomainError(f"dimension must be finite and positive, got {d}")
     return max(2, int(math.floor(max(2.0, math.log(d)))) + 1)

@@ -21,12 +21,9 @@ __all__ = [
     "DirectionLaw",
     "RadialLaw",
     "SampleBatch",
-    "log_gamma",
     "lp_norm",
     "log_direction_moment",
-    "radial_xi",
     "log_radius_moment",
-    "moment_R0",
     "draw_batch",
     "decorrelate",
     "DECORRELATE_MOMENT",
@@ -48,23 +45,11 @@ DECORRELATE_MOMENT = "moment"
 DECORRELATE_SAMPLE = "sample"
 
 
-def log_gamma(x: float) -> float:
-    """Natural log of the Gamma function for x > 0.
-
-    Relative error is at the level of the platform libm (well below
-    1e-12 on [1e-3, 1e6]).
-    """
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise DomainError(f"log_gamma requires a finite x > 0, got {x}")
-    return math.lgamma(x)
-
-
 def _check_dp(d: int, p: float) -> None:
-    if d < 1 or int(d) != d:
+    if not (1 <= d < math.inf and int(d) == d):  # nan fails the comparison
         raise DomainError(f"dimension must be a positive integer, got {d}")
-    if p < 1.0:
-        raise DomainError(f"p >= 1 required, got {p}")
+    if not 1.0 <= p < math.inf:
+        raise DomainError(f"a finite p >= 1 is required, got {p}")
 
 
 @dataclass(frozen=True)
@@ -206,14 +191,16 @@ def log_direction_moment(a: float, b: float, d: int, p: float, law: str = SPHERE
     whose factor E[W^((a+b)/d)] is d/(d+a+b). The sphere moment is
     Gamma((a+1)/p) Gamma((b+1)/p) Gamma(d/p) / (Gamma(1/p)^2 Gamma((d+a+b)/p))."""
     _check_dp(d, p)
-    if b > 0 and d < 2:
+    if not (-1 < a < math.inf and -1 < b < math.inf):  # each Gamma argument stays finite and positive
+        raise DomainError(f"moment orders must be finite and > -1, got a={a}, b={b}")
+    if b and d < 2:
         raise DomainError("a moment of U_2 requires d >= 2")
     if law not in (SPHERE, BALL):
         raise DomainError(f"no direction moments for the {law!r} law")
     # summed as the negative log, so log_radius_moment's E[R^2] = sigma^2 / E[U_1^2] keeps its bits
-    neg = log_gamma(1 / p) + log_gamma((d + a + b) / p) - log_gamma((a + 1) / p) - log_gamma(d / p)
+    neg = math.lgamma(1 / p) + math.lgamma((d + a + b) / p) - math.lgamma((a + 1) / p) - math.lgamma(d / p)
     if b:
-        neg += log_gamma(1 / p) - log_gamma((b + 1) / p)
+        neg += math.lgamma(1 / p) - math.lgamma((b + 1) / p)
     if law == BALL:
         neg += math.log((d + a + b) / d)
     return -neg
@@ -224,6 +211,8 @@ def log_radius_moment(q: int, d: int, p: float, kind: str = RADIAL_UNIFORM, law:
     directions. Both radii have E[R^2] = sigma^2 / E[U_1^2]: "uniform" is
     R ~ U(0, xi) with xi^2 = 3 E[R^2], so E[R^q] = xi^q / (q+1), and
     "dirac" the constant R = sqrt(E[R^2])."""
+    if not -1 < q < math.inf:  # the uniform radius has no finite E[R^q] at q <= -1
+        raise DomainError(f"moment order q must be finite and > -1, got {q}")
     log_r2 = -log_direction_moment(2, 0, d, p, law)
     half = q / 2
     if kind == RADIAL_UNIFORM:
@@ -231,33 +220,6 @@ def log_radius_moment(q: int, d: int, p: float, kind: str = RADIAL_UNIFORM, law:
     if kind == RADIAL_DIRAC:
         return half * log_r2
     raise DomainError(f"unknown radial law kind {kind!r}")
-
-
-def radial_xi(d: int, p: float, sigma: float, law: str = SPHERE) -> float:
-    """Upper endpoint xi = sqrt(3 E[R^2]) of the U(0, xi) radius that
-    calibrates E[V_k^2] = sigma^2 for ``law`` directions."""
-    if not sigma > 0.0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
-    return sigma * math.sqrt(3.0 * math.exp(log_radius_moment(2, d, p, law=law)))
-
-
-def moment_R0(q: int, d: int, p: float, sigma: float) -> float:
-    """q-th moment xi^q / (q+1) of the U(0, xi) radius (sphere calibration).
-
-    One that under- or overflows a float raises ``DomainError``.
-    """
-    if q < 0 or int(q) != q:
-        raise DomainError(f"moment order must be a nonnegative integer, got {q}")
-    _check_dp(d, p)
-    if not sigma > 0.0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
-    try:
-        value = sigma**q * math.exp(log_radius_moment(q, d, p))
-    except OverflowError:
-        value = math.inf
-    if not 0.0 < value < math.inf:
-        raise DomainError(f"E[R0^{q}] {'overflows' if value else 'underflows'} at sigma = {sigma}")
-    return value
 
 
 def draw_batch(
@@ -288,7 +250,7 @@ def draw_batch(
             # the radial cdf of the uniform ball law is r^d: scale by W^(1/d)
             values *= rng.uniform(0.0, 1.0, size=n)[:, None] ** (1.0 / d)
         if radial.kind == RADIAL_UNIFORM:
-            xi = radial_xi(d, law.p, radial.sigma, law.kind)
+            xi = radial.sigma * math.sqrt(3.0 * math.exp(log_radius_moment(2, d, law.p, law=law.kind)))
             values *= rng.uniform(0.0, xi, size=n)[:, None]
         else:
             values *= radial.sigma * math.exp(log_radius_moment(1, d, law.p, RADIAL_DIRAC, law.kind))

@@ -69,6 +69,8 @@ def build_scheme(betas) -> PointScheme:
     l = len(betas)
     if l < 2:
         raise DomainError(f"a stencil needs at least 2 offsets, got {l}; use one_point() for L=1")
+    if not np.isfinite(betas).all():
+        raise DomainError(f"offsets must be finite, got {betas}")
     if len(np.unique(betas)) != l:
         raise SingularSchemeError(f"offsets must be pairwise distinct, got {betas}")
     a, rhs = _constraint_system(betas)

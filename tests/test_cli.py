@@ -229,7 +229,7 @@ class TestInvalidInput:
         ["estimate", "--d", "4", "--function", "synthetic", "--m1", "nan"],
         ["estimate", "--d", "4", "--function", "synthetic", "--m2", "inf"],
         ["estimate", "--d", "4", "--function", "expr:x" + "1" * 5000],
-        SWEEP_ARGS + ["--decorrelate", "sample"],
+        SWEEP_ARGS + ["--config", "decorrelate-sample.json"],
         ["estimate", "--d", "4", "--L", "0"],
         SWEEP_ARGS + ["--config", "format-json.json"],
         ["estimate", "--d", "4", "--law", "iid-uniform", "--radial", "dirac"],
@@ -240,7 +240,9 @@ class TestInvalidInput:
             "sweep-decorrelate", "L-zero", "sweep-format-json", "iid-uniform-dirac"])
     def test_bad_specs(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
-        Path("format-json.json").write_text(json.dumps({"format": "json"}))  # mse-sweep writes CSV only
+        # mse-sweep writes CSV only and measures raw batches, so it reads neither key
+        Path("format-json.json").write_text(json.dumps({"format": "json"}))
+        Path("decorrelate-sample.json").write_text(json.dumps({"decorrelate": "sample"}))
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
@@ -366,35 +368,43 @@ class TestRunConfig:
     @pytest.mark.parametrize("via_config", [False, True], ids=["flags", "config"])
     @pytest.mark.parametrize("command,name", [
         (command, f.name) for command in ("estimate", "mse-sweep") for f in fields(RunConfig)
-        if not (command == "mse-sweep" and f.name in ("n", "format"))  # no flags for what the sweep ignores
     ])
     def test_every_flag_is_saved(self, tmp_path, capsys, command, name, via_config):
-        # every RunConfig field reaches the run, so no command drops a flag
+        # every RunConfig field a command reads reaches the run and its saved
+        # file; one it does not read is refused as a flag and as a config key
         value = {**NON_DEFAULT, "out": str(tmp_path / "rows")}[name]
         assert value != getattr(RunConfig, name)
+        unread = cli._SWEEP_UNREAD if command == "mse-sweep" else ()
         # the save follows the run, so the run must pass: d = 4 lets "synthetic" run
         base = {"function": "expr:sum(sin(x))", "d": 4, "l": 2, "n": 4, "sigma": "0.01"}
+        base = {k: v for k, v in base.items() if k not in unread}
         argv = [command, "--n-values", "4,8"] if command == "mse-sweep" else [command]
+        flag = "--" + cli._UPPER.get(name, name).replace("_", "-")
         if via_config:
-            (tmp_path / "base.json").write_text(json.dumps(base))
+            (tmp_path / "base.json").write_text(json.dumps({**base, name: value} if name in unread else base))
             argv += ["--config", str(tmp_path / "base.json")]
         else:
-            argv += [f"--{cli._UPPER.get(k, k)}={v}" for k, v in base.items()
-                     if not (command == "mse-sweep" and k == "n")]
-        flag = "--" + cli._UPPER.get(name, name).replace("_", "-")
+            argv += [f"--{cli._UPPER.get(k, k)}={v}" for k, v in base.items()]
+        if not (via_config and name in unread):
+            argv += [flag, str(value)]
         saved = tmp_path / "saved.json"
-        code = main(argv + [flag, str(value), "--save-config", str(saved)])
-        if (command, name) == ("mse-sweep", "decorrelate"):  # reaches the sweep, which rejects it
-            assert code == 2 and "decorrelate='sample'" in capsys.readouterr().err and not saved.exists()
+        code = main(argv + ["--save-config", str(saved)])
+        if name in unread:
+            err = capsys.readouterr().err
+            assert code == 2 and not saved.exists()
+            assert f"unknown config keys: ['{name}']" in err if via_config else f"unrecognized arguments: {flag}" in err
         else:
             assert getattr(RunConfig.from_json(saved), name) == value
+            assert not set(json.loads(saved.read_text())) & set(unread)
 
     @pytest.mark.parametrize("argv", [
         ["estimate", "--function", "bogus", "--d", "3"],
-        ["mse-sweep", "--function", "expr:sum(x)", "--d", "3", "--decorrelate", "sample",
+        ["mse-sweep", "--function", "expr:sum(x)", "--d", "3", "--config", "decorrelate-sample.json",
          "--n-values", "8,16"],
     ], ids=["estimate-function", "mse-sweep-decorrelate"])
-    def test_rejected_run_saves_nothing(self, tmp_path, capsys, argv):
+    def test_rejected_run_saves_nothing(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        Path("decorrelate-sample.json").write_text(json.dumps({"decorrelate": "sample"}))
         saved = tmp_path / "saved.json"
         assert main(argv + ["--save-config", str(saved)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
@@ -490,7 +500,7 @@ class TestMseSweep:
         assert main(["mse-sweep", "--config", str(saved), "--out", str(out)]) == 2
         assert "--n-values" in capsys.readouterr().err and not out.exists()
 
-    @pytest.mark.parametrize("flag", ["--N", "--format"])
+    @pytest.mark.parametrize("flag", ["--N", "--format", "--decorrelate"])
     def test_no_flags_the_sweep_ignores(self, capsys, flag):
         assert main(SWEEP_ARGS + [flag, "csv" if flag == "--format" else "3"]) == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
@@ -543,7 +553,8 @@ FUZZ_FLAGS = {
 # command -> (flags always given, optional flags)
 FUZZ_COMMANDS = {
     "estimate": (["--d"], [*FUZZ_FLAGS]),
-    "mse-sweep": (["--d", "--n-values"], [flag for flag in FUZZ_FLAGS if flag not in ("--N", "--format")]),
+    "mse-sweep": (["--d", "--n-values"],
+                  [flag for flag in FUZZ_FLAGS if flag not in ("--N", "--format", "--decorrelate")]),
     "table": (["--name"], ["--reps", "--seed", "--threads"]),
     "moments-check": (["--d", "--p"], ["--draws", "--seed", "--sigma"]),
 }

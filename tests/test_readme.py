@@ -1,6 +1,13 @@
-"""README examples run against the current API."""
+"""README examples run against the current API, and README names only what exists."""
+import importlib
+import inspect
+import pkgutil
 import re
+from dataclasses import fields, is_dataclass
 from pathlib import Path
+
+import lpgrad
+from lpgrad.cli import CSV_HEADER, RunConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -10,3 +17,26 @@ def test_python_blocks_run():
     assert blocks
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
+
+
+def _known_names() -> set:
+    """Attributes of lpgrad, of its modules and of its public classes, the
+    RunConfig fields and the CSV columns."""
+    modules = [lpgrad] + [importlib.import_module(f"lpgrad.{info.name}")
+                          for info in pkgutil.iter_modules(lpgrad.__path__)]
+    names = {name for module in modules for name in dir(module)}
+    for cls in (getattr(lpgrad, name) for name in dir(lpgrad) if not name.startswith("_")):
+        if inspect.isclass(cls):
+            names.update(dir(cls))
+        if inspect.isclass(cls) and is_dataclass(cls):  # fields without a default are no class attribute
+            names.update(f.name for f in fields(cls))
+    return names | {f.name for f in fields(RunConfig)} | set(CSV_HEADER) | {"_", "xK"}
+
+
+def test_backticked_identifiers_exist():
+    # a backticked name with an underscore or an inner capital is a code
+    # name, so it must still exist; dotted names are checked part by part
+    spans = re.findall(r"`([A-Za-z_]\w*(?:\.\w+)*)`", README.read_text())
+    parts = {part for span in spans for part in span.split(".")}
+    code_names = {part for part in parts if "_" in part or re.search(r"[A-Z]", part[1:])}
+    assert code_names - _known_names() == set()

@@ -1,11 +1,13 @@
 """Sampling laws: closed-form moments vs Monte Carlo, calibration, decorrelation."""
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from lpgrad import sampler
+from lpgrad.cli import moments_report
 from lpgrad.errors import (
     DegenerateSampleError,
     DomainError,
@@ -20,11 +22,8 @@ from lpgrad.sampler import (
     decorrelate,
     draw_batch,
     log_direction_moment,
-    log_gamma,
-    lp_norm,
     log_radius_moment,
-    moment_R0,
-    radial_xi,
+    lp_norm,
 )
 
 
@@ -36,27 +35,9 @@ def zscore(samples, analytic):
     return (samples.mean() - analytic) / (sd / math.sqrt(samples.size))
 
 
-class TestLogGamma:
-    def test_exact_values(self):
-        assert log_gamma(1.0) == 0.0
-        np.testing.assert_allclose(log_gamma(5.0), math.log(24.0), rtol=1e-15)
-        np.testing.assert_allclose(log_gamma(0.5), 0.5 * math.log(math.pi), rtol=1e-15)
-
-    def test_against_high_precision(self):
-        mpmath = pytest.importorskip("mpmath")
-        mpmath.mp.dps = 40
-        for x in [1e-3, 0.02, 0.7, 1.5, 12.0, 345.6, 1e4, 1e6]:
-            expected = float(mpmath.loggamma(x))
-            got = log_gamma(x)
-            if expected == 0.0:
-                assert abs(got) < 1e-14
-            else:
-                assert abs(got - expected) / abs(expected) < 1e-12
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
-    def test_domain(self, bad):
-        with pytest.raises(DomainError):
-            log_gamma(bad)
+def uniform_xi(d, p, sigma, law="sphere"):
+    """The endpoint xi = sqrt(3 E[R^2]) of the U(0, xi) radius, as draw_batch computes it."""
+    return sigma * math.sqrt(3.0 * math.exp(log_radius_moment(2, d, p, law=law)))
 
 
 class TestPgauss:
@@ -195,9 +176,12 @@ class TestDirectionMoments:
             got = math.exp(log_direction_moment(a, b, d, p, law))
             np.testing.assert_allclose(got, float(ref), rtol=1e-12, err_msg=f"(a, b) = ({a}, {b})")
 
-    @pytest.mark.parametrize("args", [(2, 1, 1, 3.0), (2, 0, 4, 3.0, "iid-uniform"), (2, 0, 4, 0.5)],
-                             ids=["U2-at-d1", "iid-uniform", "p-below-one"])
+    @pytest.mark.parametrize("args", [
+        (2, 1, 1, 3.0), (2, 0, 4, 3.0, "iid-uniform"), (2, 0, 4, 0.5),
+        (-1, 0, 4, 3.0), (2, -1, 4, 3.0), (math.nan, 0, 4, 3.0),
+    ], ids=["U2-at-d1", "iid-uniform", "p-below-one", "a-minus-one", "b-minus-one", "a-nan"])
     def test_rejected(self, args):
+        # an order at or below -1 has no finite moment; test_api.py checks a non-finite d or p
         with pytest.raises(DomainError):
             log_direction_moment(*args)
 
@@ -211,65 +195,72 @@ class TestDirectionMoments:
     def test_radius_bits_kept(self):
         # log_radius_moment reads the (2, 0) moment with the sum order it
         # always had, so every draw_batch stream keeps its bits
-        assert radial_xi(1000, 7.0, 1.0).hex() == "0x1.90a56af0e97bcp+2"
-        assert radial_xi(50, 4.0, 1.0).hex() == "0x1.64bc2fe71e3e7p+2"
+        assert uniform_xi(1000, 7.0, 1.0).hex() == "0x1.90a56af0e97bcp+2"
+        assert uniform_xi(50, 4.0, 1.0).hex() == "0x1.64bc2fe71e3e7p+2"
+        d, p, n, seed = 50, 4.0, 16, 7  # draw_batch scales its directions by U(0, xi) draws with this xi
+        rng = np.random.Generator(np.random.SFC64(seed))
+        expected = _direction_matrix(rng, n, d, p) * rng.uniform(0.0, uniform_xi(d, p, 1.0), size=n)[:, None]
+        assert np.array_equal(draw_batch(DirectionLaw.sphere(p), RadialLaw.uniform(1.0), n, d, seed).values, expected)
+        lg = math.lgamma
         for d in (1, 2, 5, 50, 1000, 10**6):
             for p in (1.0, 1.5, 3.0, 7.0, 50.0, 5000.0):
-                log_r2 = log_gamma(1 / p) + log_gamma((d + 2) / p) - log_gamma(3 / p) - log_gamma(d / p)
+                log_r2 = lg(1 / p) + lg((d + 2) / p) - lg(3 / p) - lg(d / p)
                 assert log_radius_moment(2, d, p, "dirac") == log_r2
                 assert log_radius_moment(2, d, p, "dirac", "ball") == log_r2 + math.log((d + 2) / d)
 
 
 class TestRadialXi:
+    """The U(0, xi) radius endpoint that draw_batch reads from log_radius_moment."""
+
     def test_d1_p2_collapses(self):
-        np.testing.assert_allclose(radial_xi(1, 2.0, 1.0), math.sqrt(3.0), rtol=1e-14)
+        np.testing.assert_allclose(uniform_xi(1, 2.0, 1.0), math.sqrt(3.0), rtol=1e-14)
 
     def test_calibration_identity(self):
         # (xi^2 / 3) * E[U_1^2] = sigma^2
         for d, p, sigma in [(100, 5.0, 1.0), (10, 3.0, 0.01), (1000, 7.0, 1e-6)]:
-            xi = radial_xi(d, p, sigma)
+            xi = uniform_xi(d, p, sigma)
             lhs = xi**2 / 3.0 * math.exp(log_direction_moment(2, 0, d, p))
             np.testing.assert_allclose(lhs, sigma**2, rtol=1e-10)
 
     def test_ball_variant_ratio(self):
         d, p = 5, 2.0
         np.testing.assert_allclose(
-            radial_xi(d, p, 1.0, "ball"),
-            radial_xi(d, p, 1.0) * math.sqrt(7.0 / 5.0),
+            uniform_xi(d, p, 1.0, "ball"),
+            uniform_xi(d, p, 1.0) * math.sqrt(7.0 / 5.0),
             rtol=1e-14,
         )
 
-    def test_nan_sigma_rejected(self):
-        with pytest.raises(DomainError):
-            radial_xi(3, 2.0, math.nan)
-
 
 class TestMomentR0:
+    """E[R0^q] of the uniform radius, from log_radius_moment."""
+
     def test_zeroth(self):
-        assert moment_R0(0, 10, 3.0, 0.5) == 1.0
+        assert log_radius_moment(0, 10, 3.0) == 0.0
 
     def test_second_moment_formula(self):
         for d, p, sigma in [(10, 3.0, 1.0), (100, 5.0, 0.01)]:
             expected = sigma**2 * math.exp(
-                log_gamma(1 / p) + log_gamma((d + 2) / p)
-                - log_gamma(3 / p) - log_gamma(d / p)
+                math.lgamma(1 / p) + math.lgamma((d + 2) / p)
+                - math.lgamma(3 / p) - math.lgamma(d / p)
             )
-            np.testing.assert_allclose(moment_R0(2, d, p, sigma), expected, rtol=1e-12)
+            np.testing.assert_allclose(sigma**2 * math.exp(log_radius_moment(2, d, p)), expected, rtol=1e-12)
 
     def test_large_p_regime_within_5pct(self):
         d, p, sigma = 5, 5000.0, 1.0
-        exact = moment_R0(3, d, p, sigma)
+        exact = sigma**3 * math.exp(log_radius_moment(3, d, p))
         approx = 27.0 / 4.0 * sigma**3 * (d / (d + 2)) ** 1.5
         assert abs(exact - approx) / approx < 0.05
 
     def test_negative_order_rejected(self):
         with pytest.raises(DomainError):
-            moment_R0(-1, 10, 3.0, 1.0)
+            log_radius_moment(-1, 10, 3.0)
 
     @pytest.mark.parametrize("q,sigma", [(4, 1e-100), (3, 1e150), (2, 0.0), (2, math.nan)])
     def test_unrepresentable_or_bad_sigma_rejected(self, q, sigma):
-        with pytest.raises(DomainError):
-            moment_R0(q, 2, 2.0, sigma)
+        # moments-check scores E[R0^q] for q <= 4; q is the first order that under- or overflows
+        match = re.escape(f"E[R0^{q}]") if 0.0 < sigma < math.inf else "sigma must be positive"
+        with pytest.raises(DomainError, match=match):
+            moments_report(2, 2.0, 10, 0, sigma)
 
 
 class TestDrawBatch:
