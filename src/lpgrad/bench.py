@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -42,31 +43,16 @@ from .scheme import build_scheme, one_point, two_point_central
 
 __all__ = [
     "rosenbrock",
-    "rosenbrock_grad",
     "synthetic_ms",
-    "synthetic_ms_grad",
     "trig_sum",
-    "trig_sum_grad",
     "central_fdm",
     "err",
     "ExperimentSpec",
-    "ResultRow",
     "run_experiment",
     "fdm_row",
     "mse_sweep",
-    "derive_seed",
-    "TABLE_PRESETS",
     "table_specs",
 ]
-
-
-def rosenbrock_grad(x) -> np.ndarray:
-    """Analytic gradient of the Rosenbrock function."""
-    x = np.asarray(x, dtype=float)
-    g = np.zeros_like(x)
-    g[:-1] = -2.0 * (1.0 - x[:-1]) - 400.0 * x[:-1] * (x[1:] - x[:-1] ** 2)
-    g[1:] += 200.0 * (x[1:] - x[:-1] ** 2)
-    return g
 
 
 def rosenbrock(d: int) -> ObjectiveFunction:
@@ -89,17 +75,14 @@ def rosenbrock(d: int) -> ObjectiveFunction:
         np.multiply(100.0, b, out=b)
         return np.sum(np.add(a, b, out=a), axis=-1)
 
-    return ObjectiveFunction(fun=fun, dim=d, name="rosenbrock", grad=rosenbrock_grad, vectorized=True)
+    def grad(x):
+        x = np.asarray(x, dtype=float)
+        g = np.zeros_like(x)
+        g[:-1] = -2.0 * (1.0 - x[:-1]) - 400.0 * x[:-1] * (x[1:] - x[:-1] ** 2)
+        g[1:] += 200.0 * (x[1:] - x[:-1] ** 2)
+        return g
 
-
-def synthetic_ms_grad(x, m1: float, m2: float) -> np.ndarray:
-    """Analytic gradient of the synthetic trigonometric-quadratic objective."""
-    x = np.asarray(x, dtype=float)
-    d = x.shape[0]
-    g = np.full(d, (m1 - m2) / d * x.sum())
-    g[0::2] += m2 * np.cos(x[0::2])
-    g[1::2] -= np.sin(x[1::2])
-    return g
+    return ObjectiveFunction(fun=fun, dim=d, name="rosenbrock", grad=grad, vectorized=True)
 
 
 def synthetic_ms(d: int, m1: float, m2: float) -> ObjectiveFunction:
@@ -122,13 +105,13 @@ def synthetic_ms(d: int, m1: float, m2: float) -> ObjectiveFunction:
         )
 
     def grad(x):
-        return synthetic_ms_grad(x, m1, m2)
+        x = np.asarray(x, dtype=float)
+        g = np.full(d, (m1 - m2) / d * x.sum())
+        g[0::2] += m2 * np.cos(x[0::2])
+        g[1::2] -= np.sin(x[1::2])
+        return g
 
     return ObjectiveFunction(fun=fun, dim=d, name="synthetic", m2=m2, grad=grad, vectorized=True)
-
-
-def trig_sum_grad(x) -> np.ndarray:
-    return np.cos(np.asarray(x, dtype=float))
 
 
 def trig_sum(d: int) -> ObjectiveFunction:
@@ -140,7 +123,7 @@ def trig_sum(d: int) -> ObjectiveFunction:
         dim=d,
         name="trig-sum",
         m2=1.0,
-        grad=trig_sum_grad,
+        grad=lambda x: np.cos(np.asarray(x, dtype=float)),
         vectorized=True,
     )
 
@@ -150,6 +133,8 @@ def central_fdm(f: ObjectiveFunction, x, h: float) -> np.ndarray:
     if not 0.0 < h < math.inf:
         raise DomainError(f"h must be finite and positive, got {h}")
     x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():
+        raise DomainError("x must be finite, got a nan or inf entry")
     d = x.shape[0]
     points = np.tile(x, (2 * d, 1))
     k = np.arange(d)
@@ -245,7 +230,7 @@ def _map(fn, items, threads: int) -> list:
     """
     if threads == 1:
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads or None) as pool:
+    with ThreadPoolExecutor(max_workers=threads or os.cpu_count()) as pool:
         return list(pool.map(fn, items))
 
 

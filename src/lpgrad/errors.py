@@ -1,5 +1,8 @@
 """Exception types shared across the library."""
 
+__all__ = ["LpgradError", "DomainError", "NotApplicableError", "DegenerateSampleError",
+           "SingularSchemeError", "EvaluationError"]
+
 
 class LpgradError(Exception):
     """Base class for all library-specific failures."""

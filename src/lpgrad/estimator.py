@@ -32,7 +32,7 @@ from .sampler import (
     log_direction_moment,
     log_radius_moment,
 )
-from .scheme import PointScheme, validate_bandwidth
+from .scheme import PointScheme
 
 __all__ = [
     "ObjectiveFunction",
@@ -132,10 +132,10 @@ class EstimatorConfig:
             raise DomainError(f"h must be finite and positive, got {self.h}")
         if self.decorrelate not in (None, DECORRELATE_MOMENT, DECORRELATE_SAMPLE):
             raise DomainError(f"decorrelate must be None, 'moment' or 'sample', got {self.decorrelate!r}")
-        if not validate_bandwidth(self.scheme, self.h, self.sigma):
+        width = self.scheme.beta_max * self.h * self.sigma
+        if width > 0.5:
             warnings.warn(
-                f"beta_max * h * sigma = {self.scheme.beta_max * self.h * self.sigma:.3g} "
-                "exceeds 1/2; consider a smaller h or sigma",
+                f"beta_max * h * sigma = {width:.3g} exceeds 1/2; consider a smaller h or sigma",
                 RuntimeWarning,
                 stacklevel=3,  # the caller of the generated __init__
             )
@@ -167,11 +167,14 @@ def estimate_gradient(
     Costs L*N evaluations, one rows call of ``f`` per stencil offset
     (the L = 1 centering mean reuses the same evaluations). Raises
     ``EvaluationError`` at the first non-finite objective value, and when
-    the estimate itself is not finite (e.g. it overflows).
+    the estimate itself is not finite (e.g. it overflows); a non-finite
+    ``x`` raises ``DomainError`` before any evaluation.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1:
         raise DomainError("x must be a vector")
+    if not np.isfinite(x).all():
+        raise DomainError("x must be finite, got a nan or inf entry")
     d = x.shape[0]
     if f.dim != d:
         raise DomainError(f"objective dimension {f.dim} != len(x) = {d}")

@@ -17,7 +17,6 @@ import numpy as np
 from .errors import DegenerateSampleError, DomainError, NotApplicableError
 
 __all__ = [
-    "LARGE_P_FALLBACK",
     "DirectionLaw",
     "RadialLaw",
     "SampleBatch",
@@ -26,8 +25,6 @@ __all__ = [
     "log_radius_moment",
     "draw_batch",
     "decorrelate",
-    "DECORRELATE_MOMENT",
-    "DECORRELATE_SAMPLE",
 ]
 
 # Above this exponent the generalized Gaussian coordinate law is
@@ -45,11 +42,15 @@ DECORRELATE_MOMENT = "moment"
 DECORRELATE_SAMPLE = "sample"
 
 
+def _check_p(p: float) -> None:
+    if not 1.0 <= p < math.inf:
+        raise DomainError(f"a finite p >= 1 is required, got {p}")
+
+
 def _check_dp(d: int, p: float) -> None:
     if not (1 <= d < math.inf and int(d) == d):  # nan fails the comparison
         raise DomainError(f"dimension must be a positive integer, got {d}")
-    if not 1.0 <= p < math.inf:
-        raise DomainError(f"a finite p >= 1 is required, got {p}")
+    _check_p(p)
 
 
 @dataclass(frozen=True)
@@ -67,8 +68,8 @@ class DirectionLaw:
     def __post_init__(self):
         if self.kind not in (SPHERE, BALL, IID_UNIFORM):
             raise DomainError(f"unknown direction law kind {self.kind!r}")
-        if self.kind != IID_UNIFORM and not (math.isfinite(self.p) and self.p >= 1.0):
-            raise DomainError(f"a finite p >= 1 is required, got {self.p}")
+        if self.kind != IID_UNIFORM:
+            _check_p(self.p)
 
     @classmethod
     def sphere(cls, p: float) -> "DirectionLaw":
@@ -123,8 +124,10 @@ def lp_norm(x, p: float) -> np.ndarray | float:
     """lp norm of a vector, or row-wise for a matrix.
 
     Sums |x|^p directly; rows whose sum under- or overflows (large p)
-    are recomputed in the max-factored form, which stays finite.
+    are recomputed in the max-factored form, which stays finite. p must
+    be finite and at least 1.
     """
+    _check_p(p)
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         return float(lp_norm(x[None, :], p)[0])

@@ -18,7 +18,6 @@ from .errors import DomainError, SingularSchemeError
 __all__ = [
     "PointScheme",
     "build_scheme",
-    "validate_bandwidth",
     "one_point",
     "two_point_central",
 ]
@@ -93,8 +92,3 @@ def one_point() -> PointScheme:
 def two_point_central() -> PointScheme:
     """The antithetic two-point stencil beta = (1, -1), C = (1/2, -1/2)."""
     return build_scheme([1.0, -1.0])
-
-
-def validate_bandwidth(scheme: PointScheme, h: float, sigma: float) -> bool:
-    """True iff max_l |beta_l| * h * sigma <= 1/2."""
-    return scheme.beta_max * h * sigma <= 0.5

@@ -137,7 +137,7 @@ def test_criterion_5_table_reproduction(name):
         specs = table_specs(name, reps=50, seed=2026)
         means = []
         for spec in specs:
-            _, summary = run_experiment(spec)
+            _, summary = run_experiment(spec, threads=2)  # rows do not depend on threads
             assert summary["n_failed"] == 0
             means.append(summary["mean_err"])
         refs = TABLE_REFERENCES[name]

@@ -27,6 +27,8 @@ def test_star_import(name):
 
 
 NAN, INF = math.nan, math.inf
+CFG = lpgrad.EstimatorConfig(scheme=lpgrad.one_point(), law=lpgrad.DirectionLaw.sphere(2.0),
+                             radial=lpgrad.RadialLaw.uniform(0.1), n=4, h=1e-3)
 
 
 @pytest.mark.parametrize("call", [
@@ -44,9 +46,18 @@ NAN, INF = math.nan, math.inf
     lambda: log_radius_moment(2, INF, 3.0, "dirac"),
     lambda: log_radius_moment(NAN, 5, 3.0),
     lambda: log_radius_moment(INF, 5, 3.0, "dirac"),
+    lambda: lpgrad.estimate_gradient(lpgrad.rosenbrock(3), [NAN, 0.0, 0.0], CFG, lpgrad.identity_metric(3)),
+    lambda: lpgrad.estimate_gradient(lpgrad.rosenbrock(3), [INF, 0.0, 0.0], CFG, lpgrad.identity_metric(3)),
+    lambda: lpgrad.central_fdm(lpgrad.rosenbrock(3), [NAN, 0.0, 0.0], 1e-4),
+    lambda: lpgrad.central_fdm(lpgrad.rosenbrock(3), [INF, 0.0, 0.0], 1e-4),
+    lambda: lpgrad.lp_norm([1.0, 2.0], NAN),
+    lambda: lpgrad.lp_norm([1.0, 2.0], INF),
+    lambda: lpgrad.lp_norm([1.0, 2.0], 0.5),
 ], ids=["scheme-nan", "scheme-inf", "fdm-h-nan", "fdm-h-inf", "recommend-p-nan", "recommend-p-inf",
         "direction-p-nan", "direction-p-inf", "direction-d-nan", "direction-d-inf",
-        "radius-p-nan", "radius-d-inf", "radius-q-nan", "radius-q-inf"])
+        "radius-p-nan", "radius-d-inf", "radius-q-nan", "radius-q-inf",
+        "estimate-x-nan", "estimate-x-inf", "fdm-x-nan", "fdm-x-inf",
+        "lp-norm-p-nan", "lp-norm-p-inf", "lp-norm-p-below-one"])
 def test_non_finite_argument_rejected(call):
     with pytest.raises(DomainError):
         call()

@@ -1,5 +1,6 @@
 """Benchmark functions, error measure, experiment running, MSE sweeps."""
 import math
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -17,10 +18,8 @@ from lpgrad.bench import (
     fdm_row,
     mse_sweep,
     rosenbrock,
-    rosenbrock_grad,
     run_experiment,
     synthetic_ms,
-    synthetic_ms_grad,
     table_specs,
     trig_sum,
 )
@@ -83,12 +82,23 @@ class TestBatchedObjectives:
         assert calls[-2:] == [(7, 5), (7, 5)]
 
 
+@pytest.mark.parametrize("f,seed,scale,atol", [
+    (rosenbrock(6), 3, 0.5, 1e-4),
+    (synthetic_ms(10, 200.0, 1e-3), 4, 0.3, 1e-6),
+    (trig_sum(8), 5, 1.0, 1e-6),
+], ids=["rosenbrock", "synthetic", "trig-sum"])
+def test_gradient_matches_differences(f, seed, scale, atol):
+    # each built-in objective carries its analytic gradient as .grad
+    x = np.random.default_rng(seed).normal(size=f.dim) * scale
+    np.testing.assert_allclose(f.grad(x), central_fdm(f, x, 1e-6), rtol=1e-6, atol=atol)
+
+
 class TestRosenbrock:
     def test_gradient_at_origin(self):
         d = 100
         expected = np.full(d, -2.0)
         expected[-1] = 0.0
-        np.testing.assert_allclose(rosenbrock_grad(np.zeros(d)), expected)
+        np.testing.assert_allclose(rosenbrock(d).grad(np.zeros(d)), expected)
 
     def test_minimum(self):
         f = rosenbrock(7)
@@ -96,13 +106,6 @@ class TestRosenbrock:
 
     def test_origin_value(self):
         assert rosenbrock(10)(np.zeros(10)) == pytest.approx(9.0)
-
-    def test_gradient_matches_differences(self):
-        rng = np.random.default_rng(3)
-        f = rosenbrock(6)
-        x = rng.normal(size=6) * 0.5
-        fd = central_fdm(f, x, 1e-6)
-        np.testing.assert_allclose(rosenbrock_grad(x), fd, rtol=1e-6, atol=1e-4)
 
     def test_d1_rejected(self):
         with pytest.raises(DomainError):
@@ -131,15 +134,6 @@ class TestSynthetic:
     def test_origin_value(self):
         d = 12
         assert synthetic_ms(d, 2.0, 1.0)(np.zeros(d)) == pytest.approx(d / 2)
-
-    def test_gradient_matches_differences(self):
-        rng = np.random.default_rng(4)
-        d, m1, m2 = 10, 200.0, 1e-3
-        f = synthetic_ms(d, m1, m2)
-        x = rng.normal(size=d) * 0.3
-        fd = central_fdm(f, x, 1e-6)
-        grad = synthetic_ms_grad(x, m1, m2)
-        np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-6)
 
     def test_odd_d_rejected(self):
         with pytest.raises(DomainError):
@@ -241,6 +235,19 @@ class TestRunExperiment:
         rows_4, _ = run_experiment(quick_spec(reps=8), threads=4)
         assert [r.err for r in rows_1] == [r.err for r in rows_4]
         assert [r.seed for r in rows_1] == [r.seed for r in rows_4]
+
+    def test_zero_threads_is_one_worker_per_core(self, monkeypatch):
+        workers = []
+
+        class Recording(bench.ThreadPoolExecutor):
+            def __init__(self, max_workers=None):
+                workers.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(bench, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        run_experiment(quick_spec(reps=2), threads=0)
+        assert workers == [3]
 
     @given(
         law=st.sampled_from(["sphere", "ball", "iid-uniform"]),

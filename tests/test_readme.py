@@ -1,4 +1,5 @@
-"""README examples run against the current API, and README names only what exists."""
+"""README examples run against the current API, README names only what exists,
+and README names everything lpgrad exports."""
 import importlib
 import inspect
 import pkgutil
@@ -40,3 +41,14 @@ def test_backticked_identifiers_exist():
     parts = {part for span in spans for part in span.split(".")}
     code_names = {part for part in parts if "_" in part or re.search(r"[A-Z]", part[1:])}
     assert code_names - _known_names() == set()
+
+
+def test_every_export_documented():
+    # the reverse check: each public name of lpgrad appears in a backtick span
+    text = README.read_text()
+    spans = re.findall(r"```\w*\n(.*?)```", text, re.S)
+    spans += re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", text, flags=re.S))
+    documented = {name for span in spans for name in re.findall(r"\w+", span)}
+    public = {name for name in dir(lpgrad) if not name.startswith("_")
+              and not inspect.ismodule(getattr(lpgrad, name))}
+    assert sorted(public - documented) == []

@@ -1,16 +1,15 @@
 """Stencil construction: constraint solutions, residuals, bandwidth rule."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lpgrad.errors import DomainError, SingularSchemeError
-from lpgrad.scheme import (
-    build_scheme,
-    one_point,
-    two_point_central,
-    validate_bandwidth,
-)
+from lpgrad.estimator import EstimatorConfig
+from lpgrad.sampler import DirectionLaw, RadialLaw
+from lpgrad.scheme import build_scheme, one_point, two_point_central
 
 
 class TestBuildScheme:
@@ -73,13 +72,22 @@ class TestBuildScheme:
 
 
 class TestValidateBandwidth:
+    """EstimatorConfig warns when max_l |beta_l| * h * sigma exceeds 1/2."""
+
+    @staticmethod
+    def warnings_of(scheme, h, sigma) -> list:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            EstimatorConfig(scheme=scheme, law=DirectionLaw.sphere(2.0),
+                            radial=RadialLaw.uniform(sigma), n=4, h=h)
+        return [str(w.message) for w in caught]
+
     def test_benchmark_configuration(self):
-        s = one_point()
-        assert validate_bandwidth(s, 1e-4, 1e-4)
+        assert self.warnings_of(one_point(), 1e-4, 1e-4) == []
 
     def test_too_large(self):
-        assert not validate_bandwidth(one_point(), 1.0, 1.0)
+        [message] = self.warnings_of(one_point(), 1.0, 1.0)
+        assert message.startswith("beta_max * h * sigma = 1 exceeds 1/2")
 
     def test_boundary_inclusive(self):
-        s = build_scheme([2.0, -1.0])
-        assert validate_bandwidth(s, 0.25, 1.0)
+        assert self.warnings_of(build_scheme([2.0, -1.0]), 0.25, 1.0) == []
