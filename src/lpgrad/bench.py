@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .errors import DomainError, LpgradError
+from .errors import DomainError, LpgradError, _check_int, _check_real
 from .estimator import (
     EstimatorConfig,
     ObjectiveFunction,
@@ -61,8 +61,7 @@ def rosenbrock(d: int) -> ObjectiveFunction:
     r(x) = sum_{k<d} (1 - x_k)^2 + 100 (x_{k+1} - x_k^2)^2, with
     r(1) = 0 and gradient [-2, ..., -2, 0] at the origin.
     """
-    if d < 2:
-        raise DomainError("rosenbrock requires d >= 2")
+    d = _check_int("d", d, 2)
 
     def fun(x):
         # (1 - head)^2 + 100 (tail - head^2)^2 in two blocks, same ufuncs in the same order
@@ -92,10 +91,10 @@ def synthetic_ms(d: int, m1: float, m2: float) -> ObjectiveFunction:
 
     The gradient at the origin is m2 * [1, 0, 1, 0, ...].
     """
-    if d < 2 or d % 2 != 0:
-        raise DomainError("the synthetic objective requires an even d >= 2")
-    if not (math.isfinite(m1) and math.isfinite(m2)):
-        raise DomainError(f"m1 and m2 must be finite, got {m1} and {m2}")
+    d = _check_int("d", d, 2)
+    if d % 2 != 0:
+        raise DomainError(f"the synthetic objective requires an even d, got {d}")
+    _check_real("m1", m1)  # and ObjectiveFunction checks m2
 
     def fun(x):
         s = x.sum(axis=-1)
@@ -116,11 +115,9 @@ def synthetic_ms(d: int, m1: float, m2: float) -> ObjectiveFunction:
 
 def trig_sum(d: int) -> ObjectiveFunction:
     """f(x) = sum_k sin(x_k); gradient cos(x), all-ones at the origin."""
-    if d < 1:
-        raise DomainError("dimension must be positive")
     return ObjectiveFunction(
         fun=lambda x: np.sin(x).sum(axis=-1),
-        dim=d,
+        dim=_check_int("d", d, 1),
         name="trig-sum",
         m2=1.0,
         grad=lambda x: np.cos(np.asarray(x, dtype=float)),
@@ -130,8 +127,7 @@ def trig_sum(d: int) -> ObjectiveFunction:
 
 def central_fdm(f: ObjectiveFunction, x, h: float) -> np.ndarray:
     """Coordinate-wise central differences; 2d evaluations in one rows call."""
-    if not 0.0 < h < math.inf:
-        raise DomainError(f"h must be finite and positive, got {h}")
+    _check_real("h", h, 0.0)
     x = np.asarray(x, dtype=float)
     if not np.isfinite(x).all():
         raise DomainError("x must be finite, got a nan or inf entry")
@@ -163,6 +159,8 @@ def err(metric: TensorMetric, grad_true, grad_est) -> float:
     grad_est = np.asarray(grad_est, dtype=float)
     if grad_true.shape != grad_est.shape:
         raise DomainError("gradient vectors must have equal length")
+    if not (np.isfinite(grad_true).all() and np.isfinite(grad_est).all()):
+        raise DomainError("gradient vectors must be finite, got a nan or inf entry")
     dep = apply_inverse(metric, grad_true)
     if not dep.any():
         raise DomainError("reference gradient is zero in the transformed space")
@@ -181,8 +179,8 @@ class ExperimentSpec:
     name: str = ""
 
     def __post_init__(self):
-        if self.reps < 1:
-            raise DomainError("reps must be >= 1")
+        object.__setattr__(self, "reps", _check_int("reps", self.reps, 1))
+        object.__setattr__(self, "seed", _check_int("seed", self.seed, 0))
 
 
 @dataclass(frozen=True)
@@ -210,7 +208,7 @@ class ResultRow:
 
 def derive_seed(seed: int, *indices: int) -> int:
     """Deterministic per-trial seed derived from a base seed and indices."""
-    state = np.random.SeedSequence([int(seed), *[int(i) for i in indices]])
+    state = np.random.SeedSequence([_check_int("seed", seed, 0), *[int(i) for i in indices]])
     return int(state.generate_state(1, np.uint64)[0])
 
 
@@ -228,6 +226,7 @@ def _map(fn, items, threads: int) -> list:
 
     Results keep the order of ``items`` whatever the worker count.
     """
+    threads = _check_int("threads", threads, 0)
     if threads == 1:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=threads or os.cpu_count()) as pool:
@@ -340,7 +339,7 @@ def mse_sweep(spec: ExperimentSpec, n_values, threads: int = 1):
     Returns (points, slope, n_failed) with points a list of (n, mse)
     and n_failed the number of failed (N, rep) trials.
     """
-    n_values = sorted({int(n) for n in n_values})
+    n_values = sorted({_check_int("n", n, 1) for n in n_values})
     if len(n_values) < 2:
         raise DomainError("mse_sweep needs at least two distinct sample sizes")
     if spec.cfg.decorrelate is not None:
@@ -399,7 +398,12 @@ class RunConfig:
     format: str = "csv"
 
     def __post_init__(self):
-        _check_run_options(seed=self.seed, reps=self.reps, threads=self.threads, L=self.l)
+        self.seed = _check_int("seed", self.seed, 0)
+        self.reps = _check_int("reps", self.reps, 1)
+        self.threads = _check_int("threads", self.threads, 0)
+        self.l = _check_int("L", self.l, 1)
+        for name in ("p", "h", "m1", "m2"):  # their ranges are checked where they are used
+            _check_real(name, getattr(self, name))
         if self.format not in ("csv", "json"):
             raise DomainError(f"unknown output format {self.format!r}")
 
@@ -438,19 +442,11 @@ class RunConfig:
             fh.write("\n")
 
 
-def _check_run_options(**options) -> None:
-    """Reject run options that would only fail deep inside a run."""
-    low = {"seed": 0, "reps": 1, "threads": 0, "L": 1}
-    for name, value in options.items():
-        if not isinstance(value, int) or value < low[name]:
-            raise DomainError(f"{name} must be an integer >= {low[name]}, got {value!r}")
-
-
 def _resolve_sigma(sigma, metric: TensorMetric, p: float) -> float:
     if sigma == "auto-c3":
-        return recommended_sigma(metric, p, "self-normalizing")
+        return recommended_sigma(metric, p)
     if sigma == "auto-d2":
-        return recommended_sigma(metric, p, "d_pow_neg2")
+        return float(metric.dim) ** -2.0
     try:
         return float(sigma)
     except (TypeError, ValueError):

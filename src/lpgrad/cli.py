@@ -17,8 +17,8 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from . import bench
-from .bench import RunConfig, _build_spec, _check_run_options
-from .errors import DomainError, LpgradError
+from .bench import RunConfig, _build_spec
+from .errors import DomainError, LpgradError, _check_int
 from .sampler import (
     DECORRELATE_MOMENT,
     DECORRELATE_SAMPLE,
@@ -143,7 +143,6 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_table(args) -> int:
-    _check_run_options(seed=args.seed, reps=args.reps, threads=args.threads)
     specs = bench.table_specs(args.name, reps=args.reps, seed=args.seed)
     rows = []
     for spec in specs:
@@ -205,8 +204,7 @@ def moments_report(d: int, p: float, draws: int, seed: int, sigma: float = 1.0):
         if not 0.0 < value < math.inf:
             raise DomainError(f"E[R0^{q}] {'overflows' if value else 'underflows'} at sigma = {sigma}")
         analytic.append((f"E[R0^{q}]", value))
-    if draws < 1:
-        raise DomainError(f"draws must be a positive integer, got {draws}")
+    draws = _check_int("draws", draws, 1)
     rows = max(1, _MOMENTS_CHUNK_ELEMENTS // d)
     scale = np.array([ana for _, ana in analytic])[:, None]
     count = 0
@@ -237,7 +235,6 @@ def moments_report(d: int, p: float, draws: int, seed: int, sigma: float = 1.0):
 
 
 def cmd_moments_check(args) -> int:
-    _check_run_options(seed=args.seed)
     checks = moments_report(args.d, args.p, args.draws, args.seed, args.sigma)
     worst = 0.0
     print(f"{'moment':>12s} {'analytic':>14s} {'empirical':>14s} {'z':>8s}")

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, EvaluationError, NotApplicableError
+from .errors import DomainError, EvaluationError, NotApplicableError, _check_int, _check_real
 from .metric import TensorMetric, apply_inverse
 from .sampler import (
     DECORRELATE_MOMENT,
@@ -62,7 +62,12 @@ class ObjectiveFunction:
     m2: float | None = None
     grad: Callable | None = None
     vectorized: bool = False
-    eval_count: int = field(default=0, compare=False)
+    eval_count: int = field(default=0, init=False, compare=False)
+
+    def __post_init__(self):
+        self.dim = _check_int("dim", self.dim, 1)
+        if self.m2 is not None:
+            _check_real("m2", self.m2)
 
     def __call__(self, x):
         """f at a point ``(d,)`` as a float, or at each row of ``(N, d)`` as an
@@ -99,7 +104,7 @@ class ObjectiveFunction:
 
     def fresh(self) -> "ObjectiveFunction":
         """A copy with its own zeroed evaluation counter."""
-        return replace(self, eval_count=0)
+        return replace(self)
 
 
 @dataclass(frozen=True)
@@ -122,14 +127,12 @@ class EstimatorConfig:
     decorrelate: str | None = None
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DomainError("sample size n must be >= 1")
+        object.__setattr__(self, "n", _check_int("n", self.n, 1))
         if not isinstance(self.radial, RadialLaw):
             raise DomainError(f"a radial law is required, got {self.radial!r}")
         if self.radial.kind == RADIAL_DIRAC and getattr(self.law, "kind", None) == IID_UNIFORM:
             raise DomainError("the iid-uniform law draws no radius, so the dirac radial does not apply")
-        if self.h is None or not (math.isfinite(self.h) and self.h > 0.0):
-            raise DomainError(f"h must be finite and positive, got {self.h}")
+        _check_real("h", self.h, 0.0)
         if self.decorrelate not in (None, DECORRELATE_MOMENT, DECORRELATE_SAMPLE):
             raise DomainError(f"decorrelate must be None, 'moment' or 'sample', got {self.decorrelate!r}")
         width = self.scheme.beta_max * self.h * self.sigma
@@ -231,6 +234,7 @@ def surrogate_bias_bound(metric: TensorMetric, m2: float, cfg: EstimatorConfig) 
     Sphere directions, the uniform radius and the "self-normalizing" sigma
     give m2*h.
     """
+    _check_real("m2", m2, 0.0, closed=True)
     d, p = metric.dim, cfg.law.p
     if cfg.law.kind == IID_UNIFORM:
         raise NotApplicableError("the bias bound assumes an lp-spherical direction law")
@@ -238,22 +242,14 @@ def surrogate_bias_bound(metric: TensorMetric, m2: float, cfg: EstimatorConfig) 
     return m2 * cfg.h * math.exp(log_factor) * cfg.sigma * metric.abs_ginv_ones_l2
 
 
-def recommended_sigma(metric: TensorMetric, p: float, rule: str) -> float:
-    """Sigma choices that keep the bias bound dimension-free, for d = ``metric.dim``.
-
-    "self-normalizing" returns 1 / (|| |G^{-1}| 1 ||_2 * k2), the uniform
-    radius's choice, whatever the radial law; "d_pow_neg2" is d^(-2).
-    """
-    d = metric.dim
-    if rule == "self-normalizing":
-        return 1.0 / (metric.abs_ginv_ones_l2 * k2(d, p))
-    if rule == "d_pow_neg2":
-        return float(d) ** -2.0
-    raise DomainError(f"unknown sigma rule {rule!r}")
+def recommended_sigma(metric: TensorMetric, p: float) -> float:
+    """The self-normalizing sigma 1 / (|| |G^{-1}| 1 ||_2 * k2), for d =
+    ``metric.dim``: with sphere directions and the uniform radius it makes
+    the bias bound m2*h in every dimension."""
+    return 1.0 / (metric.abs_ginv_ones_l2 * k2(metric.dim, p))
 
 
 def recommend_p(d: int) -> int:
     """Practical norm exponent: floor(max(2, ln d)) + 1, at least 2."""
-    if not 1 <= d < math.inf:
-        raise DomainError(f"dimension must be finite and positive, got {d}")
+    d = _check_int("d", d, 1)
     return max(2, int(math.floor(max(2.0, math.log(d)))) + 1)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _check_int, _check_real
 
 __all__ = [
     "TensorMetric",
@@ -47,8 +47,7 @@ class TensorMetric:
 
 def identity_metric(d: int) -> TensorMetric:
     """The identity marker metric for independent variables."""
-    if d < 1:
-        raise DomainError("dimension must be positive")
+    d = _check_int("d", d, 1)
     return TensorMetric(
         dim=d,
         ginv=None,
@@ -94,11 +93,8 @@ def from_matrix(g) -> TensorMetric:
 
 def exp_corr_metric(d: int, rho: float) -> TensorMetric:
     """Metric G = C C for the correlation matrix C_ij = rho^|i-j|."""
-    if d < 1:
-        raise DomainError("dimension must be positive")
-    if not -1.0 < rho < 1.0:
-        raise DomainError(f"rho must lie in (-1, 1), got {rho}")
-    idx = np.arange(d)
+    _check_real("rho", rho, -1.0, 1.0)
+    idx = np.arange(_check_int("d", d, 1))
     corr = rho ** np.abs(idx[:, None] - idx[None, :])
     return from_matrix(corr @ corr)
 

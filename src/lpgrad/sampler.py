@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSampleError, DomainError, NotApplicableError
+from .errors import DegenerateSampleError, DomainError, NotApplicableError, _check_int, _check_real
 
 __all__ = [
     "DirectionLaw",
@@ -42,17 +42,6 @@ DECORRELATE_MOMENT = "moment"
 DECORRELATE_SAMPLE = "sample"
 
 
-def _check_p(p: float) -> None:
-    if not 1.0 <= p < math.inf:
-        raise DomainError(f"a finite p >= 1 is required, got {p}")
-
-
-def _check_dp(d: int, p: float) -> None:
-    if not (1 <= d < math.inf and int(d) == d):  # nan fails the comparison
-        raise DomainError(f"dimension must be a positive integer, got {d}")
-    _check_p(p)
-
-
 @dataclass(frozen=True)
 class DirectionLaw:
     """Which unit-norm direction distribution generates the angular part.
@@ -68,8 +57,8 @@ class DirectionLaw:
     def __post_init__(self):
         if self.kind not in (SPHERE, BALL, IID_UNIFORM):
             raise DomainError(f"unknown direction law kind {self.kind!r}")
-        if self.kind != IID_UNIFORM:
-            _check_p(self.p)
+        # the iid-uniform law leaves p unused, but it is still a number
+        _check_real("p", self.p, -math.inf if self.kind == IID_UNIFORM else 1.0, closed=True)
 
     @classmethod
     def sphere(cls, p: float) -> "DirectionLaw":
@@ -125,9 +114,9 @@ def lp_norm(x, p: float) -> np.ndarray | float:
 
     Sums |x|^p directly; rows whose sum under- or overflows (large p)
     are recomputed in the max-factored form, which stays finite. p must
-    be finite and at least 1.
+    be finite and at least 1, and every entry of x finite.
     """
-    _check_p(p)
+    _check_real("p", p, 1.0, closed=True)
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         return float(lp_norm(x[None, :], p)[0])
@@ -137,7 +126,9 @@ def lp_norm(x, p: float) -> np.ndarray | float:
         s = s.sum(axis=1)
         norms = s ** (1.0 / p)
     redo = ~((s >= np.finfo(float).tiny) & (s < math.inf))
-    if redo.any():
+    if redo.any():  # a row with a nan or inf entry lands here too
+        if not np.isfinite(x[redo]).all():
+            raise DomainError("x must be finite, got a nan or inf entry")
         norms[redo] = _lp_norm_factored(x[redo], p)
     return norms
 
@@ -193,9 +184,8 @@ def log_direction_moment(a: float, b: float, d: int, p: float, law: str = SPHERE
     unit lp-sphere ("sphere"), or W^(1/d) times it with W ~ U(0, 1) ("ball"),
     whose factor E[W^((a+b)/d)] is d/(d+a+b). The sphere moment is
     Gamma((a+1)/p) Gamma((b+1)/p) Gamma(d/p) / (Gamma(1/p)^2 Gamma((d+a+b)/p))."""
-    _check_dp(d, p)
-    if not (-1 < a < math.inf and -1 < b < math.inf):  # each Gamma argument stays finite and positive
-        raise DomainError(f"moment orders must be finite and > -1, got a={a}, b={b}")
+    d, p = _check_int("d", d, 1), _check_real("p", p, 1.0, closed=True)
+    a, b = _check_real("a", a, -1.0), _check_real("b", b, -1.0)  # so each Gamma argument is positive
     if b and d < 2:
         raise DomainError("a moment of U_2 requires d >= 2")
     if law not in (SPHERE, BALL):
@@ -209,13 +199,12 @@ def log_direction_moment(a: float, b: float, d: int, p: float, law: str = SPHERE
     return -neg
 
 
-def log_radius_moment(q: int, d: int, p: float, kind: str = RADIAL_UNIFORM, law: str = SPHERE) -> float:
+def log_radius_moment(q: float, d: int, p: float, kind: str = RADIAL_UNIFORM, law: str = SPHERE) -> float:
     """ln(E[R^q] / sigma^q) for the radius draw_batch draws with ``law``
     directions. Both radii have E[R^2] = sigma^2 / E[U_1^2]: "uniform" is
     R ~ U(0, xi) with xi^2 = 3 E[R^2], so E[R^q] = xi^q / (q+1), and
     "dirac" the constant R = sqrt(E[R^2])."""
-    if not -1 < q < math.inf:  # the uniform radius has no finite E[R^q] at q <= -1
-        raise DomainError(f"moment order q must be finite and > -1, got {q}")
+    _check_real("q", q, -1.0)  # the uniform radius has no finite E[R^q] at q <= -1
     log_r2 = -log_direction_moment(2, 0, d, p, law)
     half = q / 2
     if kind == RADIAL_UNIFORM:
@@ -239,8 +228,7 @@ def draw_batch(
     For the iid-uniform law only the radial sigma is used: coordinates
     are U(-a, a) with a = sqrt(3) sigma, so E[V_k^2] = a^2/3 = sigma^2.
     """
-    if n < 1 or d < 1:
-        raise DomainError("n and d must be positive")
+    n, d, seed = _check_int("n", n, 1), _check_int("d", d, 1), _check_int("seed", seed, 0)
     if not isinstance(law, DirectionLaw) or not isinstance(radial, RadialLaw):
         raise DomainError(f"a DirectionLaw and a RadialLaw are required, got {law!r} and {radial!r}")
     rng = np.random.Generator(np.random.SFC64(seed))
@@ -278,8 +266,7 @@ def decorrelate(batch: SampleBatch, sigma: float, mode: str = DECORRELATE_MOMENT
     n, d = batch.values.shape
     if mode not in (DECORRELATE_MOMENT, DECORRELATE_SAMPLE):
         raise DomainError(f"unknown decorrelate mode {mode!r}")
-    if not sigma > 0.0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
+    _check_real("sigma", sigma, 0.0)
     if n < d:
         raise NotApplicableError(
             f"decorrelation needs at least as many samples as dimensions (n={n} < d={d})"

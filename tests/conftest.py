@@ -9,7 +9,10 @@ fails loudly if something imported numpy before it.
 import os
 import sys
 
+# README names these too, so test_readme reads them from here
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 if "numpy" in sys.modules:
     raise RuntimeError("numpy was imported before tests/conftest.py could pin the BLAS thread count")
-for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+for name in THREAD_VARIABLES:
     os.environ.setdefault(name, "1")

@@ -112,7 +112,7 @@ def test_criterion_4_dimension_free_bias_constant():
     with criterion("4 dimension-free-bias"):
         for d, p in [(10, 3.0), (100, 5.0), (1000, 7.0)]:
             metric = identity_metric(d)
-            sigma = recommended_sigma(metric, p, "self-normalizing")
+            sigma = recommended_sigma(metric, p)
             m2, h = 3.0, 1e-4
             cfg = EstimatorConfig(two_point_central(), DirectionLaw.sphere(p),
                                   RadialLaw.uniform(sigma), n=1, h=h)

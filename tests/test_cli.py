@@ -401,7 +401,10 @@ class TestRunConfig:
         ["estimate", "--function", "bogus", "--d", "3"],
         ["mse-sweep", "--function", "expr:sum(x)", "--d", "3", "--config", "decorrelate-sample.json",
          "--n-values", "8,16"],
-    ], ids=["estimate-function", "mse-sweep-decorrelate"])
+        # a number the run never reads is still checked, so the saved file would not be JSON
+        ["estimate", "--function", "rosenbrock", "--d", "4", "--m1", "nan", "--reps", "1"],
+        ["estimate", "--function", "rosenbrock", "--d", "4", "--law", "iid-uniform", "--p", "nan", "--reps", "1"],
+    ], ids=["estimate-function", "mse-sweep-decorrelate", "unread-m1-nan", "iid-uniform-p-nan"])
     def test_rejected_run_saves_nothing(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
         Path("decorrelate-sample.json").write_text(json.dumps({"decorrelate": "sample"}))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from lpgrad.bench import RunConfig, _build_spec
 from lpgrad.errors import DomainError, EvaluationError, NotApplicableError
 from lpgrad.estimator import (
     EstimatorConfig,
@@ -210,7 +211,7 @@ class TestBiasBoundSanity:
         # the self-normalizing sigma the surrogate error obeys m2*h
         d, p = 5, 3.0
         metric = identity_metric(d)
-        sigma = recommended_sigma(metric, p, "self-normalizing")
+        sigma = recommended_sigma(metric, p)
         f = ObjectiveFunction(fun=lambda x: float(np.sin(x).sum()), dim=d, name="sin-sum")
         grad_true = np.ones(d)
         common = dict(
@@ -446,7 +447,7 @@ class TestBiasBound:
     @pytest.mark.parametrize("d,p", [(10, 3.0), (100, 5.0), (1000, 7.0)])
     def test_self_normalizing_sigma_collapses_bound(self, d, p):
         metric = identity_metric(d)
-        sigma = recommended_sigma(metric, p, "self-normalizing")
+        sigma = recommended_sigma(metric, p)
         m2, h = 2.5, 1e-3
         bound = surrogate_bias_bound(metric, m2, bound_config(p, h, RadialLaw.uniform(sigma)))
         np.testing.assert_allclose(bound, m2 * h, rtol=1e-10)
@@ -505,12 +506,10 @@ class TestBiasBound:
 
 class TestParameterRules:
     def test_recommended_sigma_rules(self):
-        metric = identity_metric(100)
-        assert recommended_sigma(metric, 5.0, "d_pow_neg2") == pytest.approx(1e-4)
+        # --sigma auto-d2 is d^-2 exactly; recommended_sigma is the self-normalizing sigma
+        assert _build_spec(RunConfig(d=100, sigma="auto-d2")).cfg.sigma == 100 ** -2.0
         one = identity_metric(1)
-        assert recommended_sigma(one, 3.0, "self-normalizing") == pytest.approx(1.0 / k2(1, 3.0))
-        with pytest.raises(DomainError):
-            recommended_sigma(metric, 5.0, "d_pow_3_2")
+        assert recommended_sigma(one, 3.0) == pytest.approx(1.0 / k2(1, 3.0))
 
     def test_recommend_p(self):
         assert recommend_p(100) == 5

@@ -8,6 +8,7 @@ from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import lpgrad
+from conftest import THREAD_VARIABLES
 from lpgrad.cli import CSV_HEADER, RunConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -22,7 +23,8 @@ def test_python_blocks_run():
 
 def _known_names() -> set:
     """Attributes of lpgrad, of its modules and of its public classes, the
-    RunConfig fields and the CSV columns."""
+    RunConfig fields, the CSV columns and the thread-count variables that
+    the tests pin."""
     modules = [lpgrad] + [importlib.import_module(f"lpgrad.{info.name}")
                           for info in pkgutil.iter_modules(lpgrad.__path__)]
     names = {name for module in modules for name in dir(module)}
@@ -31,7 +33,7 @@ def _known_names() -> set:
             names.update(dir(cls))
         if inspect.isclass(cls) and is_dataclass(cls):  # fields without a default are no class attribute
             names.update(f.name for f in fields(cls))
-    return names | {f.name for f in fields(RunConfig)} | set(CSV_HEADER) | {"_", "xK"}
+    return names | {f.name for f in fields(RunConfig)} | set(CSV_HEADER) | set(THREAD_VARIABLES) | {"_", "xK"}
 
 
 def test_backticked_identifiers_exist():
