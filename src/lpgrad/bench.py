@@ -26,6 +26,8 @@ from .errors import DomainError, LpgradError, _check_int, _check_real
 from .estimator import (
     EstimatorConfig,
     ObjectiveFunction,
+    _check_point,
+    _evaluate_rows,
     estimate_gradient,
     recommended_sigma,
 )
@@ -126,17 +128,19 @@ def trig_sum(d: int) -> ObjectiveFunction:
 
 
 def central_fdm(f: ObjectiveFunction, x, h: float) -> np.ndarray:
-    """Coordinate-wise central differences; 2d evaluations in one rows call."""
+    """Coordinate-wise central differences: 2d evaluations, rows 2k and
+    2k + 1 at x + h e_k and x - h e_k, built and evaluated one row block
+    at a time."""
     _check_real("h", h, 0.0)
-    x = np.asarray(x, dtype=float)
-    if not np.isfinite(x).all():
-        raise DomainError("x must be finite, got a nan or inf entry")
-    d = x.shape[0]
-    points = np.tile(x, (2 * d, 1))
-    k = np.arange(d)
-    points[2 * k, k] += h
-    points[2 * k + 1, k] -= h
-    values = f(points)
+    x = _check_point(f, x)
+
+    def points(i, j):
+        rows = np.arange(i, j)
+        block = np.tile(x, (j - i, 1))
+        block[rows - i, rows // 2] += np.where(rows % 2 == 0, h, -h)
+        return block
+
+    values = _evaluate_rows(f, 2 * x.shape[0], points)
     return (values[0::2] - values[1::2]) / (2.0 * h)
 
 

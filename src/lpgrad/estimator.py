@@ -54,6 +54,13 @@ class ObjectiveFunction:
     ``m2`` is an optional second-order smoothness constant, to pass to
     ``surrogate_bias_bound``; ``grad`` an optional analytic
     gradient callable used by the benchmark harness.
+
+    ``estimate_gradient`` makes one rows call per stencil offset and row
+    block, and ``central_fdm`` one per row block, so a ``vectorized``
+    ``fun`` must compute each row on its own, whatever other rows share
+    its call; the built-in objectives and ``expr:`` ones do.
+    ``eval_count`` counts every point evaluated, so after a vectorized
+    ``fun`` fails it includes the whole failing block.
     """
 
     fun: Callable
@@ -105,6 +112,35 @@ class ObjectiveFunction:
     def fresh(self) -> "ObjectiveFunction":
         """A copy with its own zeroed evaluation counter."""
         return replace(self)
+
+
+def _check_point(f: ObjectiveFunction, x) -> np.ndarray:
+    """x as a finite float vector of f's dimension."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise DomainError("x must be a vector")
+    if not np.isfinite(x).all():
+        raise DomainError("x must be finite, got a nan or inf entry")
+    if f.dim != x.shape[0]:
+        raise DomainError(f"objective dimension {f.dim} != len(x) = {x.shape[0]}")
+    return x
+
+
+# an objective sees at most this many bytes of points per call, so each
+# block stays in cache while the objective streams over it
+_EVAL_BLOCK_BYTES = 1 << 18
+
+
+def _evaluate_rows(f: ObjectiveFunction, n: int, rows: Callable) -> np.ndarray:
+    """f at n points, where ``rows(i, j)`` builds points i..j-1 as a
+    ``(j - i, f.dim)`` array: one rows call of f per block of at most
+    ``_EVAL_BLOCK_BYTES``, in order, so a failure stops at its block."""
+    step = max(1, _EVAL_BLOCK_BYTES // (8 * f.dim))
+    out = np.empty(n)
+    for i in range(0, n, step):
+        j = min(i + step, n)
+        out[i:j] = f(rows(i, j))
+    return out
 
 
 @dataclass(frozen=True)
@@ -167,20 +203,17 @@ def estimate_gradient(
 
     Deterministic in seed; evaluations run sequentially in a fixed
     order so results do not depend on any caller-side parallelism.
-    Costs L*N evaluations, one rows call of ``f`` per stencil offset
-    (the L = 1 centering mean reuses the same evaluations). Raises
-    ``EvaluationError`` at the first non-finite objective value, and when
-    the estimate itself is not finite (e.g. it overflows); a non-finite
-    ``x`` raises ``DomainError`` before any evaluation.
+    Costs L*N evaluations, one rows call of ``f`` per stencil offset and
+    row block of at most ``_EVAL_BLOCK_BYTES``, so a vectorized ``f.fun``
+    must compute each row on its own (the L = 1 centering mean reuses the
+    same evaluations). Raises ``EvaluationError`` at the first non-finite
+    objective value, after which ``f.eval_count`` counts a vectorized
+    ``fun``'s rows through the failing block; and when the estimate
+    itself is not finite (e.g. it overflows). A non-finite ``x`` raises
+    ``DomainError`` before any evaluation.
     """
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise DomainError("x must be a vector")
-    if not np.isfinite(x).all():
-        raise DomainError("x must be finite, got a nan or inf entry")
+    x = _check_point(f, x)
     d = x.shape[0]
-    if f.dim != d:
-        raise DomainError(f"objective dimension {f.dim} != len(x) = {d}")
     if metric.dim != d:
         raise DomainError(f"metric dimension {metric.dim} != len(x) = {d}")
     scheme = cfg.scheme
@@ -190,9 +223,14 @@ def estimate_gradient(
         v = decorrelate(draw_batch(cfg.law, cfg.radial, cfg.n, d, seed), cfg.sigma, cfg.decorrelate).values
     values = []
     for beta in scheme.betas:
-        points = beta * cfg.h * v
-        points += x
-        values.append(f(points))
+        scale = beta * cfg.h
+
+        def points(i, j):  # x + beta h V_k for rows k in i..j-1
+            block = scale * v[i:j]
+            block += x
+            return block
+
+        values.append(_evaluate_rows(f, cfg.n, points))
     with np.errstate(all="ignore"):  # a non-finite estimate raises below
         weights = np.zeros(cfg.n)
         for c, fv in zip(scheme.coeffs, values):

@@ -114,10 +114,12 @@ def lp_norm(x, p: float) -> np.ndarray | float:
 
     Sums |x|^p directly; rows whose sum under- or overflows (large p)
     are recomputed in the max-factored form, which stays finite. p must
-    be finite and at least 1, and every entry of x finite.
+    be finite and at least 1, and x non-empty with every entry finite.
     """
     _check_real("p", p, 1.0, closed=True)
     x = np.asarray(x, dtype=float)
+    if x.ndim not in (1, 2) or x.shape[-1] == 0:
+        raise DomainError(f"x must be a vector or a matrix with at least one column, got shape {x.shape}")
     if x.ndim == 1:
         return float(lp_norm(x[None, :], p)[0])
     with np.errstate(over="ignore", under="ignore"):
@@ -257,6 +259,8 @@ def decorrelate(batch: SampleBatch, sigma: float, mode: str = DECORRELATE_MOMENT
     columns are centered first when n > d (at n = d centering would cost
     a rank) and rescaled to the unbiased n - 1 standard deviation; this
     is the normalization that reproduces the published benchmark errors.
+    The centered copy is written column-major, the layout LAPACK reads,
+    so numpy's QR copies it column by column; Q and R are the same either way.
 
     Orthogonalization is a Householder QR with column signs fixed so an
     already-orthogonal input passes through unchanged; it yields the
@@ -275,7 +279,9 @@ def decorrelate(batch: SampleBatch, sigma: float, mode: str = DECORRELATE_MOMENT
     ddof = 1 if sample else 0
     if n <= ddof:
         raise NotApplicableError("sample-convention decorrelation needs n >= 2")
-    w = batch.values - batch.values.mean(axis=0) if sample and n > d else batch.values
+    w = batch.values
+    if sample and n > d:  # column-major, so numpy's QR copies whole columns instead of transposing
+        w = np.subtract(w, w.mean(axis=0), order="F")
     del batch  # so a draw_batch(...) passed straight in is freed before the QR copies w
     q, r = np.linalg.qr(w)
     diag = np.diag(r)

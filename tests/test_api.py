@@ -157,8 +157,12 @@ def test_non_finite_argument_rejected(call):
     pytest.param(lambda: lpgrad.table_specs("t2", 1, -1), id="table-seed-negative"),
     pytest.param(lambda: lpgrad.surrogate_bias_bound(METRIC, -1.0, CFG), id="bias-bound-m2-negative"),
     pytest.param(lambda: lpgrad.exp_corr_metric(3, 1.0), id="exp-corr-rho-one"),
+    pytest.param(lambda: lpgrad.lp_norm([], 2.0), id="lp-norm-empty"),
+    pytest.param(lambda: lpgrad.central_fdm(F, [0.0, 0.0], 1e-4), id="fdm-x-short"),
+    pytest.param(lambda: lpgrad.central_fdm(F, [[0.0, 0.0]], 1e-4), id="fdm-x-matrix"),
 ])
 def test_out_of_range_argument_rejected(call):
-    # a fraction where an integer is required, or a finite number outside the range
+    # a fraction where an integer is required, a finite number outside the
+    # range, or an array of the wrong shape
     with pytest.raises(lpgrad.LpgradError):
         call()

@@ -25,7 +25,7 @@ from lpgrad.bench import (
 )
 from lpgrad import bench
 from lpgrad.errors import DomainError, EvaluationError
-from lpgrad.estimator import EstimatorConfig, ObjectiveFunction, estimate_gradient
+from lpgrad.estimator import _EVAL_BLOCK_BYTES, EstimatorConfig, ObjectiveFunction, estimate_gradient
 from lpgrad.metric import exp_corr_metric, identity_metric
 from lpgrad.sampler import DirectionLaw, RadialLaw
 from lpgrad.scheme import one_point, two_point_central
@@ -72,14 +72,33 @@ class TestBatchedObjectives:
             reference = ObjectiveFunction(fun=fun, dim=d)
             assert f(rows).tobytes() == reference(rows).tobytes(), f.name
 
-    def test_one_rows_call_per_stencil_offset(self, monkeypatch):
+    def test_one_rows_call_per_offset_and_row_block(self, monkeypatch):
         calls = []
         call = ObjectiveFunction.__call__
         monkeypatch.setattr(ObjectiveFunction, "__call__",
                             lambda self, x: calls.append(np.shape(x)) or call(self, x))
-        spec = _build_spec(RunConfig(function="expr:sum(sin(x))", d=5, l=2, n=7, decorrelate=None))
-        run_experiment(spec)
-        assert calls[-2:] == [(7, 5), (7, 5)]
+        d, n = 1000, 70  # 32 rows of 1000 floats fill a block
+        spec = _build_spec(RunConfig(function="expr:sum(sin(x))", d=d, l=2, n=n, decorrelate=None))
+        estimate_gradient(spec.function, np.zeros(d), spec.cfg, spec.metric)
+        assert calls == [(32, d), (32, d), (6, d)] * 2
+        assert all(rows * d * 8 <= _EVAL_BLOCK_BYTES for rows, _ in calls)
+
+    def test_failed_block_counts_its_rows(self):
+        # at d = 1000 the second block is rows 32..63; its row 40 fails
+        d, blocks = 1000, []
+
+        def fun(rows):
+            blocks.append(len(rows))
+            out = np.zeros(len(rows))
+            if len(blocks) == 2:
+                out[8] = np.inf
+            return out
+
+        f = ObjectiveFunction(fun=fun, dim=d, vectorized=True)
+        cfg = EstimatorConfig(one_point(), DirectionLaw.iid_uniform(), RadialLaw.uniform(0.1), n=70, h=1e-3)
+        with pytest.raises(EvaluationError):
+            estimate_gradient(f, np.zeros(d), cfg, identity_metric(d))
+        assert f.eval_count == 64
 
 
 @pytest.mark.parametrize("f,seed,scale,atol", [

@@ -519,6 +519,8 @@ class TestGoldenOutput:
           "--L", "2", "--sigma", "0.01", "--h", "1e-3", "--reps", "20", "--seed", "3",
           "--n-values", "16,32,64"],
          "mse_sweep_sin_seed3.csv", False),
+        (["table", "--name", "t5", "--reps", "2", "--seed", "0"],
+         "table_t5_reps2_seed0.csv", True),
     ])
     def test_matches_fixture(self, tmp_path, capsys, argv, fixture, timed):
         out = tmp_path / "out.csv"
