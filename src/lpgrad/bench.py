@@ -40,7 +40,7 @@ from .metric import (
     identity_metric,
     load_matrix,
 )
-from .sampler import DECORRELATE_SAMPLE, DirectionLaw, RadialLaw
+from .sampler import DECORRELATE_SAMPLE, IID_UNIFORM, RADIAL_UNIFORM, SPHERE, DirectionLaw, RadialLaw
 from .scheme import build_scheme, one_point, two_point_central
 
 __all__ = [
@@ -91,12 +91,14 @@ def synthetic_ms(d: int, m1: float, m2: float) -> ObjectiveFunction:
     ones, plus the rank-one quadratic coupling ((m1-m2)/(2d)) (sum x)^2;
     d must be even.
 
-    The gradient at the origin is m2 * [1, 0, 1, 0, ...].
+    The gradient at the origin is m2 * [1, 0, 1, 0, ...]. This m2 is no
+    smoothness constant (the coupling's Hessian has eigenvalue m1 - m2), so f.m2 is None.
     """
     d = _check_int("d", d, 2)
     if d % 2 != 0:
         raise DomainError(f"the synthetic objective requires an even d, got {d}")
-    _check_real("m1", m1)  # and ObjectiveFunction checks m2
+    _check_real("m1", m1)
+    _check_real("m2", m2)
 
     def fun(x):
         s = x.sum(axis=-1)
@@ -112,7 +114,7 @@ def synthetic_ms(d: int, m1: float, m2: float) -> ObjectiveFunction:
         g[1::2] -= np.sin(x[1::2])
         return g
 
-    return ObjectiveFunction(fun=fun, dim=d, name="synthetic", m2=m2, grad=grad, vectorized=True)
+    return ObjectiveFunction(fun=fun, dim=d, name="synthetic", grad=grad, vectorized=True)
 
 
 def trig_sum(d: int) -> ObjectiveFunction:
@@ -173,7 +175,8 @@ def err(metric: TensorMetric, grad_true, grad_est) -> float:
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A repeated-trial gradient-estimation experiment at the origin."""
+    """A repeated-trial gradient-estimation experiment at the origin; the
+    metric must have the objective's dimension."""
 
     function: ObjectiveFunction
     metric: TensorMetric
@@ -185,6 +188,8 @@ class ExperimentSpec:
     def __post_init__(self):
         object.__setattr__(self, "reps", _check_int("reps", self.reps, 1))
         object.__setattr__(self, "seed", _check_int("seed", self.seed, 0))
+        if self.metric.dim != self.function.dim:
+            raise DomainError(f"metric dimension {self.metric.dim} != objective dimension {self.function.dim}")
 
 
 @dataclass(frozen=True)
@@ -243,7 +248,7 @@ def _row_static(spec: ExperimentSpec) -> dict:
     return {
         "function": spec.function.name,
         "d": spec.function.dim,
-        "p": float(law.p) if law.kind != "iid-uniform" else float("nan"),
+        "p": float(law.p) if law.kind != IID_UNIFORM else float("nan"),
         "l": cfg.scheme.l,
         "n": cfg.n,
         "h": cfg.h,
@@ -389,8 +394,8 @@ class RunConfig:
     n: int = 20
     h: float = 1e-4
     sigma: str | float = "auto-d2"
-    law: str = "sphere"
-    radial: str = "uniform"
+    law: str = SPHERE
+    radial: str = RADIAL_UNIFORM
     decorrelate: str | None = None
     metric: str = "identity"
     seed: int = 0
@@ -522,7 +527,7 @@ def _build_spec(cfg: RunConfig, name: str = "") -> ExperimentSpec:
 # sigma = 1/d^2, cone-measure directions with the U(0, xi) radius and
 # sample-convention decorrelation
 _PROTOCOL = RunConfig(
-    h=1e-4, sigma="auto-d2", law="sphere", radial="uniform", decorrelate=DECORRELATE_SAMPLE,
+    h=1e-4, sigma="auto-d2", law=SPHERE, radial=RADIAL_UNIFORM, decorrelate=DECORRELATE_SAMPLE,
 )
 
 # cells are (evaluation budget LN, stencil size L); N = LN // L

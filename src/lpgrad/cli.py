@@ -20,8 +20,10 @@ from . import bench
 from .bench import RunConfig, _build_spec
 from .errors import DomainError, LpgradError, _check_int
 from .sampler import (
+    DECORRELATE_MODES,
     DECORRELATE_MOMENT,
-    DECORRELATE_SAMPLE,
+    DIRECTION_KINDS,
+    RADIAL_KINDS,
     DirectionLaw,
     RadialLaw,
     draw_batch,
@@ -81,9 +83,9 @@ def write_rows(rows, out: str | None, fmt: str = "csv") -> None:
 
 
 _CHOICES = {
-    "law": ["sphere", "ball", "iid-uniform"],
-    "radial": ["uniform", "dirac"],
-    "decorrelate": [DECORRELATE_MOMENT, DECORRELATE_SAMPLE],
+    "law": DIRECTION_KINDS,
+    "radial": RADIAL_KINDS,
+    "decorrelate": DECORRELATE_MODES,
     "format": ["csv", "json"],
 }
 _HELP = {

@@ -20,13 +20,12 @@ import numpy as np
 from .errors import DomainError, EvaluationError, NotApplicableError, _check_int, _check_real
 from .metric import TensorMetric, apply_inverse
 from .sampler import (
-    DECORRELATE_MOMENT,
-    DECORRELATE_SAMPLE,
+    DECORRELATE_MODES,
     IID_UNIFORM,
-    RADIAL_DIRAC,
     SPHERE,
     DirectionLaw,
     RadialLaw,
+    _check_laws,
     decorrelate,
     draw_batch,
     log_direction_moment,
@@ -51,9 +50,9 @@ __all__ = [
 class ObjectiveFunction:
     """A deterministic scalar objective with an evaluation counter.
 
-    ``m2`` is an optional second-order smoothness constant, to pass to
-    ``surrogate_bias_bound``; ``grad`` an optional analytic
-    gradient callable used by the benchmark harness.
+    ``m2`` is an optional second-order smoothness constant ``>= 0``, a bound
+    on f's second derivatives to pass to ``surrogate_bias_bound``; ``grad`` an
+    optional analytic gradient callable used by the benchmark harness.
 
     ``estimate_gradient`` makes one rows call per stencil offset and row
     block, and ``central_fdm`` one per row block, so a ``vectorized``
@@ -74,7 +73,7 @@ class ObjectiveFunction:
     def __post_init__(self):
         self.dim = _check_int("dim", self.dim, 1)
         if self.m2 is not None:
-            _check_real("m2", self.m2)
+            _check_real("m2", self.m2, 0.0, closed=True)
 
     def __call__(self, x):
         """f at a point ``(d,)`` as a float, or at each row of ``(N, d)`` as an
@@ -149,10 +148,7 @@ class EstimatorConfig:
 
     ``radial.sigma`` is the one sigma of a run: it calibrates every
     direction law and divides the final sum. ``decorrelate`` is None
-    for the raw batch, or the ``sampler.decorrelate`` mode: "moment"
-    pins (1/N) V^T V = sigma^2 I exactly, "sample" uses the
-    sample-covariance convention which reproduces the published
-    benchmarks.
+    for the raw batch, or the ``sampler.decorrelate`` mode to apply.
     """
 
     scheme: PointScheme
@@ -164,13 +160,10 @@ class EstimatorConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _check_int("n", self.n, 1))
-        if not isinstance(self.radial, RadialLaw):
-            raise DomainError(f"a radial law is required, got {self.radial!r}")
-        if self.radial.kind == RADIAL_DIRAC and getattr(self.law, "kind", None) == IID_UNIFORM:
-            raise DomainError("the iid-uniform law draws no radius, so the dirac radial does not apply")
+        _check_laws(self.law, self.radial)
         _check_real("h", self.h, 0.0)
-        if self.decorrelate not in (None, DECORRELATE_MOMENT, DECORRELATE_SAMPLE):
-            raise DomainError(f"decorrelate must be None, 'moment' or 'sample', got {self.decorrelate!r}")
+        if self.decorrelate not in (None, *DECORRELATE_MODES):
+            raise DomainError(f"decorrelate must be None or one of {DECORRELATE_MODES}, got {self.decorrelate!r}")
         width = self.scheme.beta_max * self.h * self.sigma
         if width > 0.5:
             warnings.warn(

@@ -61,12 +61,12 @@ def from_matrix(g) -> TensorMetric:
 
     The generalized inverse comes from the symmetric eigendecomposition
     with eigenvalues above tau = d * eps * lambda_max inverted and the
-    rest zeroed (Moore-Penrose on the retained spectrum). Non-finite
-    entries and eigenvalues below -tau are rejected.
+    rest zeroed (Moore-Penrose on the retained spectrum). An empty matrix,
+    non-finite entries and eigenvalues below -tau are rejected.
     """
     g = np.asarray(g, dtype=float)
-    if g.ndim != 2 or g.shape[0] != g.shape[1]:
-        raise DomainError(f"metric must be a square matrix, got shape {g.shape}")
+    if g.ndim != 2 or g.shape[0] != g.shape[1] or g.size == 0:
+        raise DomainError(f"metric must be a non-empty square matrix, got shape {g.shape}")
     if not np.isfinite(g).all():
         raise DomainError("metric matrix has non-finite entries")
     d = g.shape[0]
@@ -110,23 +110,26 @@ def apply_inverse(metric: TensorMetric, v) -> np.ndarray:
 
 
 def load_matrix(path) -> np.ndarray:
-    """Read a dense d x d matrix from a CSV (header optional) or JSON file."""
+    """Read a dense d x d matrix from a CSV (header optional) or JSON file;
+    a file that holds no numbers raises ``DomainError``."""
     path = Path(path)
     try:
         if path.suffix.lower() == ".json":
             with open(path) as fh:
                 m = np.asarray(json.load(fh), dtype=float)
         else:
-            skip = 0
-            with open(path) as fh:
-                first = fh.readline()
-            try:
-                [float(tok) for tok in first.replace(",", " ").split()]
-            except ValueError:
-                skip = 1
-            m = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+            with open(path) as fh:  # the lines loadtxt reads, which warns when there are none
+                lines = [line for line in (raw.partition("#")[0] for raw in fh) if line.strip()]
+            if lines:
+                try:
+                    [float(tok) for tok in lines[0].replace(",", " ").split()]
+                except ValueError:
+                    del lines[0]  # a header
+            m = np.loadtxt(lines, delimiter=",", ndmin=2) if lines else np.empty((0, 0))
     except (TypeError, ValueError) as exc:  # malformed JSON or a non-numeric cell
         raise DomainError(f"matrix file {path} is malformed: {exc}") from None
+    if m.size == 0:
+        raise DomainError(f"matrix file {path} holds no numbers")
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DomainError(f"matrix file {path} is not square: shape {m.shape}")
     return m

@@ -4,8 +4,10 @@ Perturbations are built as V = R * U where U is a random unit-norm
 direction (cone measure on the lp-sphere, uniform on the lp-ball, or a
 plain iid-uniform comparison law) and R an independent positive radius.
 Radii are calibrated so that E[V_k^2] = sigma^2 for every coordinate.
-All closed-form moments are evaluated through log-gamma so that large
-dimensions and large p stay finite.
+Every p >= 1 draws the exact p-generalized Gaussian, whose closed-form
+moments are evaluated through log-gamma so that large dimensions and
+large p stay finite. This module alone defines the laws: it spells each
+vocabulary once, and ``_check_laws`` decides which laws combine.
 """
 from __future__ import annotations
 
@@ -27,19 +29,10 @@ __all__ = [
     "decorrelate",
 ]
 
-# Above this exponent the generalized Gaussian coordinate law is
-# numerically indistinguishable from U(-1, 1); we sample the limit law.
-LARGE_P_FALLBACK = 2000.0
-
-SPHERE = "sphere"
-BALL = "ball"
-IID_UNIFORM = "iid-uniform"
-
-RADIAL_UNIFORM = "uniform"
-RADIAL_DIRAC = "dirac"
-
-DECORRELATE_MOMENT = "moment"
-DECORRELATE_SAMPLE = "sample"
+# each vocabulary, spelled once, and a name for each of its words
+DIRECTION_KINDS = SPHERE, BALL, IID_UNIFORM = ("sphere", "ball", "iid-uniform")
+RADIAL_KINDS = RADIAL_UNIFORM, RADIAL_DIRAC = ("uniform", "dirac")
+DECORRELATE_MODES = DECORRELATE_MOMENT, DECORRELATE_SAMPLE = ("moment", "sample")
 
 
 @dataclass(frozen=True)
@@ -55,7 +48,7 @@ class DirectionLaw:
     p: float = 2.0
 
     def __post_init__(self):
-        if self.kind not in (SPHERE, BALL, IID_UNIFORM):
+        if self.kind not in DIRECTION_KINDS:
             raise DomainError(f"unknown direction law kind {self.kind!r}")
         # the iid-uniform law leaves p unused, but it is still a number
         _check_real("p", self.p, -math.inf if self.kind == IID_UNIFORM else 1.0, closed=True)
@@ -87,7 +80,7 @@ class RadialLaw:
     sigma: float
 
     def __post_init__(self):
-        if self.kind not in (RADIAL_UNIFORM, RADIAL_DIRAC):
+        if self.kind not in RADIAL_KINDS:
             raise DomainError(f"unknown radial law kind {self.kind!r}")
         # sigma^2 divides the final sum, so it must be finite and nonzero too
         if not (self.sigma > 0.0 and 0.0 < self.sigma * self.sigma < math.inf):
@@ -161,19 +154,13 @@ def _pgauss_matrix(rng: np.random.Generator, n: int, d: int, p: float) -> np.nda
 
 def _direction_matrix(rng: np.random.Generator, n: int, d: int, p: float) -> np.ndarray:
     """n iid cone-measure directions on the unit lp-sphere, as rows."""
-
-    def draw(k: int) -> np.ndarray:
-        if p > LARGE_P_FALLBACK:
-            return rng.uniform(-1.0, 1.0, size=(k, d))
-        return _pgauss_matrix(rng, k, d, p)
-
-    g = draw(n)
+    g = _pgauss_matrix(rng, n, d, p)
     norms = lp_norm(g, p)
     for _ in range(100):
         bad = norms == 0.0
         if not bad.any():
             break
-        g[bad] = draw(int(bad.sum()))
+        g[bad] = _pgauss_matrix(rng, int(bad.sum()), d, p)
         norms = lp_norm(g, p)
     else:  # pragma: no cover - probability zero
         raise DegenerateSampleError("could not draw a nonzero direction")
@@ -216,6 +203,15 @@ def log_radius_moment(q: float, d: int, p: float, kind: str = RADIAL_UNIFORM, la
     raise DomainError(f"unknown radial law kind {kind!r}")
 
 
+def _check_laws(law, radial) -> None:
+    """A DirectionLaw and a RadialLaw, and no dirac radial for the iid-uniform
+    law, which draws no radius (a dirac row would be a uniform one mislabelled)."""
+    if not isinstance(law, DirectionLaw) or not isinstance(radial, RadialLaw):
+        raise DomainError(f"a DirectionLaw and a RadialLaw are required, got {law!r} and {radial!r}")
+    if law.kind == IID_UNIFORM and radial.kind == RADIAL_DIRAC:
+        raise DomainError("the iid-uniform law draws no radius, so the dirac radial does not apply")
+
+
 def draw_batch(
     law: DirectionLaw,
     radial: RadialLaw,
@@ -227,12 +223,11 @@ def draw_batch(
 
     Uses the SFC64 bit generator, so identical (law, radial, n, d,
     seed) always produce bit-identical batches.
-    For the iid-uniform law only the radial sigma is used: coordinates
-    are U(-a, a) with a = sqrt(3) sigma, so E[V_k^2] = a^2/3 = sigma^2.
+    The iid-uniform law takes the uniform radial and uses only its sigma:
+    coordinates are U(-a, a) with a = sqrt(3) sigma, so E[V_k^2] = sigma^2.
     """
     n, d, seed = _check_int("n", n, 1), _check_int("d", d, 1), _check_int("seed", seed, 0)
-    if not isinstance(law, DirectionLaw) or not isinstance(radial, RadialLaw):
-        raise DomainError(f"a DirectionLaw and a RadialLaw are required, got {law!r} and {radial!r}")
+    _check_laws(law, radial)
     rng = np.random.Generator(np.random.SFC64(seed))
     if law.kind == IID_UNIFORM:
         a = math.sqrt(3.0) * radial.sigma
@@ -268,7 +263,7 @@ def decorrelate(batch: SampleBatch, sigma: float, mode: str = DECORRELATE_MOMENT
     numerical behaviour.
     """
     n, d = batch.values.shape
-    if mode not in (DECORRELATE_MOMENT, DECORRELATE_SAMPLE):
+    if mode not in DECORRELATE_MODES:
         raise DomainError(f"unknown decorrelate mode {mode!r}")
     _check_real("sigma", sigma, 0.0)
     if n < d:

@@ -157,6 +157,8 @@ def test_non_finite_argument_rejected(call):
     pytest.param(lambda: lpgrad.table_specs("t2", 1, -1), id="table-seed-negative"),
     pytest.param(lambda: lpgrad.surrogate_bias_bound(METRIC, -1.0, CFG), id="bias-bound-m2-negative"),
     pytest.param(lambda: lpgrad.exp_corr_metric(3, 1.0), id="exp-corr-rho-one"),
+    pytest.param(lambda: lpgrad.ObjectiveFunction(np.sum, 3, m2=-1.0), id="objective-m2-negative"),
+    pytest.param(lambda: lpgrad.from_matrix(np.zeros((0, 0))), id="from-matrix-empty"),
     pytest.param(lambda: lpgrad.lp_norm([], 2.0), id="lp-norm-empty"),
     pytest.param(lambda: lpgrad.central_fdm(F, [0.0, 0.0], 1e-4), id="fdm-x-short"),
     pytest.param(lambda: lpgrad.central_fdm(F, [[0.0, 0.0]], 1e-4), id="fdm-x-matrix"),

@@ -158,6 +158,12 @@ class TestSynthetic:
         with pytest.raises(DomainError):
             synthetic_ms(7, 2.0, 1.0)
 
+    def test_sin_coefficient_is_no_smoothness_constant(self):
+        # the sin coefficient may be negative, and the coupling's Hessian eigenvalue is m1 - m2
+        assert synthetic_ms(4, 2.0, -1.0).m2 is None
+        with pytest.raises(DomainError):
+            synthetic_ms(4, 2.0, math.nan)
+
 
 class TestCentralFdm:
     def test_quadratic_exact(self):
@@ -242,6 +248,10 @@ def quick_spec(reps=3, n=12, d=6, seed=5, **cfg_kw):
 
 
 class TestRunExperiment:
+    def test_metric_dimension_must_match_objective(self):
+        with pytest.raises(DomainError, match="metric dimension 4 != objective dimension 3"):
+            replace(quick_spec(d=3), metric=identity_metric(4))
+
     def test_determinism(self):
         rows_a, _ = run_experiment(quick_spec())
         rows_b, _ = run_experiment(quick_spec())
@@ -496,7 +506,8 @@ class TestTableSpecs:
     def test_t6_preset_constants(self):
         specs = table_specs("t6", reps=1, seed=0)
         f = specs[0].function
-        assert f.m2 == 1e-3 and f.dim == 200
+        # m2 is t6's sin coefficient, which the gradient at the origin shows
+        assert f.grad(np.zeros(200))[0] == 1e-3 and f.dim == 200
         # at x = 1 the coupling ((m1 - m2)/(2d)) (sum x)^2 adds m1 - m2 to every coordinate
         assert f.grad(np.ones(200))[1] == pytest.approx(200.0 - 1e-3 - math.sin(1.0), rel=1e-14)
 

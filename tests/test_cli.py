@@ -274,6 +274,17 @@ class TestInvalidInput:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "reference gradient" not in err
 
+    @pytest.mark.parametrize("text", ["", "a,b\n", "\n# no rows\n"], ids=["empty", "header", "comment"])
+    def test_metric_file_without_numbers(self, tmp_path, capsys, text):
+        # one error line and no numpy warning, also when warnings are errors
+        g = tmp_path / "g.csv"
+        g.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["estimate", "--d", "2", "--metric", f"file:{g}"])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: matrix file {g} holds no numbers\n"
+
     def test_config_file_checked(self, tmp_path, capsys, monkeypatch):
         def no_estimate(*args, **kwargs):
             raise AssertionError("a bad config must be rejected before any estimate")

@@ -351,6 +351,10 @@ class TestConfig:
             with pytest.raises(DomainError):
                 base_config(5, n=8, law=DirectionLaw(kind), radial=None)
 
+    def test_direction_law_required(self):
+        with pytest.raises(DomainError):
+            base_config(5, n=8, law=None)
+
     def test_iid_uniform_takes_no_dirac_radial(self):
         # iid-uniform draws no radius, so a dirac row would be a uniform one mislabelled
         with pytest.raises(DomainError):

@@ -121,9 +121,9 @@ class TestUnitSphere:
         # uniform on the 2-sphere in R^3: E[U_1^2] = 1/3 exactly
         assert math.exp(log_direction_moment(2, 0, 3, 2.0)) == pytest.approx(1.0 / 3.0, rel=1e-14)
 
-    def test_large_p_fallback_matches_formulas(self):
-        # above the fallback threshold directions come from U(-1,1)
-        # coordinates; the closed forms still hold to MC accuracy
+    def test_large_p_matches_formulas(self):
+        # at large p the directions come from the same exact draw, so the
+        # closed forms hold to MC accuracy
         d, p = 5, 5000.0
         u = _sphere_sample(d, p, 500_000, seed=24)
         for q in (1, 2, 3):
@@ -273,11 +273,12 @@ class TestDrawBatch:
         c = draw_batch(law, radial, 100, 7, seed=100)
         assert not np.array_equal(a.values, c.values)
 
-    @pytest.mark.parametrize("law", [
-        DirectionLaw.sphere(5000.0), DirectionLaw.ball(2.0), DirectionLaw.iid_uniform(),
+    @pytest.mark.parametrize("law,radial", [
+        (DirectionLaw.sphere(5000.0), RadialLaw.dirac(0.5)), (DirectionLaw.ball(2.0), RadialLaw.dirac(0.5)),
+        (DirectionLaw.iid_uniform(), RadialLaw.uniform(0.5)),  # iid-uniform takes no dirac radial
     ], ids=["sphere-large-p", "ball", "iid-uniform"])
-    def test_determinism_other_laws(self, law):
-        a, b, c = (draw_batch(law, RadialLaw.dirac(0.5), 100, 7, seed) for seed in (99, 99, 100))
+    def test_determinism_other_laws(self, law, radial):
+        a, b, c = (draw_batch(law, radial, 100, 7, seed) for seed in (99, 99, 100))
         assert np.array_equal(a.values, b.values)
         assert not np.array_equal(a.values, c.values)
 
@@ -321,7 +322,8 @@ class TestDrawBatch:
 
     @pytest.mark.parametrize("law,radial", [
         (DirectionLaw.sphere(2.0), "uniform"), ("sphere", RadialLaw.uniform(1.0)), (None, None),
-    ], ids=["radial-str", "law-str", "none"])
+        (DirectionLaw.iid_uniform(), RadialLaw.dirac(0.1)),
+    ], ids=["radial-str", "law-str", "none", "iid-uniform-dirac"])
     def test_malformed_law_rejected(self, law, radial):
         with pytest.raises(DomainError):
             draw_batch(law, radial, 3, 2, 0)
@@ -348,6 +350,22 @@ class TestDrawBatch:
         assert sizes == [10, 1]
         norms = lp_norm(batch.values, 3.0)
         np.testing.assert_allclose(norms, norms[0], rtol=1e-14)
+
+    @pytest.mark.parametrize("p", [2001.0, 5000.0, 1e300])
+    def test_every_p_draws_the_generalized_gaussian(self, monkeypatch, p):
+        calls = []
+
+        def spy(rng, n, d, p):
+            calls.append(p)
+            return _pgauss_matrix(rng, n, d, p)
+
+        monkeypatch.setattr(sampler, "_pgauss_matrix", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = draw_batch(DirectionLaw.sphere(p), RadialLaw.dirac(1.0), 50, 6, seed=45).values
+        assert calls == [p]
+        assert np.isfinite(v).all()
+        np.testing.assert_allclose(lp_norm(v, p), lp_norm(v[0], p), rtol=1e-15)
 
     def test_values_immutable(self):
         batch = draw_batch(DirectionLaw.sphere(2.0), RadialLaw.uniform(1.0), 10, 3, seed=0)
