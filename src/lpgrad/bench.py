@@ -40,7 +40,7 @@ from .metric import (
     identity_metric,
     load_matrix,
 )
-from .sampler import DECORRELATE_SAMPLE, IID_UNIFORM, RADIAL_UNIFORM, SPHERE, DirectionLaw, RadialLaw
+from .sampler import DECORRELATE_SAMPLE, RADIAL_UNIFORM, SPHERE, DirectionLaw, RadialLaw
 from .scheme import build_scheme, one_point, two_point_central
 
 __all__ = [
@@ -173,6 +173,12 @@ def err(metric: TensorMetric, grad_true, grad_est) -> float:
     return _norm_ratio(apply_inverse(metric, grad_true - grad_est), dep)
 
 
+def _check_dims(function: ObjectiveFunction, metric: TensorMetric) -> None:
+    """An experiment's metric must have its objective's dimension."""
+    if metric.dim != function.dim:
+        raise DomainError(f"metric dimension {metric.dim} != objective dimension {function.dim}")
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """A repeated-trial gradient-estimation experiment at the origin; the
@@ -188,8 +194,7 @@ class ExperimentSpec:
     def __post_init__(self):
         object.__setattr__(self, "reps", _check_int("reps", self.reps, 1))
         object.__setattr__(self, "seed", _check_int("seed", self.seed, 0))
-        if self.metric.dim != self.function.dim:
-            raise DomainError(f"metric dimension {self.metric.dim} != objective dimension {self.function.dim}")
+        _check_dims(self.function, self.metric)
 
 
 @dataclass(frozen=True)
@@ -248,7 +253,7 @@ def _row_static(spec: ExperimentSpec) -> dict:
     return {
         "function": spec.function.name,
         "d": spec.function.dim,
-        "p": float(law.p) if law.kind != IID_UNIFORM else float("nan"),
+        "p": float(law.p),
         "l": cfg.scheme.l,
         "n": cfg.n,
         "h": cfg.h,
@@ -309,7 +314,8 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1):
 
 
 def fdm_row(function: ObjectiveFunction, metric: TensorMetric, h: float) -> ResultRow:
-    """One deterministic central-difference baseline trial at the origin."""
+    """One deterministic central-difference baseline trial at the origin, dimensions checked first."""
+    _check_dims(function, metric)
     f = function.fresh()
     grad_true = _reference_gradient(f)
     t0 = time.perf_counter()
@@ -378,6 +384,9 @@ def mse_sweep(spec: ExperimentSpec, n_values, threads: int = 1):
     return points, slope, n_failed
 
 
+# the output formats, spelled once, and a name for each
+OUTPUT_FORMATS = FORMAT_CSV, FORMAT_JSON = ("csv", "json")
+
 # RunConfig field type -> the JSON values it accepts (bool is an int
 # subclass, so from_dict rejects it explicitly)
 _JSON_TYPES = {"str": str, "int": int, "float": (int, float), "None": type(None)}
@@ -404,7 +413,7 @@ class RunConfig:
     m2: float = 1.0
     threads: int = 1
     out: str | None = None
-    format: str = "csv"
+    format: str = FORMAT_CSV
 
     def __post_init__(self):
         self.seed = _check_int("seed", self.seed, 0)
@@ -413,7 +422,7 @@ class RunConfig:
         self.l = _check_int("L", self.l, 1)
         for name in ("p", "h", "m1", "m2"):  # their ranges are checked where they are used
             _check_real(name, getattr(self, name))
-        if self.format not in ("csv", "json"):
+        if self.format not in OUTPUT_FORMATS:
             raise DomainError(f"unknown output format {self.format!r}")
 
     @classmethod

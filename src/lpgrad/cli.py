@@ -17,7 +17,7 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from . import bench
-from .bench import RunConfig, _build_spec
+from .bench import FORMAT_CSV, FORMAT_JSON, OUTPUT_FORMATS, RunConfig, _build_spec
 from .errors import DomainError, LpgradError, _check_int
 from .sampler import (
     DECORRELATE_MODES,
@@ -71,10 +71,10 @@ def _write_csv(out: str | None, header, lines) -> None:
         writer.writerows(lines)
 
 
-def write_rows(rows, out: str | None, fmt: str = "csv") -> None:
+def write_rows(rows, out: str | None, fmt: str = FORMAT_CSV) -> None:
     """Write result rows as CSV (fixed schema) or JSON; '-'/None = stdout."""
     records = [_row_record(row) for row in rows]
-    if fmt == "json":
+    if fmt == FORMAT_JSON:
         with _open_out(out) as fh:
             fh.write(json.dumps(records, indent=2) + "\n")
     else:
@@ -86,7 +86,7 @@ _CHOICES = {
     "law": DIRECTION_KINDS,
     "radial": RADIAL_KINDS,
     "decorrelate": DECORRELATE_MODES,
-    "format": ["csv", "json"],
+    "format": OUTPUT_FORMATS,
 }
 _HELP = {
     "function": "rosenbrock | synthetic | expr:<expression>",
@@ -160,7 +160,7 @@ def cmd_table(args) -> int:
         row = bench.fdm_row(spec0.function, spec0.metric, h=spec0.cfg.h)
         rows.append(row)
         print(f"{args.name}[fdm]: err = {row.err:.4g}", file=sys.stderr)
-    write_rows(rows, args.out, "csv")
+    write_rows(rows, args.out, FORMAT_CSV)
     return 0
 
 

@@ -17,11 +17,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, EvaluationError, NotApplicableError, _check_int, _check_real
+from .errors import DomainError, EvaluationError, _check_int, _check_real
 from .metric import TensorMetric, apply_inverse
 from .sampler import (
     DECORRELATE_MODES,
-    IID_UNIFORM,
     SPHERE,
     DirectionLaw,
     RadialLaw,
@@ -261,14 +260,12 @@ def surrogate_bias_bound(metric: TensorMetric, m2: float, cfg: EstimatorConfig) 
     d is ``metric.dim``; p, h, sigma and the laws are those of ``cfg``.
     E[R^3] is that of the radius ``draw_batch`` draws, from
     ``log_radius_moment``, and k1 that of its directions, from
-    ``log_direction_moment``. iid-uniform raises ``NotApplicableError``.
+    ``log_direction_moment``.
     Sphere directions, the uniform radius and the "self-normalizing" sigma
     give m2*h.
     """
     _check_real("m2", m2, 0.0, closed=True)
     d, p = metric.dim, cfg.law.p
-    if cfg.law.kind == IID_UNIFORM:
-        raise NotApplicableError("the bias bound assumes an lp-spherical direction law")
     log_factor = log_radius_moment(3, d, p, cfg.radial.kind, cfg.law.kind) + _log_k1(d, p, cfg.law.kind)
     return m2 * cfg.h * math.exp(log_factor) * cfg.sigma * metric.abs_ginv_ones_l2
 

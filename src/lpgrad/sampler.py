@@ -1,8 +1,8 @@
 """Random directions and radii for lp-spherical perturbation vectors.
 
 Perturbations are built as V = R * U where U is a random unit-norm
-direction (cone measure on the lp-sphere, uniform on the lp-ball, or a
-plain iid-uniform comparison law) and R an independent positive radius.
+direction (cone measure on the lp-sphere, or uniform on the lp-ball)
+and R an independent positive radius.
 Radii are calibrated so that E[V_k^2] = sigma^2 for every coordinate.
 Every p >= 1 draws the exact p-generalized Gaussian, whose closed-form
 moments are evaluated through log-gamma so that large dimensions and
@@ -30,7 +30,7 @@ __all__ = [
 ]
 
 # each vocabulary, spelled once, and a name for each of its words
-DIRECTION_KINDS = SPHERE, BALL, IID_UNIFORM = ("sphere", "ball", "iid-uniform")
+DIRECTION_KINDS = SPHERE, BALL = ("sphere", "ball")
 RADIAL_KINDS = RADIAL_UNIFORM, RADIAL_DIRAC = ("uniform", "dirac")
 DECORRELATE_MODES = DECORRELATE_MOMENT, DECORRELATE_SAMPLE = ("moment", "sample")
 
@@ -39,19 +39,17 @@ DECORRELATE_MODES = DECORRELATE_MOMENT, DECORRELATE_SAMPLE = ("moment", "sample"
 class DirectionLaw:
     """Which unit-norm direction distribution generates the angular part.
 
-    kind is one of "sphere" (cone measure on the lp-sphere), "ball"
-    (uniform over the lp-ball) or "iid-uniform" (independent uniform
-    coordinates scaled by the radial law's sigma; p is unused).
+    kind is "sphere" (cone measure on the lp-sphere) or "ball" (uniform
+    over the lp-ball); p >= 1 is required, as both laws read it.
     """
 
     kind: str
-    p: float = 2.0
+    p: float
 
     def __post_init__(self):
         if self.kind not in DIRECTION_KINDS:
             raise DomainError(f"unknown direction law kind {self.kind!r}")
-        # the iid-uniform law leaves p unused, but it is still a number
-        _check_real("p", self.p, -math.inf if self.kind == IID_UNIFORM else 1.0, closed=True)
+        _check_real("p", self.p, 1.0, closed=True)
 
     @classmethod
     def sphere(cls, p: float) -> "DirectionLaw":
@@ -61,10 +59,6 @@ class DirectionLaw:
     def ball(cls, p: float) -> "DirectionLaw":
         return cls(BALL, p=p)
 
-    @classmethod
-    def iid_uniform(cls) -> "DirectionLaw":
-        return cls(IID_UNIFORM)
-
 
 @dataclass(frozen=True)
 class RadialLaw:
@@ -72,8 +66,7 @@ class RadialLaw:
 
     kind "uniform" draws R ~ U(0, xi) with xi = sqrt(3 E[R^2]); kind
     "dirac" uses the constant radius with the same calibration. Either
-    way the resulting V = R * U satisfies E[V_k^2] = sigma^2; iid-uniform
-    directions take only sigma, as their coordinate scale.
+    way the resulting V = R * U satisfies E[V_k^2] = sigma^2.
     """
 
     kind: str
@@ -177,7 +170,7 @@ def log_direction_moment(a: float, b: float, d: int, p: float, law: str = SPHERE
     a, b = _check_real("a", a, -1.0), _check_real("b", b, -1.0)  # so each Gamma argument is positive
     if b and d < 2:
         raise DomainError("a moment of U_2 requires d >= 2")
-    if law not in (SPHERE, BALL):
+    if law not in DIRECTION_KINDS:
         raise DomainError(f"no direction moments for the {law!r} law")
     # summed as the negative log, so log_radius_moment's E[R^2] = sigma^2 / E[U_1^2] keeps its bits
     neg = math.lgamma(1 / p) + math.lgamma((d + a + b) / p) - math.lgamma((a + 1) / p) - math.lgamma(d / p)
@@ -204,12 +197,9 @@ def log_radius_moment(q: float, d: int, p: float, kind: str = RADIAL_UNIFORM, la
 
 
 def _check_laws(law, radial) -> None:
-    """A DirectionLaw and a RadialLaw, and no dirac radial for the iid-uniform
-    law, which draws no radius (a dirac row would be a uniform one mislabelled)."""
+    """A DirectionLaw and a RadialLaw; every pair of them combines."""
     if not isinstance(law, DirectionLaw) or not isinstance(radial, RadialLaw):
         raise DomainError(f"a DirectionLaw and a RadialLaw are required, got {law!r} and {radial!r}")
-    if law.kind == IID_UNIFORM and radial.kind == RADIAL_DIRAC:
-        raise DomainError("the iid-uniform law draws no radius, so the dirac radial does not apply")
 
 
 def draw_batch(
@@ -223,25 +213,19 @@ def draw_batch(
 
     Uses the SFC64 bit generator, so identical (law, radial, n, d,
     seed) always produce bit-identical batches.
-    The iid-uniform law takes the uniform radial and uses only its sigma:
-    coordinates are U(-a, a) with a = sqrt(3) sigma, so E[V_k^2] = sigma^2.
     """
     n, d, seed = _check_int("n", n, 1), _check_int("d", d, 1), _check_int("seed", seed, 0)
     _check_laws(law, radial)
     rng = np.random.Generator(np.random.SFC64(seed))
-    if law.kind == IID_UNIFORM:
-        a = math.sqrt(3.0) * radial.sigma
-        values = rng.uniform(-a, a, size=(n, d))
+    values = _direction_matrix(rng, n, d, law.p)
+    if law.kind == BALL:
+        # the radial cdf of the uniform ball law is r^d: scale by W^(1/d)
+        values *= rng.uniform(0.0, 1.0, size=n)[:, None] ** (1.0 / d)
+    if radial.kind == RADIAL_UNIFORM:
+        xi = radial.sigma * math.sqrt(3.0 * math.exp(log_radius_moment(2, d, law.p, law=law.kind)))
+        values *= rng.uniform(0.0, xi, size=n)[:, None]
     else:
-        values = _direction_matrix(rng, n, d, law.p)
-        if law.kind == BALL:
-            # the radial cdf of the uniform ball law is r^d: scale by W^(1/d)
-            values *= rng.uniform(0.0, 1.0, size=n)[:, None] ** (1.0 / d)
-        if radial.kind == RADIAL_UNIFORM:
-            xi = radial.sigma * math.sqrt(3.0 * math.exp(log_radius_moment(2, d, law.p, law=law.kind)))
-            values *= rng.uniform(0.0, xi, size=n)[:, None]
-        else:
-            values *= radial.sigma * math.exp(log_radius_moment(1, d, law.p, RADIAL_DIRAC, law.kind))
+        values *= radial.sigma * math.exp(log_radius_moment(1, d, law.p, RADIAL_DIRAC, law.kind))
     values.flags.writeable = False
     return SampleBatch(values)
 

@@ -42,7 +42,6 @@ BATCH = lpgrad.draw_batch(CFG.law, CFG.radial, 8, 3, 0)
 # a list holds numbers of one of the two kinds.
 VALID = [
     ("direction-law", lpgrad.DirectionLaw, dict(kind="sphere", p=2.0)),
-    ("direction-law-iid", lpgrad.DirectionLaw, dict(kind="iid-uniform", p=2.0)),
     ("radial-law", lpgrad.RadialLaw, dict(kind="uniform", sigma=0.1)),
     ("lp-norm", lpgrad.lp_norm, dict(x=[3.0, 4.0], p=2.0)),
     ("direction", lpgrad.log_direction_moment, dict(a=2.0, b=1.0, d=3, p=3.0)),

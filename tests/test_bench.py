@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpgrad.bench import (
@@ -27,7 +27,7 @@ from lpgrad import bench
 from lpgrad.errors import DomainError, EvaluationError
 from lpgrad.estimator import _EVAL_BLOCK_BYTES, EstimatorConfig, ObjectiveFunction, estimate_gradient
 from lpgrad.metric import exp_corr_metric, identity_metric
-from lpgrad.sampler import DirectionLaw, RadialLaw
+from lpgrad.sampler import DIRECTION_KINDS, DirectionLaw, RadialLaw
 from lpgrad.scheme import one_point, two_point_central
 
 
@@ -95,7 +95,7 @@ class TestBatchedObjectives:
             return out
 
         f = ObjectiveFunction(fun=fun, dim=d, vectorized=True)
-        cfg = EstimatorConfig(one_point(), DirectionLaw.iid_uniform(), RadialLaw.uniform(0.1), n=70, h=1e-3)
+        cfg = EstimatorConfig(one_point(), DirectionLaw.ball(2.0), RadialLaw.uniform(0.1), n=70, h=1e-3)
         with pytest.raises(EvaluationError):
             estimate_gradient(f, np.zeros(d), cfg, identity_metric(d))
         assert f.eval_count == 64
@@ -252,6 +252,19 @@ class TestRunExperiment:
         with pytest.raises(DomainError, match="metric dimension 4 != objective dimension 3"):
             replace(quick_spec(d=3), metric=identity_metric(4))
 
+    def test_fdm_row_checks_dimensions_before_evaluating(self):
+        # the same rule as ExperimentSpec's, before any of the 2d points is evaluated
+        calls = []
+
+        def spy(rows):
+            calls.append(rows.shape)
+            return rows.sum(axis=1)
+
+        f = ObjectiveFunction(fun=spy, dim=3, vectorized=True)
+        with pytest.raises(DomainError, match=r"^metric dimension 4 != objective dimension 3$"):
+            fdm_row(f, identity_metric(4), 1e-4)
+        assert calls == []
+
     def test_determinism(self):
         rows_a, _ = run_experiment(quick_spec())
         rows_b, _ = run_experiment(quick_spec())
@@ -279,7 +292,7 @@ class TestRunExperiment:
         assert workers == [3]
 
     @given(
-        law=st.sampled_from(["sphere", "ball", "iid-uniform"]),
+        law=st.sampled_from(DIRECTION_KINDS),
         radial=st.sampled_from(["uniform", "dirac"]),
         l=st.integers(1, 3),
         decorrelate=st.sampled_from([None, "moment", "sample"]),
@@ -290,7 +303,6 @@ class TestRunExperiment:
     @settings(max_examples=40, deadline=None)
     def test_rows_independent_of_threads(self, law, radial, l, decorrelate, d, n, seed):
         # rows, failure notes included, depend only on (seed, rep)
-        assume((law, radial) != ("iid-uniform", "dirac"))  # rejected: iid-uniform draws no radius
         run = RunConfig(function="rosenbrock", d=d, p=3.0, l=l, n=n, h=1e-3, sigma=0.05,
                         law=law, radial=radial, decorrelate=decorrelate, reps=5, seed=seed)
         spec = _build_spec(run)

@@ -232,7 +232,8 @@ class TestInvalidInput:
         SWEEP_ARGS + ["--config", "decorrelate-sample.json"],
         ["estimate", "--d", "4", "--L", "0"],
         SWEEP_ARGS + ["--config", "format-json.json"],
-        ["estimate", "--d", "4", "--law", "iid-uniform", "--radial", "dirac"],
+        # a config saved while the non-spherical iid-uniform law existed
+        ["estimate", "--d", "4", "--config", "law-iid-uniform.json", "--radial", "dirac"],
     ], ids=["estimate-expr-index", "sweep-expr-index", "exp-corr-rho", "sweep-n-values",
             "moments-seed", "sigma-square-overflow", "sigma-h-overflow", "moments-sigma-overflow",
             "moments-r0-overflow", "moments-r0-underflow", "expr-div-zero", "expr-pow-zero", "expr-overflow",
@@ -243,6 +244,7 @@ class TestInvalidInput:
         # mse-sweep writes CSV only and measures raw batches, so it reads neither key
         Path("format-json.json").write_text(json.dumps({"format": "json"}))
         Path("decorrelate-sample.json").write_text(json.dumps({"decorrelate": "sample"}))
+        Path("law-iid-uniform.json").write_text(json.dumps({"law": "iid-uniform"}))
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
@@ -414,8 +416,8 @@ class TestRunConfig:
          "--n-values", "8,16"],
         # a number the run never reads is still checked, so the saved file would not be JSON
         ["estimate", "--function", "rosenbrock", "--d", "4", "--m1", "nan", "--reps", "1"],
-        ["estimate", "--function", "rosenbrock", "--d", "4", "--law", "iid-uniform", "--p", "nan", "--reps", "1"],
-    ], ids=["estimate-function", "mse-sweep-decorrelate", "unread-m1-nan", "iid-uniform-p-nan"])
+        ["estimate", "--function", "rosenbrock", "--d", "4", "--p", "nan", "--reps", "1"],
+    ], ids=["estimate-function", "mse-sweep-decorrelate", "unread-m1-nan", "p-nan"])
     def test_rejected_run_saves_nothing(self, tmp_path, monkeypatch, capsys, argv):
         monkeypatch.chdir(tmp_path)
         Path("decorrelate-sample.json").write_text(json.dumps({"decorrelate": "sample"}))

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpgrad.bench import RunConfig, _build_spec
@@ -21,6 +21,7 @@ from lpgrad.estimator import (
 )
 from lpgrad.metric import apply_inverse, exp_corr_metric, identity_metric
 from lpgrad.sampler import (
+    DIRECTION_KINDS,
     DirectionLaw,
     RadialLaw,
     draw_batch,
@@ -94,7 +95,7 @@ class TestExactness:
         assert rel < 1e-6
 
     @given(
-        kind=st.sampled_from(["sphere", "ball", "iid-uniform"]),
+        kind=st.sampled_from(DIRECTION_KINDS),
         radial_kind=st.sampled_from(["uniform", "dirac"]),
         stencil=st.sampled_from(["central", 2, 3, 4]),
         p=st.floats(1.0, 10.0),
@@ -109,7 +110,6 @@ class TestExactness:
         # exact when sum C_l beta_l^2 = 0 too (central stencil, L >= 3).
         # L=1 and sample mode are left out: their mean-centering and
         # (N-1)/N terms are not exact by design.
-        assume((kind, radial_kind) != ("iid-uniform", "dirac"))  # iid-uniform draws no radius
         rng = np.random.default_rng(seed)
         a = rng.uniform(0.5, 2.0, d) * rng.choice([-1.0, 1.0], d)
         m = rng.normal(size=(d, d)) / d
@@ -130,8 +130,7 @@ class TestExactness:
 
     @pytest.mark.parametrize("radial,kind", [
         (radial, kind) for radial in (RadialLaw.uniform(0.02), RadialLaw.dirac(0.02))
-        for kind in ("sphere", "ball", "iid-uniform")
-        if (radial.kind, kind) != ("dirac", "iid-uniform")  # iid-uniform draws no radius
+        for kind in DIRECTION_KINDS
     ], ids=lambda value: getattr(value, "kind", value))
     def test_sigma_only_from_radial_law(self, radial, kind):
         # without decorrelation nothing pins the batch scale: the estimate
@@ -347,18 +346,13 @@ class TestConfig:
             base_config(5, n=8, decorrelate=bad)
 
     def test_radial_law_required(self):
-        for kind in ("sphere", "ball", "iid-uniform"):
+        for kind in DIRECTION_KINDS:
             with pytest.raises(DomainError):
-                base_config(5, n=8, law=DirectionLaw(kind), radial=None)
+                base_config(5, n=8, law=DirectionLaw(kind, p=2.0), radial=None)
 
     def test_direction_law_required(self):
         with pytest.raises(DomainError):
             base_config(5, n=8, law=None)
-
-    def test_iid_uniform_takes_no_dirac_radial(self):
-        # iid-uniform draws no radius, so a dirac row would be a uniform one mislabelled
-        with pytest.raises(DomainError):
-            base_config(5, n=8, law=DirectionLaw.iid_uniform(), radial=RadialLaw.dirac(0.01))
 
     def test_bandwidth_warning(self):
         with pytest.warns(RuntimeWarning) as record:
@@ -497,11 +491,6 @@ class TestBiasBound:
         expected, se = self.drawn_bound(metric, p, 1.0, 0.01, radial, n=20_000, law=law)
         got = surrogate_bias_bound(metric, 1.0, bound_config(p, 0.01, radial, law))
         assert abs(got - expected) <= 4.0 * se
-
-    def test_iid_uniform_not_applicable(self):
-        cfg = bound_config(2.0, 0.01, RadialLaw.uniform(0.1), DirectionLaw.iid_uniform())
-        with pytest.raises(NotApplicableError):
-            surrogate_bias_bound(identity_metric(4), 1.0, cfg)
 
     def test_radial_law_required(self):
         with pytest.raises(DomainError):

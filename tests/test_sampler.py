@@ -275,18 +275,11 @@ class TestDrawBatch:
 
     @pytest.mark.parametrize("law,radial", [
         (DirectionLaw.sphere(5000.0), RadialLaw.dirac(0.5)), (DirectionLaw.ball(2.0), RadialLaw.dirac(0.5)),
-        (DirectionLaw.iid_uniform(), RadialLaw.uniform(0.5)),  # iid-uniform takes no dirac radial
-    ], ids=["sphere-large-p", "ball", "iid-uniform"])
+    ], ids=["sphere-large-p", "ball"])
     def test_determinism_other_laws(self, law, radial):
         a, b, c = (draw_batch(law, radial, 100, 7, seed) for seed in (99, 99, 100))
         assert np.array_equal(a.values, b.values)
         assert not np.array_equal(a.values, c.values)
-
-    def test_iid_uniform_variance(self):
-        # coordinates are U(-a, a) with a = sqrt(3) sigma
-        batch = draw_batch(DirectionLaw.iid_uniform(), RadialLaw.uniform(0.5), 500_000, 2, seed=40)
-        assert np.abs(batch.values).max() <= math.sqrt(3.0) * 0.5
-        assert abs(zscore(batch.values[:, 0] ** 2, 0.25)) < 4.0
 
     @pytest.mark.parametrize("kind", ["sphere", "ball"])
     @pytest.mark.parametrize("radial_kind", ["uniform", "dirac"])
@@ -322,8 +315,7 @@ class TestDrawBatch:
 
     @pytest.mark.parametrize("law,radial", [
         (DirectionLaw.sphere(2.0), "uniform"), ("sphere", RadialLaw.uniform(1.0)), (None, None),
-        (DirectionLaw.iid_uniform(), RadialLaw.dirac(0.1)),
-    ], ids=["radial-str", "law-str", "none", "iid-uniform-dirac"])
+    ], ids=["radial-str", "law-str", "none"])
     def test_malformed_law_rejected(self, law, radial):
         with pytest.raises(DomainError):
             draw_batch(law, radial, 3, 2, 0)
