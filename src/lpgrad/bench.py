@@ -3,12 +3,13 @@
 Provides the standard test objectives with analytic gradients, the
 central finite-difference baseline, the relative error measure in the
 metric-transformed space, repeated-trial experiment running with
-derived per-rep seeds, and mean-squared-error sweeps over sample size.
-Experiments run at the origin. Every trial of ``run_experiment`` and
-``mse_sweep`` goes through ``_trial``, which turns a library failure
-into a note instead of aborting the run. ``RunConfig`` describes a run;
-``_build_spec`` turns it into the experiment for both the CLI and the
-table presets.
+derived per-rep seeds, mean-squared-error sweeps over sample size, and
+``moments_report``, which scores chunked draws with derived seeds against
+the closed-form moments. Experiments run at the origin. Every trial of
+``run_experiment`` and ``mse_sweep`` goes through ``_trial``, which turns
+a library failure into a note instead of aborting the run.
+``RunConfig`` describes a run; ``_build_spec`` turns it into the
+experiment for both the CLI and the table presets.
 """
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ from .errors import DomainError, LpgradError, _check_int, _check_real
 from .estimator import (
     EstimatorConfig,
     ObjectiveFunction,
+    _check_dims,
     _check_point,
     _evaluate_rows,
     estimate_gradient,
@@ -40,7 +42,8 @@ from .metric import (
     identity_metric,
     load_matrix,
 )
-from .sampler import DECORRELATE_SAMPLE, RADIAL_UNIFORM, SPHERE, DirectionLaw, RadialLaw
+from .sampler import (DECORRELATE_SAMPLE, RADIAL_UNIFORM, SPHERE, DirectionLaw, RadialLaw, draw_batch,
+                      log_direction_moment, log_radius_moment, lp_norm)
 from .scheme import build_scheme, one_point, two_point_central
 
 __all__ = [
@@ -53,6 +56,7 @@ __all__ = [
     "run_experiment",
     "fdm_row",
     "mse_sweep",
+    "moments_report",
     "table_specs",
 ]
 
@@ -173,12 +177,6 @@ def err(metric: TensorMetric, grad_true, grad_est) -> float:
     return _norm_ratio(apply_inverse(metric, grad_true - grad_est), dep)
 
 
-def _check_dims(function: ObjectiveFunction, metric: TensorMetric) -> None:
-    """An experiment's metric must have its objective's dimension."""
-    if metric.dim != function.dim:
-        raise DomainError(f"metric dimension {metric.dim} != objective dimension {function.dim}")
-
-
 @dataclass(frozen=True)
 class ExperimentSpec:
     """A repeated-trial gradient-estimation experiment at the origin; the
@@ -245,6 +243,78 @@ def _map(fn, items, threads: int) -> list:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=threads or os.cpu_count()) as pool:
         return list(pool.map(fn, items))
+
+
+# moments_report draws in chunks of about this many batch elements, so
+# its memory does not grow with the number of draws
+_MOMENTS_CHUNK_ELEMENTS = 1 << 20
+
+
+def _moment_samples(v: np.ndarray, p: float) -> list[np.ndarray]:
+    """Per-draw samples of each empirical moment, in moments_report's order."""
+    r = lp_norm(v, p)  # ||V||_p = R because ||U||_p = 1
+    u1 = v[:, 0] / r
+    samples = [np.abs(u1) ** q for q in (1, 2, 3, 4)]
+    if v.shape[1] >= 2:
+        samples.append(u1**2 * np.abs(v[:, 1] / r))
+    samples.append(v[:, 0] ** 2)
+    samples += [r**q for q in (1, 2, 3, 4)]
+    return samples
+
+
+def moments_report(d: int, p: float, draws: int, seed: int, sigma: float = 1.0):
+    """Analytic vs empirical moment checks for the sphere/radius laws.
+
+    Returns a list of (name, analytic, empirical, z) covering
+    E[|U_1|^q] for q <= 4, E[U_1^2 |U_2|], the E[V_1^2] = sigma^2
+    calibration and E[R_0^q] for q <= 4. The draws come in chunks with
+    seeds derived from ``seed``; each moment's mean and variance are
+    merged chunk by chunk (Chan, Golub and LeVeque's pairwise update).
+    Samples are divided by their positive analytic value first, so the
+    merge works on numbers near 1; a moment it cannot score gets a nan z.
+    """
+    law = DirectionLaw.sphere(p)
+    radial = RadialLaw.uniform(sigma)
+    analytic = [(f"E|U1|^{q}", math.exp(log_direction_moment(q, 0, d, p))) for q in (1, 2, 3, 4)]
+    if d >= 2:
+        analytic.append(("E[U1^2|U2|]", math.exp(log_direction_moment(2, 1, d, p))))
+    analytic.append(("E[V1^2]", sigma**2))
+    for q in (1, 2, 3, 4):
+        try:
+            value = sigma**q * math.exp(log_radius_moment(q, d, p))
+        except OverflowError:
+            value = math.inf
+        if not 0.0 < value < math.inf:
+            raise DomainError(f"E[R0^{q}] {'overflows' if value else 'underflows'} at sigma = {sigma}")
+        analytic.append((f"E[R0^{q}]", value))
+    draws = _check_int("draws", draws, 1)
+    rows = max(1, _MOMENTS_CHUNK_ELEMENTS // d)
+    scale = np.array([ana for _, ana in analytic])[:, None]
+    count = 0
+    with np.errstate(all="ignore"):  # an overflowed moment gives a nan z
+        for k, start in enumerate(range(0, draws, rows)):
+            v = draw_batch(law, radial, min(rows, draws - start), d, derive_seed(seed, k)).values
+            chunk = np.array(_moment_samples(v, p)) / scale
+            n = chunk.shape[1]
+            chunk_mean = chunk.mean(axis=1)
+            chunk -= chunk_mean[:, None]
+            chunk **= 2
+            chunk_m2 = chunk.sum(axis=1)
+            if count == 0:
+                mean, m2 = chunk_mean, chunk_m2
+            else:
+                delta = chunk_mean - mean
+                mean = mean + delta * (n / (count + n))
+                m2 = m2 + chunk_m2 + delta**2 * (count * n / (count + n))
+            count += n
+    checks = []
+    for (name, ana), emp, sd in zip(analytic, mean.tolist(), np.sqrt(m2 / count).tolist()):
+        if sd == 0.0:
+            z = 0.0 if emp == 1.0 else math.inf
+        else:
+            z = (emp - 1.0) / (sd / math.sqrt(count))
+        checks.append((name, ana, emp * ana, z))
+    return checks
 
 
 def _row_static(spec: ExperimentSpec) -> dict:

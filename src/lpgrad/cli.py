@@ -2,7 +2,8 @@
 
 Run configurations are plain JSON documents (unknown keys and mistyped
 values rejected) so runs are reproducible and diffable; results go to
-CSV with a fixed schema or to JSON.
+CSV with a fixed schema or to JSON. This module only parses and prints:
+the work, ``moments-check``'s ``bench.moments_report`` included, is in ``bench``.
 """
 from __future__ import annotations
 
@@ -14,23 +15,10 @@ import math
 import sys
 from dataclasses import asdict, fields
 
-import numpy as np
-
 from . import bench
 from .bench import FORMAT_CSV, FORMAT_JSON, OUTPUT_FORMATS, RunConfig, _build_spec
-from .errors import DomainError, LpgradError, _check_int
-from .sampler import (
-    DECORRELATE_MODES,
-    DECORRELATE_MOMENT,
-    DIRECTION_KINDS,
-    RADIAL_KINDS,
-    DirectionLaw,
-    RadialLaw,
-    draw_batch,
-    log_direction_moment,
-    log_radius_moment,
-    lp_norm,
-)
+from .errors import DomainError, LpgradError
+from .sampler import DECORRELATE_MODES, DECORRELATE_MOMENT, DIRECTION_KINDS, RADIAL_KINDS
 
 __all__ = ["RunConfig", "main", "CSV_HEADER"]
 
@@ -164,80 +152,8 @@ def cmd_table(args) -> int:
     return 0
 
 
-# moments-check draws in chunks of about this many batch elements, so
-# its memory does not grow with the number of draws
-_MOMENTS_CHUNK_ELEMENTS = 1 << 20
-
-
-def _moment_samples(v: np.ndarray, p: float) -> list[np.ndarray]:
-    """Per-draw samples of each empirical moment, in moments_report's order."""
-    r = lp_norm(v, p)  # ||V||_p = R because ||U||_p = 1
-    u1 = v[:, 0] / r
-    samples = [np.abs(u1) ** q for q in (1, 2, 3, 4)]
-    if v.shape[1] >= 2:
-        samples.append(u1**2 * np.abs(v[:, 1] / r))
-    samples.append(v[:, 0] ** 2)
-    samples += [r**q for q in (1, 2, 3, 4)]
-    return samples
-
-
-def moments_report(d: int, p: float, draws: int, seed: int, sigma: float = 1.0):
-    """Analytic vs empirical moment checks for the sphere/radius laws.
-
-    Returns a list of (name, analytic, empirical, z) covering
-    E[|U_1|^q] for q <= 4, E[U_1^2 |U_2|], the E[V_1^2] = sigma^2
-    calibration and E[R_0^q] for q <= 4. The draws come in chunks with
-    seeds derived from ``seed``; each moment's mean and variance are
-    merged chunk by chunk (Chan, Golub and LeVeque's pairwise update).
-    Samples are divided by their positive analytic value first, so the
-    merge works on numbers near 1; a moment it cannot score gets a nan z.
-    """
-    law = DirectionLaw.sphere(p)
-    radial = RadialLaw.uniform(sigma)
-    analytic = [(f"E|U1|^{q}", math.exp(log_direction_moment(q, 0, d, p))) for q in (1, 2, 3, 4)]
-    if d >= 2:
-        analytic.append(("E[U1^2|U2|]", math.exp(log_direction_moment(2, 1, d, p))))
-    analytic.append(("E[V1^2]", sigma**2))
-    for q in (1, 2, 3, 4):
-        try:
-            value = sigma**q * math.exp(log_radius_moment(q, d, p))
-        except OverflowError:
-            value = math.inf
-        if not 0.0 < value < math.inf:
-            raise DomainError(f"E[R0^{q}] {'overflows' if value else 'underflows'} at sigma = {sigma}")
-        analytic.append((f"E[R0^{q}]", value))
-    draws = _check_int("draws", draws, 1)
-    rows = max(1, _MOMENTS_CHUNK_ELEMENTS // d)
-    scale = np.array([ana for _, ana in analytic])[:, None]
-    count = 0
-    with np.errstate(all="ignore"):  # an overflowed moment gives a nan z
-        for k, start in enumerate(range(0, draws, rows)):
-            v = draw_batch(law, radial, min(rows, draws - start), d, bench.derive_seed(seed, k)).values
-            chunk = np.array(_moment_samples(v, p)) / scale
-            n = chunk.shape[1]
-            chunk_mean = chunk.mean(axis=1)
-            chunk -= chunk_mean[:, None]
-            chunk **= 2
-            chunk_m2 = chunk.sum(axis=1)
-            if count == 0:
-                mean, m2 = chunk_mean, chunk_m2
-            else:
-                delta = chunk_mean - mean
-                mean = mean + delta * (n / (count + n))
-                m2 = m2 + chunk_m2 + delta**2 * (count * n / (count + n))
-            count += n
-    checks = []
-    for (name, ana), emp, sd in zip(analytic, mean.tolist(), np.sqrt(m2 / count).tolist()):
-        if sd == 0.0:
-            z = 0.0 if emp == 1.0 else math.inf
-        else:
-            z = (emp - 1.0) / (sd / math.sqrt(count))
-        checks.append((name, ana, emp * ana, z))
-    return checks
-
-
 def cmd_moments_check(args) -> int:
-    checks = moments_report(args.d, args.p, args.draws, args.seed, args.sigma)
+    checks = bench.moments_report(args.d, args.p, args.draws, args.seed, args.sigma)
     worst = 0.0
     print(f"{'moment':>12s} {'analytic':>14s} {'empirical':>14s} {'z':>8s}")
     for name, analytic, empirical, z in checks:

@@ -29,7 +29,7 @@ class DegenerateSampleError(LpgradError, ValueError):
 
 
 class SingularSchemeError(LpgradError, ValueError):
-    """The stencil constraint system is singular (repeated offsets)."""
+    """The stencil constraint system is singular (repeated offsets, or no finite weights)."""
 
 
 class EvaluationError(LpgradError, RuntimeError):

@@ -124,6 +124,12 @@ def _check_point(f: ObjectiveFunction, x) -> np.ndarray:
     return x
 
 
+def _check_dims(f: ObjectiveFunction, metric: TensorMetric) -> None:
+    """The one dimension rule: a metric must have its objective's dimension."""
+    if metric.dim != f.dim:
+        raise DomainError(f"metric dimension {metric.dim} != objective dimension {f.dim}")
+
+
 # an objective sees at most this many bytes of points per call, so each
 # block stays in cache while the objective streams over it
 _EVAL_BLOCK_BYTES = 1 << 18
@@ -205,9 +211,8 @@ def estimate_gradient(
     ``DomainError`` before any evaluation.
     """
     x = _check_point(f, x)
+    _check_dims(f, metric)
     d = x.shape[0]
-    if metric.dim != d:
-        raise DomainError(f"metric dimension {metric.dim} != len(x) = {d}")
     scheme = cfg.scheme
     if cfg.decorrelate is None:
         v = draw_batch(cfg.law, cfg.radial, cfg.n, d, seed).values

@@ -62,18 +62,20 @@ def from_matrix(g) -> TensorMetric:
     The generalized inverse comes from the symmetric eigendecomposition
     with eigenvalues above tau = d * eps * lambda_max inverted and the
     rest zeroed (Moore-Penrose on the retained spectrum). An empty matrix,
-    non-finite entries and eigenvalues below -tau are rejected.
+    a non-finite symmetric part or inverse and eigenvalues below -tau are rejected.
     """
     g = np.asarray(g, dtype=float)
     if g.ndim != 2 or g.shape[0] != g.shape[1] or g.size == 0:
         raise DomainError(f"metric must be a non-empty square matrix, got shape {g.shape}")
-    if not np.isfinite(g).all():
-        raise DomainError("metric matrix has non-finite entries")
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is rejected below
+        sym = 0.5 * (g + g.T)
+    if not np.isfinite(sym).all():  # a non-finite entry, or a pair whose sum overflows
+        raise DomainError("metric matrix has non-finite entries, or its symmetric part overflows")
     d = g.shape[0]
     scale = max(1.0, float(np.abs(g).max()))
     if np.abs(g - g.T).max() > 1e-8 * scale:
         raise DomainError("metric matrix must be symmetric (tolerance 1e-8)")
-    g = 0.5 * (g + g.T)
+    g = sym
     w, v = np.linalg.eigh(g)
     tau = d * np.finfo(float).eps * max(np.abs(w).max(), np.finfo(float).tiny)
     if w.min() < -tau:
@@ -83,6 +85,8 @@ def from_matrix(g) -> TensorMetric:
     inv_w[keep] = 1.0 / w[keep]
     ginv = (v * inv_w) @ v.T
     ginv = 0.5 * (ginv + ginv.T)
+    if not np.isfinite(ginv).all():
+        raise DomainError("metric matrix has no finite generalized inverse")
     row = np.abs(ginv).sum(axis=1)
     return TensorMetric(
         dim=d,

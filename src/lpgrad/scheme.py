@@ -72,7 +72,10 @@ def build_scheme(betas) -> PointScheme:
         raise DomainError(f"offsets must be finite, got {betas}")
     if len(np.unique(betas)) != l:
         raise SingularSchemeError(f"offsets must be pairwise distinct, got {betas}")
-    a, rhs = _constraint_system(betas)
+    with np.errstate(over="ignore"):  # an overflowed power is rejected below
+        a, rhs = _constraint_system(betas)
+    if not np.isfinite(a).all():
+        raise DomainError(f"offset powers up to {l - 1} overflow (max |offset| {np.abs(betas).max():g})")
     condition = float(np.linalg.cond(a))
     if condition > CONDITION_WARN_THRESHOLD:
         warnings.warn(
@@ -80,7 +83,12 @@ def build_scheme(betas) -> PointScheme:
             RuntimeWarning,
             stacklevel=2,
         )
-    coeffs = np.linalg.solve(a, rhs)
+    try:
+        coeffs = np.linalg.solve(a, rhs)
+    except np.linalg.LinAlgError:  # exactly singular in floating point
+        coeffs = np.full(l, np.nan)
+    if not np.isfinite(coeffs).all():
+        raise SingularSchemeError(f"stencil constraint system is numerically singular (cond ~ {condition:.2e})")
     return PointScheme(betas=betas, coeffs=coeffs, condition=condition)
 
 

@@ -7,6 +7,7 @@ import functools
 import importlib
 import math
 import pkgutil
+import warnings
 
 import numpy as np
 import pytest
@@ -72,6 +73,7 @@ VALID = [
     ("run", lpgrad.run_experiment, dict(spec=SPEC, threads=2)),
     ("fdm-row", lpgrad.fdm_row, dict(function=F, metric=METRIC, h=1e-4)),
     ("sweep", lpgrad.mse_sweep, dict(spec=SPEC, n_values=[4, 8], threads=2)),
+    ("moments", lpgrad.moments_report, dict(d=3, p=3.0, draws=10, seed=0, sigma=1.0)),
     ("table", lpgrad.table_specs, dict(name="t2", reps=1, seed=0)),
 ]
 
@@ -145,6 +147,14 @@ def test_non_finite_argument_rejected(call):
         call()
 
 
+def _quiet(fn, *args):
+    """fn(*args) with its RuntimeWarnings ignored: build_scheme warns of an
+    ill-conditioned system, and numpy of an overflow, before the error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return fn(*args)
+
+
 @pytest.mark.parametrize("call", _derived(lambda label: label == "+0.5") + [
     pytest.param(lambda: lpgrad.lp_norm([1.0, 2.0], 0.5), id="lp-norm-p-below-one"),
     pytest.param(lambda: lpgrad.draw_batch(CFG.law, CFG.radial, 8, 3, -1), id="draw-seed-negative"),
@@ -161,6 +171,10 @@ def test_non_finite_argument_rejected(call):
     pytest.param(lambda: lpgrad.lp_norm([], 2.0), id="lp-norm-empty"),
     pytest.param(lambda: lpgrad.central_fdm(F, [0.0, 0.0], 1e-4), id="fdm-x-short"),
     pytest.param(lambda: lpgrad.central_fdm(F, [[0.0, 0.0]], 1e-4), id="fdm-x-matrix"),
+    pytest.param(lambda: lpgrad.build_scheme(range(1, 151)), id="scheme-powers-overflow"),
+    pytest.param(lambda: _quiet(lpgrad.build_scheme, [1.0, 2.0**-540, -(2.0**-540)]), id="scheme-singular-solve"),
+    pytest.param(lambda: lpgrad.from_matrix([[1e308, 1e308], [1e308, 1e308]]), id="from-matrix-sum-overflow"),
+    pytest.param(lambda: _quiet(lpgrad.from_matrix, [[1e-310, 0.0], [0.0, 1e-310]]), id="from-matrix-inverse-overflow"),
 ])
 def test_out_of_range_argument_rejected(call):
     # a fraction where an integer is required, a finite number outside the

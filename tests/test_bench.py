@@ -26,7 +26,7 @@ from lpgrad.bench import (
 from lpgrad import bench
 from lpgrad.errors import DomainError, EvaluationError
 from lpgrad.estimator import _EVAL_BLOCK_BYTES, EstimatorConfig, ObjectiveFunction, estimate_gradient
-from lpgrad.metric import exp_corr_metric, identity_metric
+from lpgrad.metric import exp_corr_metric, from_matrix, identity_metric
 from lpgrad.sampler import DIRECTION_KINDS, DirectionLaw, RadialLaw
 from lpgrad.scheme import one_point, two_point_central
 
@@ -218,6 +218,12 @@ class TestErr:
         with pytest.raises(DomainError):
             err(identity_metric(2), [0.0, 0.0], [1.0, 1.0])
 
+    def test_reference_zero_in_the_transformed_space(self):
+        # a non-zero gradient in the null space of a singular metric's inverse
+        metric = from_matrix([[1.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(DomainError, match="^reference gradient is zero in the transformed space$"):
+            err(metric, [0.0, 1.0], [0.0, 0.0])
+
     @given(scale=st.floats(0.01, 100.0))
     @settings(max_examples=30, deadline=None)
     def test_scale_invariance(self, scale):
@@ -251,6 +257,17 @@ class TestRunExperiment:
     def test_metric_dimension_must_match_objective(self):
         with pytest.raises(DomainError, match="metric dimension 4 != objective dimension 3"):
             replace(quick_spec(d=3), metric=identity_metric(4))
+        # estimate_gradient states the same rule in the same words
+        with pytest.raises(DomainError, match=r"^metric dimension 4 != objective dimension 3$"):
+            estimate_gradient(rosenbrock(3), np.zeros(3), quick_spec(d=3).cfg, identity_metric(4))
+
+    def test_zero_reference_gradient_rejected(self):
+        # x.x has a zero gradient at the origin, so no relative error exists
+        f = ObjectiveFunction(fun=lambda x: (x * x).sum(axis=-1), dim=3, grad=lambda x: 2.0 * np.asarray(x),
+                              vectorized=True)
+        spec = replace(quick_spec(d=3), function=f)
+        with pytest.raises(DomainError, match="^reference gradient is zero in the transformed space$"):
+            run_experiment(spec)
 
     def test_fdm_row_checks_dimensions_before_evaluating(self):
         # the same rule as ExperimentSpec's, before any of the 2d points is evaluated

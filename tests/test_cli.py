@@ -266,7 +266,8 @@ class TestInvalidInput:
         ("g.json", "[[1.0, NaN], [NaN, 1.0]]"),
         ("g.json", "[[1.0, 0.0], [0.0"),
         ("g.csv", "1.0,0.0\n0.0,abc\n"),
-    ], ids=["indefinite", "nan", "truncated-json", "csv-cell"])
+        ("g.json", "[[1e308, 1e308], [1e308, 1e308]]"),
+    ], ids=["indefinite", "nan", "truncated-json", "csv-cell", "sum-overflow"])
     def test_bad_metric_file(self, tmp_path, capsys, name, matrix):
         g = tmp_path / name
         g.write_text(matrix)
@@ -275,6 +276,12 @@ class TestInvalidInput:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "reference gradient" not in err
+
+    def test_overflowing_stencil_is_one_error_line(self, capfd):
+        # 1..150 to the power 149 overflows: no LAPACK text on stdout, no
+        # numpy warning and no all-failed CSV, but one error line
+        assert main(["estimate", "--d", "4", "--L", "150"]) == 2
+        assert capfd.readouterr() == ("", "error: offset powers up to 149 overflow (max |offset| 150)\n")
 
     @pytest.mark.parametrize("text", ["", "a,b\n", "\n# no rows\n"], ids=["empty", "header", "comment"])
     def test_metric_file_without_numbers(self, tmp_path, capsys, text):
@@ -454,14 +461,14 @@ class TestMomentsCheck:
     def test_chunks_merge_to_the_whole_sample(self, monkeypatch):
         # pairwise-merged chunk moments equal those of all draws at once
         d, p, draws, seed, rows = 3, 2.0, 1000, 4, 64  # 15 full chunks and one of 40
-        monkeypatch.setattr(cli, "_MOMENTS_CHUNK_ELEMENTS", rows * d)
-        checks = cli.moments_report(d, p, draws, seed)
+        monkeypatch.setattr(bench, "_MOMENTS_CHUNK_ELEMENTS", rows * d)
+        checks = bench.moments_report(d, p, draws, seed)
         v = np.vstack([
             draw_batch(DirectionLaw.sphere(p), RadialLaw.uniform(1.0), min(rows, draws - start), d,
                        bench.derive_seed(seed, k)).values
             for k, start in enumerate(range(0, draws, rows))
         ])
-        samples = cli._moment_samples(v, p)
+        samples = bench._moment_samples(v, p)
         assert len(samples) == len(checks)
         for (_, analytic, emp, z), x in zip(checks, samples):
             assert emp == pytest.approx(x.mean(), rel=1e-13)
@@ -470,11 +477,11 @@ class TestMomentsCheck:
     def test_overflowing_variance_is_scored(self):
         # at sigma = 1e50 the raw sample variance of R0^4 overflows; the
         # samples scaled by the analytic moment do not
-        z = {name: z for name, _, _, z in cli.moments_report(1, 1.0, 10, 0, 1e50)}
+        z = {name: z for name, _, _, z in bench.moments_report(1, 1.0, 10, 0, 1e50)}
         assert math.isfinite(z["E[R0^4]"]) and z["E[R0^4]"] != 0.0
 
     def test_non_finite_z_fails(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "moments_report", lambda *args: [("E[R0^4]", 1.0, 1.0, math.nan)])
+        monkeypatch.setattr(bench, "moments_report", lambda *args: [("E[R0^4]", 1.0, 1.0, math.nan)])
         assert main(["moments-check", "--d", "1", "--p", "1", "--draws", "10"]) == 1
 
     def test_d1_trivial(self, capsys):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from lpgrad import sampler
-from lpgrad.cli import moments_report
+from lpgrad.bench import moments_report
 from lpgrad.errors import (
     DegenerateSampleError,
     DomainError,

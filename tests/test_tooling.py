@@ -2,12 +2,17 @@
 failure. When a ``@given`` test fails, hypothesis's pytest plugin imports its
 patch writer, whose import chain warns; under ``filterwarnings = ["error"]``
 that warning would end the session with an INTERNALERROR (exit 3) and run no
-later test."""
+later test. And the command line only parses and prints: ``cli.py`` imports
+no numpy, and of the sampler only the words its flags offer."""
+import ast
 import subprocess
 import sys
 from pathlib import Path
 
+from lpgrad import sampler
+
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+CLI = Path(sampler.__file__).with_name("cli.py")
 
 PROBE = '''
 from hypothesis import given, strategies as st
@@ -32,3 +37,19 @@ def test_failing_property_test_does_not_abort_the_session(tmp_path):
     )
     assert result.returncode == 1, result.stdout + result.stderr
     assert "1 failed, 1 passed" in result.stdout
+
+
+def test_cli_imports_no_numpy_and_only_sampler_vocabulary():
+    vocabulary = {name for name, value in vars(sampler).items() if not name.startswith("_") and (
+        isinstance(value, str) or isinstance(value, tuple) and all(isinstance(word, str) for word in value))}
+    numpy, from_sampler = [], []
+    for node in ast.walk(ast.parse(CLI.read_text())):
+        if isinstance(node, ast.Import):
+            numpy += [alias.name for alias in node.names if alias.name.split(".")[0] == "numpy"]
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[0] == "numpy":
+                numpy.append(node.module)
+            if node.module in ("sampler", "lpgrad.sampler"):
+                from_sampler += [alias.name for alias in node.names]
+    assert numpy == []
+    assert from_sampler and sorted(set(from_sampler) - vocabulary) == []
