@@ -17,13 +17,12 @@ import json
 import math
 import os
 import time
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .errors import DomainError, LpgradError, _check_int, _check_real
+from .errors import DomainError, LpgradError, _check_int, _check_real, log
 from .estimator import (
     EstimatorConfig,
     ObjectiveFunction,
@@ -430,9 +429,11 @@ def mse_sweep(spec: ExperimentSpec, n_values, threads: int = 1):
     if spec.cfg.decorrelate is not None:
         raise DomainError(f"mse_sweep measures raw batches, got decorrelate={spec.cfg.decorrelate!r}")
     grad_dep = apply_inverse(spec.metric, _reference_gradient(spec.function))
-    with warnings.catch_warnings():  # spec.cfg gave the bandwidth warning, which n does not change
-        warnings.simplefilter("ignore", RuntimeWarning)
+    disabled, log.disabled = log.disabled, True  # spec.cfg gave the bandwidth warning, which n does not change
+    try:
         cfgs = [replace(spec.cfg, n=n) for n in n_values]
+    finally:
+        log.disabled = disabled
     jobs = [(cfg, derive_seed(spec.seed, cfg.n, rep)) for cfg in cfgs for rep in range(spec.reps)]
     grads = [grad for grad, *_ in _map(lambda job: _trial(spec, *job), jobs, threads)]
     n_failed = sum(grad is None for grad in grads)

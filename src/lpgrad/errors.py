@@ -1,10 +1,13 @@
 """Exception types shared across the library, and the one rule for numeric
 arguments: every public entry point checks each number with ``_check_int`` or
 ``_check_real``, which raise ``DomainError`` for one that is out of its domain."""
+import logging
 import math
 
 __all__ = ["LpgradError", "DomainError", "NotApplicableError", "DegenerateSampleError",
            "SingularSchemeError", "EvaluationError"]
+
+log = logging.getLogger("lpgrad")  # the one channel for advisories: a valid but doubtful input
 
 
 class LpgradError(Exception):
@@ -29,7 +32,7 @@ class DegenerateSampleError(LpgradError, ValueError):
 
 
 class SingularSchemeError(LpgradError, ValueError):
-    """The stencil constraint system is singular (repeated offsets, or no finite weights)."""
+    """The stencil constraint system is singular (repeated offsets, cond = inf, or no finite weights)."""
 
 
 class EvaluationError(LpgradError, RuntimeError):

@@ -11,13 +11,12 @@ the batch mean of f(x + h V_i) (reusing the same N evaluations).
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, EvaluationError, _check_int, _check_real
+from .errors import DomainError, EvaluationError, _check_int, _check_real, log
 from .metric import TensorMetric, apply_inverse
 from .sampler import (
     DECORRELATE_MODES,
@@ -171,11 +170,8 @@ class EstimatorConfig:
             raise DomainError(f"decorrelate must be None or one of {DECORRELATE_MODES}, got {self.decorrelate!r}")
         width = self.scheme.beta_max * self.h * self.sigma
         if width > 0.5:
-            warnings.warn(
-                f"beta_max * h * sigma = {width:.3g} exceeds 1/2; consider a smaller h or sigma",
-                RuntimeWarning,
-                stacklevel=3,  # the caller of the generated __init__
-            )
+            log.warning(f"beta_max * h * sigma = {width:.3g} exceeds 1/2; consider a smaller h or sigma",
+                        stacklevel=3)  # the caller of the generated __init__
 
     @property
     def sigma(self) -> float:

@@ -69,11 +69,12 @@ def from_matrix(g) -> TensorMetric:
         raise DomainError(f"metric must be a non-empty square matrix, got shape {g.shape}")
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is rejected below
         sym = 0.5 * (g + g.T)
+        asym = np.abs(g - g.T).max()  # inf for a pair whose difference overflows: asymmetric
     if not np.isfinite(sym).all():  # a non-finite entry, or a pair whose sum overflows
         raise DomainError("metric matrix has non-finite entries, or its symmetric part overflows")
     d = g.shape[0]
     scale = max(1.0, float(np.abs(g).max()))
-    if np.abs(g - g.T).max() > 1e-8 * scale:
+    if asym > 1e-8 * scale:
         raise DomainError("metric matrix must be symmetric (tolerance 1e-8)")
     g = sym
     w, v = np.linalg.eigh(g)
@@ -82,9 +83,10 @@ def from_matrix(g) -> TensorMetric:
         raise DomainError(f"metric matrix is not positive semidefinite (min eigenvalue {w.min():.3g})")
     keep = w > tau
     inv_w = np.zeros_like(w)
-    inv_w[keep] = 1.0 / w[keep]
-    ginv = (v * inv_w) @ v.T
-    ginv = 0.5 * (ginv + ginv.T)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite inverse is rejected below
+        inv_w[keep] = 1.0 / w[keep]
+        ginv = (v * inv_w) @ v.T
+        ginv = 0.5 * (ginv + ginv.T)
     if not np.isfinite(ginv).all():
         raise DomainError("metric matrix has no finite generalized inverse")
     row = np.abs(ginv).sum(axis=1)

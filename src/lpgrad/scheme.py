@@ -8,12 +8,11 @@ estimator mean-centers its evaluations instead.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SingularSchemeError
+from .errors import DomainError, SingularSchemeError, log
 
 __all__ = [
     "PointScheme",
@@ -30,7 +29,7 @@ class PointScheme:
     """Offsets and weights of an evaluation stencil.
 
     ``condition`` is the condition estimate of the constraint system;
-    values above 1e12 also emit a warning at build time.
+    values above 1e12 also log a warning at build time.
     """
 
     betas: np.ndarray
@@ -77,12 +76,10 @@ def build_scheme(betas) -> PointScheme:
     if not np.isfinite(a).all():
         raise DomainError(f"offset powers up to {l - 1} overflow (max |offset| {np.abs(betas).max():g})")
     condition = float(np.linalg.cond(a))
+    if not np.isfinite(condition):  # the solve would return garbage or raise, by BLAS thread count
+        raise SingularSchemeError(f"stencil constraint system is numerically singular (cond ~ {condition:.2e})")
     if condition > CONDITION_WARN_THRESHOLD:
-        warnings.warn(
-            f"stencil constraint system is ill-conditioned (cond ~ {condition:.2e})",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        log.warning(f"stencil constraint system is ill-conditioned (cond ~ {condition:.2e})", stacklevel=2)
     try:
         coeffs = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError:  # exactly singular in floating point

@@ -3,6 +3,7 @@ import contextlib
 import csv
 import io
 import json
+import logging
 import math
 import warnings
 from dataclasses import fields
@@ -15,7 +16,9 @@ from hypothesis import strategies as st
 
 from lpgrad import bench, cli
 from lpgrad.cli import CSV_HEADER, RunConfig, main
-from lpgrad.errors import DomainError
+from lpgrad.errors import DomainError, log
+from lpgrad.estimator import recommended_sigma
+from lpgrad.metric import exp_corr_metric
 from lpgrad.sampler import DirectionLaw, RadialLaw, draw_batch
 
 
@@ -58,32 +61,41 @@ class TestEstimate:
         ])
         assert code == 2
 
-    def test_bandwidth_warning_once(self, capsys):
+    def test_bandwidth_warning_once(self, capsys, caplog):
         # the config is built once per run, not once per rep
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            assert main(["estimate", "--function", "rosenbrock", "--d", "4", "--N", "8",
-                         "--h", "10", "--sigma", "1", "--reps", "3"]) == 0
-        assert sum("exceeds 1/2" in str(w.message) for w in record) == 1
+        assert main(["estimate", "--function", "rosenbrock", "--d", "4", "--N", "8",
+                     "--h", "10", "--sigma", "1", "--reps", "3"]) == 0
+        assert sum("exceeds 1/2" in r.getMessage() for r in caplog.records) == 1
 
-    def test_sweep_bandwidth_warning_once(self, capsys):
+    def test_sweep_bandwidth_warning_once(self, capsys, caplog):
         # the bandwidth does not depend on N, so one warning per sweep, at
         # the line that builds the run's config, as for estimate
-        with warnings.catch_warnings(record=True) as record:
-            warnings.simplefilter("always")
-            assert main(["mse-sweep", "--function", "expr:sum(sin(x))", "--d", "3", "--L", "2",
-                         "--sigma", "1", "--h", "10", "--n-values", "8,16,32"]) == 0
-        hits = [w for w in record if "exceeds 1/2" in str(w.message)]
-        assert [w.filename for w in hits] == [bench.__file__]
+        assert main(["mse-sweep", "--function", "expr:sum(sin(x))", "--d", "3", "--L", "2",
+                     "--sigma", "1", "--h", "10", "--n-values", "8,16,32"]) == 0
+        hits = [r for r in caplog.records if "exceeds 1/2" in r.getMessage()]
+        assert [r.pathname for r in hits] == [bench.__file__]
+        assert not log.disabled
+
+    def test_warning_is_one_bare_line_even_under_warnings_as_errors(self, tmp_path, capsys, monkeypatch):
+        # the advisory is a log record: with no handler configured, logging's
+        # last resort prints the message alone, and -W error cannot end the run
+        out = tmp_path / "rows.csv"
+        with monkeypatch.context() as patch, warnings.catch_warnings():
+            patch.setattr(logging.root, "handlers", [])  # pytest's capture handlers, until the run ends
+            warnings.simplefilter("error")
+            assert main(["estimate", "--d", "4", "--h", "10", "--sigma", "1", "--reps", "2",
+                         "--out", str(out)]) == 0
+        assert len(read_csv(out)) == 3
+        first, *rest = capsys.readouterr().err.splitlines()
+        assert first == "beta_max * h * sigma = 10 exceeds 1/2; consider a smaller h or sigma"
+        assert not any("exceeds 1/2" in line for line in rest)
 
     @pytest.mark.parametrize("extreme", [["--m2", "1.79e308", "--reps", "6"],
                                          ["--m2", "1e308", "--reps", "2"]])
     def test_overflow_is_a_note_or_a_finite_err(self, tmp_path, capsys, extreme):
         out = tmp_path / "rows.json"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            assert main(["estimate", "--function", "synthetic", "--d", "2", *extreme,
-                         "--format", "json", "--out", str(out)]) == 0
+        assert main(["estimate", "--function", "synthetic", "--d", "2", *extreme,
+                     "--format", "json", "--out", str(out)]) == 0
         for row in json.loads(out.read_text()):
             assert math.isfinite(row["err"]) or row["note"]
 
@@ -158,6 +170,13 @@ class TestEstimate:
         assert main(["estimate", "--function", "expr:" + expression, "--d", "2", "--reps", "1"]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_sigma_auto_c3_is_the_recommended_sigma(self, tmp_path, capsys):
+        out = tmp_path / "rows.json"
+        assert main(["estimate", "--d", "5", "--p", "4", "--metric", "exp-corr:0.5", "--sigma", "auto-c3",
+                     "--format", "json", "--out", str(out)]) == 0
+        [row] = json.loads(out.read_text())
+        assert row["sigma"] == recommended_sigma(exp_corr_metric(5, 0.5), 4.0)
+
     @pytest.mark.parametrize("metric", ["identity", "exp-corr:0.5", "file:"])
     def test_metric_column_is_the_metric_spec(self, tmp_path, capsys, metric):
         if metric == "file:":
@@ -215,6 +234,7 @@ class TestInvalidInput:
         ["estimate", "--function", "expr:x7", "--d", "3"],
         ["mse-sweep", "--function", "expr:x1 + x4", "--d", "3", "--n-values", "8,16"],
         ["estimate", "--function", "rosenbrock", "--d", "3", "--metric", "exp-corr:abc"],
+        ["estimate", "--function", "rosenbrock", "--d", "3", "--metric", "bogus"],
         SWEEP_ARGS + ["--n-values", "8,abc"],
         ["moments-check", "--d", "3", "--p", "2", "--draws", "100", "--seed", "-1"],
         ["estimate", "--d", "4", "--sigma", "1e308"],
@@ -234,7 +254,7 @@ class TestInvalidInput:
         SWEEP_ARGS + ["--config", "format-json.json"],
         # a config saved while the non-spherical iid-uniform law existed
         ["estimate", "--d", "4", "--config", "law-iid-uniform.json", "--radial", "dirac"],
-    ], ids=["estimate-expr-index", "sweep-expr-index", "exp-corr-rho", "sweep-n-values",
+    ], ids=["estimate-expr-index", "sweep-expr-index", "exp-corr-rho", "metric-unknown", "sweep-n-values",
             "moments-seed", "sigma-square-overflow", "sigma-h-overflow", "moments-sigma-overflow",
             "moments-r0-overflow", "moments-r0-underflow", "expr-div-zero", "expr-pow-zero", "expr-overflow",
             "expr-complex", "synthetic-m1-nan", "synthetic-m2-inf", "expr-huge-index",
@@ -267,7 +287,10 @@ class TestInvalidInput:
         ("g.json", "[[1.0, 0.0], [0.0"),
         ("g.csv", "1.0,0.0\n0.0,abc\n"),
         ("g.json", "[[1e308, 1e308], [1e308, 1e308]]"),
-    ], ids=["indefinite", "nan", "truncated-json", "csv-cell", "sum-overflow"])
+        ("g.json", "[[1.0, 1e308], [-1e308, 1.0]]"),
+        ("g.json", "[[1e-310, 0.0], [0.0, 1e-310]]"),
+    ], ids=["indefinite", "nan", "truncated-json", "csv-cell", "sum-overflow", "difference-overflow",
+            "inverse-overflow"])
     def test_bad_metric_file(self, tmp_path, capsys, name, matrix):
         g = tmp_path / name
         g.write_text(matrix)
@@ -275,13 +298,24 @@ class TestInvalidInput:
                      "--metric", f"file:{g}"])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "reference gradient" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "reference gradient" not in err
 
-    def test_overflowing_stencil_is_one_error_line(self, capfd):
-        # 1..150 to the power 149 overflows: no LAPACK text on stdout, no
-        # numpy warning and no all-failed CSV, but one error line
-        assert main(["estimate", "--d", "4", "--L", "150"]) == 2
-        assert capfd.readouterr() == ("", "error: offset powers up to 149 overflow (max |offset| 150)\n")
+    @pytest.mark.parametrize("l,message", [
+        ("150", "offset powers up to 149 overflow (max |offset| 150)"),
+        ("143", "stencil constraint system is numerically singular (cond ~ inf)"),
+    ], ids=["powers-overflow", "cond-inf"])
+    def test_overflowing_stencil_is_one_error_line(self, capfd, caplog, l, message):
+        # 1..150 to the power 149 overflows, and 1..143 has an infinite
+        # condition number, whatever the BLAS thread count: no LAPACK text
+        # on stdout, no warning, no CSV of meaningless weights, but one error line
+        assert main(["estimate", "--d", "4", "--L", l]) == 2
+        assert capfd.readouterr() == ("", f"error: {message}\n")
+        assert caplog.records == []
+
+    def test_unwritable_out_is_exit_1(self, tmp_path, capsys):
+        assert main(["estimate", "--d", "2", "--out", str(tmp_path / "missing" / "rows.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("text", ["", "a,b\n", "\n# no rows\n"], ids=["empty", "header", "comment"])
     def test_metric_file_without_numbers(self, tmp_path, capsys, text):
@@ -310,6 +344,7 @@ class TestInvalidInput:
             {"d": 4, "decorrelate": True},
             {"d": 4, "format": "xml", "reps": 3},
             {"d": 4, "l": 0},
+            {"d": 4, "radial": "bogus"},
             {},
             5,
             [1],
@@ -611,7 +646,5 @@ class TestFuzz:
         out = tmp_path_factory.mktemp("fuzz") / "out"
         if argv[0] != "moments-check":
             argv = argv + ["--out", str(out)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                assert main(argv) in (0, 1, 2)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 1, 2)

@@ -354,11 +354,13 @@ class TestConfig:
         with pytest.raises(DomainError):
             base_config(5, n=8, law=None)
 
-    def test_bandwidth_warning(self):
-        with pytest.warns(RuntimeWarning) as record:
-            base_config(5, n=8, h=10.0, radial=RadialLaw.uniform(1.0))
+    def test_bandwidth_warning(self, caplog):
+        base_config(5, n=8, h=10.0, radial=RadialLaw.uniform(1.0))
+        [record] = caplog.records
+        assert (record.name, record.levelname) == ("lpgrad", "WARNING")
+        assert record.getMessage().startswith("beta_max * h * sigma = 10 exceeds 1/2")
         # attributed to the line that built the config, not to dataclass code
-        assert record[0].filename == __file__
+        assert record.pathname == __file__
 
     def test_missing_h(self):
         with pytest.raises(DomainError):

@@ -1,6 +1,4 @@
 """Stencil construction: constraint solutions, residuals, bandwidth rule."""
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -40,9 +38,12 @@ class TestBuildScheme:
         with pytest.raises(SingularSchemeError):
             build_scheme([1.0, 1.0])
 
-    def test_ill_conditioned_warns(self):
-        with pytest.warns(RuntimeWarning):
-            build_scheme([1.0, 1.0 + 1e-13])
+    def test_ill_conditioned_warns(self, caplog):
+        build_scheme([1.0, 1.0 + 1e-13])
+        [record] = caplog.records
+        assert (record.name, record.levelname) == ("lpgrad", "WARNING")
+        assert record.getMessage().startswith("stencil constraint system is ill-conditioned (cond ~ ")
+        assert record.pathname == __file__  # the caller of build_scheme
 
     def test_degenerate_low_order_single(self):
         # the r=0 constraint forces C = 0 for a lone offset, a stencil
@@ -75,19 +76,19 @@ class TestValidateBandwidth:
     """EstimatorConfig warns when max_l |beta_l| * h * sigma exceeds 1/2."""
 
     @staticmethod
-    def warnings_of(scheme, h, sigma) -> list:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            EstimatorConfig(scheme=scheme, law=DirectionLaw.sphere(2.0),
-                            radial=RadialLaw.uniform(sigma), n=4, h=h)
-        return [str(w.message) for w in caught]
+    def warnings_of(caplog, scheme, h, sigma) -> list:
+        caplog.clear()
+        EstimatorConfig(scheme=scheme, law=DirectionLaw.sphere(2.0),
+                        radial=RadialLaw.uniform(sigma), n=4, h=h)
+        return [r.getMessage() for r in caplog.records if r.name == "lpgrad" and r.levelname == "WARNING"]
 
-    def test_benchmark_configuration(self):
-        assert self.warnings_of(one_point(), 1e-4, 1e-4) == []
+    def test_benchmark_configuration(self, caplog):
+        assert self.warnings_of(caplog, one_point(), 1e-4, 1e-4) == []
 
-    def test_too_large(self):
-        [message] = self.warnings_of(one_point(), 1.0, 1.0)
+    def test_too_large(self, caplog):
+        [message] = self.warnings_of(caplog, one_point(), 1.0, 1.0)
         assert message.startswith("beta_max * h * sigma = 1 exceeds 1/2")
 
-    def test_boundary_inclusive(self):
-        assert self.warnings_of(build_scheme([2.0, -1.0]), 0.25, 1.0) == []
+    def test_boundary_inclusive(self, caplog):
+        assert self.warnings_of(caplog, build_scheme([2.0, -1.0]), 0.25, 1.0) == []
+        assert self.warnings_of(caplog, build_scheme([2.0, -1.0]), 0.25 * (1 + 1e-15), 1.0) != []

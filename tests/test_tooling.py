@@ -2,8 +2,10 @@
 failure. When a ``@given`` test fails, hypothesis's pytest plugin imports its
 patch writer, whose import chain warns; under ``filterwarnings = ["error"]``
 that warning would end the session with an INTERNALERROR (exit 3) and run no
-later test. And the command line only parses and prints: ``cli.py`` imports
-no numpy, and of the sampler only the words its flags offer."""
+later test. The command line only parses and prints: ``cli.py`` imports
+no numpy, and of the sampler only the words its flags offer. And the library
+has one channel for advisories, the ``lpgrad`` logger: no module imports
+``warnings``."""
 import ast
 import subprocess
 import sys
@@ -13,6 +15,7 @@ from lpgrad import sampler
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 CLI = Path(sampler.__file__).with_name("cli.py")
+SRC = CLI.parent
 
 PROBE = '''
 from hypothesis import given, strategies as st
@@ -53,3 +56,18 @@ def test_cli_imports_no_numpy_and_only_sampler_vocabulary():
                 from_sampler += [alias.name for alias in node.names]
     assert numpy == []
     assert from_sampler and sorted(set(from_sampler) - vocabulary) == []
+
+
+def test_no_module_imports_warnings():
+    imported = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if "warnings" in (name.split(".")[0] for name in names):
+                imported.setdefault(path.name, []).append(node.lineno)
+    assert imported == {}
