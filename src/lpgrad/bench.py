@@ -7,7 +7,8 @@ derived per-rep seeds, mean-squared-error sweeps over sample size, and
 ``moments_report``, which scores chunked draws with derived seeds against
 the closed-form moments. Experiments run at the origin. Every trial of
 ``run_experiment`` and ``mse_sweep`` goes through ``_trial``, which turns
-a library failure into a note instead of aborting the run.
+a library failure into a note instead of aborting the run, and each row
+and sweep is measured against one checked reference, ``_reference``.
 ``RunConfig`` describes a run; ``_build_spec`` turns it into the
 experiment for both the CLI and the table presets.
 """
@@ -22,13 +23,14 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .errors import DomainError, LpgradError, _check_int, _check_real, log
+from .errors import DomainError, EvaluationError, LpgradError, _check_int, _check_real
 from .estimator import (
     EstimatorConfig,
     ObjectiveFunction,
     _check_dims,
     _check_point,
     _evaluate_rows,
+    _with_n,
     estimate_gradient,
     recommended_sigma,
 )
@@ -102,6 +104,8 @@ def synthetic_ms(d: int, m1: float, m2: float) -> ObjectiveFunction:
         raise DomainError(f"the synthetic objective requires an even d, got {d}")
     _check_real("m1", m1)
     _check_real("m2", m2)
+    if not math.isfinite(float(m1) - float(m2)):
+        raise DomainError(f"m1 - m2 must be finite, got {m1!r} - {m2!r}")
 
     def fun(x):
         s = x.sum(axis=-1)
@@ -146,23 +150,36 @@ def central_fdm(f: ObjectiveFunction, x, h: float) -> np.ndarray:
         return block
 
     values = _evaluate_rows(f, 2 * x.shape[0], points)
-    return (values[0::2] - values[1::2]) / (2.0 * h)
+    with np.errstate(all="ignore"):  # a non-finite difference raises below
+        grad = (values[0::2] - values[1::2]) / (2.0 * h)
+    if not np.isfinite(grad).all():
+        raise EvaluationError("the central-difference estimate is not finite", point=x.copy())
+    return grad
 
 
-def _norm_ratio(a: np.ndarray, b: np.ndarray) -> float:
-    """||a||_2 / ||b||_2. Each vector is first scaled by a power of two taken
-    from its largest entry, so no norm overflows or underflows unless the
-    ratio itself does."""
-    exps = [math.frexp(float(np.abs(v).max()))[1] for v in (a, b)]
-    na, nb = (np.linalg.norm(np.ldexp(v, -e)) for v, e in zip((a, b), exps))
+def _nonzero(ref: np.ndarray) -> np.ndarray:
+    """``ref``, which a relative error divides by, if it is not zero."""
+    if not ref.any():
+        raise DomainError("reference gradient is zero in the transformed space")
+    return ref
+
+
+def _relative_error(ref: np.ndarray, est: np.ndarray) -> float:
+    """||ref - est||_2 / ||ref||_2 for a reference that ``_nonzero`` passed, both
+    in the metric-transformed space: the err of every row and of ``err``. Each
+    vector is first scaled by a power of two taken from its largest entry, so
+    no norm overflows or underflows unless the ratio itself does."""
+    vectors = (ref - est, ref)
+    exps = [math.frexp(float(np.abs(v).max()))[1] for v in vectors]
+    na, nb = (np.linalg.norm(np.ldexp(v, -e)) for v, e in zip(vectors, exps))
     return float(np.ldexp(na / nb, exps[0] - exps[1]))
 
 
 def err(metric: TensorMetric, grad_true, grad_est) -> float:
     """Relative error of the metric-transformed gradient estimate.
 
-    ||G^{-1}(grad_true - grad_est)||_2 / ||G^{-1} grad_true||_2 for
-    traditional-gradient arguments.
+    ||G^{-1} grad_true - G^{-1} grad_est||_2 / ||G^{-1} grad_true||_2 for
+    traditional-gradient arguments, as every row of the harness measures it.
     """
     grad_true = np.asarray(grad_true, dtype=float)
     grad_est = np.asarray(grad_est, dtype=float)
@@ -170,10 +187,7 @@ def err(metric: TensorMetric, grad_true, grad_est) -> float:
         raise DomainError("gradient vectors must have equal length")
     if not (np.isfinite(grad_true).all() and np.isfinite(grad_est).all()):
         raise DomainError("gradient vectors must be finite, got a nan or inf entry")
-    dep = apply_inverse(metric, grad_true)
-    if not dep.any():
-        raise DomainError("reference gradient is zero in the transformed space")
-    return _norm_ratio(apply_inverse(metric, grad_true - grad_est), dep)
+    return _relative_error(_nonzero(apply_inverse(metric, grad_true)), apply_inverse(metric, grad_est))
 
 
 @dataclass(frozen=True)
@@ -223,13 +237,18 @@ def derive_seed(seed: int, *indices: int) -> int:
     return int(state.generate_state(1, np.uint64)[0])
 
 
-def _reference_gradient(function: ObjectiveFunction) -> np.ndarray:
-    """The gradient at the origin."""
+def _reference(function: ObjectiveFunction, metric: TensorMetric) -> np.ndarray:
+    """G^{-1} grad f(0) from the analytic ``grad``, else from a tight central
+    difference through this module's ``central_fdm``; a DomainError unless it
+    is a finite vector of the objective's length."""
     x0 = np.zeros(function.dim)
-    if function.grad is not None:
-        return np.asarray(function.grad(x0), dtype=float)
-    # no analytic gradient: use a tight central-difference reference
-    return central_fdm(function.fresh(), x0, 1e-6)
+    with np.errstate(all="ignore"):  # a non-finite reference raises below
+        grad = central_fdm(function.fresh(), x0, 1e-6) if function.grad is None else function.grad(x0)
+        grad = np.asarray(grad, dtype=float)
+        ref = apply_inverse(metric, grad) if grad.shape == x0.shape else grad
+    if ref.shape != x0.shape or not np.isfinite(ref).all():
+        raise DomainError(f"the reference gradient at the origin must be a finite vector of length {function.dim}")
+    return ref
 
 
 def _map(fn, items, threads: int) -> list:
@@ -360,15 +379,13 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1):
     Returns (rows, summary) where summary holds mean/sd of err and the
     mean evaluation count over successful reps.
     """
-    grad_dep = apply_inverse(spec.metric, _reference_gradient(spec.function))
-    if not grad_dep.any():
-        raise DomainError("reference gradient is zero in the transformed space")
+    ref = _nonzero(_reference(spec.function, spec.metric))
     static = _row_static(spec)
     seeds = [derive_seed(spec.seed, rep) for rep in range(spec.reps)]
     trials = _map(lambda seed: _trial(spec, spec.cfg, seed), seeds, threads)
     rows = []
     for rep, (seed, (grad, n_evals, wall, note)) in enumerate(zip(seeds, trials)):
-        e = float("nan") if grad is None else _norm_ratio(grad_dep - grad, grad_dep)
+        e = float("nan") if grad is None else _relative_error(ref, grad)
         rows.append(ResultRow(**static, rep=rep, seed=seed, err=e, n_evals=n_evals, wall_ms=wall, note=note))
     errs = np.array([row.err for row in rows])
     good = errs[np.isfinite(errs)]
@@ -383,10 +400,10 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1):
 
 
 def fdm_row(function: ObjectiveFunction, metric: TensorMetric, h: float) -> ResultRow:
-    """One deterministic central-difference baseline trial at the origin, dimensions checked first."""
+    """One deterministic central-difference baseline trial at the origin, its inputs checked first."""
     _check_dims(function, metric)
     f = function.fresh()
-    grad_true = _reference_gradient(f)
+    ref = _nonzero(_reference(f, metric))
     t0 = time.perf_counter()
     grad_est = central_fdm(f, np.zeros(f.dim), h)
     wall = (time.perf_counter() - t0) * 1e3
@@ -404,7 +421,7 @@ def fdm_row(function: ObjectiveFunction, metric: TensorMetric, h: float) -> Resu
         metric=metric.label,
         rep=0,
         seed=0,
-        err=err(metric, grad_true, grad_est),
+        err=_relative_error(ref, apply_inverse(metric, grad_est)),
         n_evals=f.eval_count,
         wall_ms=wall,
     )
@@ -416,7 +433,7 @@ def mse_sweep(spec: ExperimentSpec, n_values, threads: int = 1):
     For each N the spec's undecorrelated config runs spec.reps times
     with the spec's fixed h; the MSE is the mean over reps of the
     squared euclidean distance between the estimate and the
-    metric-transformed analytic gradient. Per-(N, rep) seeds derive from
+    metric-transformed reference gradient. Per-(N, rep) seeds derive from
     (spec.seed, N, rep) so sweeps with different laws pair up by seed.
     A failed trial is left out of its N's mean.
 
@@ -428,16 +445,12 @@ def mse_sweep(spec: ExperimentSpec, n_values, threads: int = 1):
         raise DomainError("mse_sweep needs at least two distinct sample sizes")
     if spec.cfg.decorrelate is not None:
         raise DomainError(f"mse_sweep measures raw batches, got decorrelate={spec.cfg.decorrelate!r}")
-    grad_dep = apply_inverse(spec.metric, _reference_gradient(spec.function))
-    disabled, log.disabled = log.disabled, True  # spec.cfg gave the bandwidth warning, which n does not change
-    try:
-        cfgs = [replace(spec.cfg, n=n) for n in n_values]
-    finally:
-        log.disabled = disabled
+    ref = _reference(spec.function, spec.metric)
+    cfgs = [_with_n(spec.cfg, n) for n in n_values]
     jobs = [(cfg, derive_seed(spec.seed, cfg.n, rep)) for cfg in cfgs for rep in range(spec.reps)]
     grads = [grad for grad, *_ in _map(lambda job: _trial(spec, *job), jobs, threads)]
     n_failed = sum(grad is None for grad in grads)
-    sq = np.array([np.nan if g is None else (g - grad_dep) @ (g - grad_dep) for g in grads])
+    sq = np.array([np.nan if g is None else (g - ref) @ (g - ref) for g in grads])
     sq = sq.reshape(len(n_values), spec.reps)
     with np.errstate(invalid="ignore"):
         means = np.array([np.nanmean(col) if np.isfinite(col).any() else float("nan") for col in sq])

@@ -10,6 +10,7 @@ the batch mean of f(x + h V_i) (reusing the same N evaluations).
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -176,6 +177,14 @@ class EstimatorConfig:
     @property
     def sigma(self) -> float:
         return self.radial.sigma
+
+
+def _with_n(cfg: EstimatorConfig, n: int) -> EstimatorConfig:
+    """``cfg`` with a sample size ``n`` the caller has checked. Neither cfg's
+    other checks nor its bandwidth warning depend on n, so none runs again."""
+    cfg = copy.copy(cfg)
+    object.__setattr__(cfg, "n", n)
+    return cfg
 
 
 @dataclass(frozen=True)

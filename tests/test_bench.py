@@ -1,6 +1,8 @@
 """Benchmark functions, error measure, experiment running, MSE sweeps."""
 import math
 import os
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -24,7 +26,7 @@ from lpgrad.bench import (
     trig_sum,
 )
 from lpgrad import bench
-from lpgrad.errors import DomainError, EvaluationError
+from lpgrad.errors import DomainError, EvaluationError, log
 from lpgrad.estimator import _EVAL_BLOCK_BYTES, EstimatorConfig, ObjectiveFunction, estimate_gradient
 from lpgrad.metric import exp_corr_metric, from_matrix, identity_metric
 from lpgrad.sampler import DIRECTION_KINDS, DirectionLaw, RadialLaw
@@ -164,6 +166,10 @@ class TestSynthetic:
         with pytest.raises(DomainError):
             synthetic_ms(4, 2.0, math.nan)
 
+    def test_overflowing_coupling_rejected(self):
+        with pytest.raises(DomainError, match=r"^m1 - m2 must be finite"):
+            synthetic_ms(2, -1e308, 1e308)
+
 
 class TestCentralFdm:
     def test_quadratic_exact(self):
@@ -193,6 +199,13 @@ class TestCentralFdm:
         with pytest.raises(EvaluationError) as exc:
             central_fdm(f, np.zeros(2), 1e-3)
         np.testing.assert_array_equal(exc.value.point, [-1e-3, 0.0])
+
+    def test_overflowing_difference_is_an_evaluation_error(self):
+        # as for estimate_gradient, and no raw numpy warning (they are errors here)
+        f = ObjectiveFunction(fun=lambda x: math.copysign(1.7e308, x[0]), dim=2)
+        with pytest.raises(EvaluationError, match="^the central-difference estimate is not finite$") as exc:
+            central_fdm(f, np.zeros(2), 1e-3)
+        np.testing.assert_array_equal(exc.value.point, [0.0, 0.0])
 
 
 class TestErr:
@@ -251,6 +264,36 @@ def quick_spec(reps=3, n=12, d=6, seed=5, **cfg_kw):
         reps=reps,
         seed=seed,
     )
+
+
+@pytest.fixture
+def seam_calls(monkeypatch):
+    """Counts of the calls through the two module globals a benchmark
+    harness wraps to time each estimate and each reference gradient."""
+    calls = {"estimate_gradient": 0, "central_fdm": 0}
+
+    def counting(name):
+        inner = getattr(bench, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(bench, name, wrapper)
+
+    counting("estimate_gradient")
+    counting("central_fdm")
+    return calls
+
+
+# an analytic gradient that is no finite vector of the objective's length 4
+BAD_REFERENCES = {"nan": [1.0, np.nan, 0.0, 0.0], "inf": [np.inf, 1.0, 0.0, 0.0], "short": [1.0, 1.0, 1.0]}
+
+RUNNERS = {
+    "run_experiment": lambda spec: run_experiment(spec, threads=2),
+    "mse_sweep": lambda spec: mse_sweep(spec, [8, 16], threads=2),
+    "fdm_row": lambda spec: fdm_row(spec.function, spec.metric, h=1e-4),
+}
 
 
 class TestRunExperiment:
@@ -364,29 +407,25 @@ class TestRunExperiment:
         assert summary["n_failed"] == 2
         assert all(math.isnan(r.err) and r.note for r in rows)
 
-    def test_every_trial_and_reference_goes_through_the_bench_seams(self, monkeypatch):
-        # a benchmark harness wraps these two module globals to time each
-        # estimate and each reference gradient
-        calls = {"estimate_gradient": 0, "central_fdm": 0}
-
-        def counting(name):
-            inner = getattr(bench, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return inner(*args, **kwargs)
-
-            monkeypatch.setattr(bench, name, wrapper)
-
-        counting("estimate_gradient")
-        counting("central_fdm")
+    def test_every_trial_and_reference_goes_through_the_bench_seams(self, seam_calls):
         spec = _build_spec(RunConfig(function="expr:sum(sin(x))", d=4, l=2, n=8, sigma=0.01, reps=3))
-        run_experiment(spec, threads=2)
-        assert calls == {"estimate_gradient": 3, "central_fdm": 1}
-        mse_sweep(spec, [8, 16], threads=2)
-        assert calls == {"estimate_gradient": 3 + 2 * 3, "central_fdm": 2}
-        fdm_row(spec.function, spec.metric, h=1e-4)
-        assert calls == {"estimate_gradient": 9, "central_fdm": 4}
+        RUNNERS["run_experiment"](spec)
+        assert seam_calls == {"estimate_gradient": 3, "central_fdm": 1}
+        RUNNERS["mse_sweep"](spec)
+        assert seam_calls == {"estimate_gradient": 3 + 2 * 3, "central_fdm": 2}
+        RUNNERS["fdm_row"](spec)
+        assert seam_calls == {"estimate_gradient": 9, "central_fdm": 4}
+
+    @pytest.mark.parametrize("runner", RUNNERS)
+    @pytest.mark.parametrize("gradient", BAD_REFERENCES.values(), ids=BAD_REFERENCES)
+    def test_bad_analytic_reference_is_rejected_before_any_trial(self, seam_calls, runner, gradient):
+        # one message from each runner, and no raw numpy warning (they are errors here)
+        spec = quick_spec(d=4)
+        spec = replace(spec, function=replace(spec.function, grad=lambda x: np.array(gradient)))
+        with pytest.raises(DomainError, match=r"^the reference gradient at the origin must be "
+                                              r"a finite vector of length 4$"):
+            RUNNERS[runner](spec)
+        assert seam_calls == {"estimate_gradient": 0, "central_fdm": 0}
 
     def test_monotone_error_in_n(self):
         # paired reps at the two budgets of the small benchmark preset
@@ -489,6 +528,38 @@ class TestMseSweep:
                 except EvaluationError:
                     expected += 1
         assert 0 < n_failed == expected < reps * len(n_values)
+
+    def test_concurrent_sweeps_leave_the_logger_alone(self, monkeypatch):
+        # two sweeps on threads, the second started while the first is in a
+        # (slowed) bench.replace if it calls one: no sweep may toggle the
+        # process-wide lpgrad logger, and each returns its single-thread points
+        monkeypatch.setattr(log, "disabled", False)  # and restored afterwards
+        started = threading.Event()
+
+        def slow_replace(*args, **kwargs):
+            started.set()
+            time.sleep(0.05)
+            return replace(*args, **kwargs)
+
+        monkeypatch.setattr(bench, "replace", slow_replace)
+        spec = quick_spec(reps=2, d=3)
+        n_values = {"first": [8, 16], "second": [8, 16, 32]}
+        alone = {name: mse_sweep(spec, ns)[0] for name, ns in n_values.items()}
+        points = {}
+
+        def sweep(name):
+            points[name] = mse_sweep(spec, n_values[name])[0]
+
+        first, second = (threading.Thread(target=sweep, args=(name,)) for name in n_values)
+        first.start()
+        while not started.wait(0.001) and first.is_alive():
+            pass
+        second.start()
+        for thread in (first, second):
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert log.disabled is False
+        assert points == alone
 
     def test_slope_near_inverse_n(self):
         spec = quick_spec(reps=40, d=5, n=16)

@@ -312,6 +312,24 @@ class TestInvalidInput:
         assert capfd.readouterr() == ("", f"error: {message}\n")
         assert caplog.records == []
 
+    @pytest.mark.parametrize("argv,message", [
+        (["estimate", "--function", "expr:1.7e308*x1*1e6", "--d", "2", "--reps", "2"],
+         "the central-difference estimate is not finite"),
+        (["mse-sweep", "--function", "expr:1.7e308*x1*1e6", "--d", "2", "--n-values", "8,16"],
+         "the central-difference estimate is not finite"),
+        (["estimate", "--function", "synthetic", "--d", "2", "--m1=-1e308", "--m2", "1e308", "--reps", "2"],
+         "m1 - m2 must be finite, got -1e+308 - 1e+308"),
+    ], ids=["estimate-fdm-reference", "sweep-fdm-reference", "synthetic-coupling"])
+    @pytest.mark.parametrize("action", ["always", "error"])
+    def test_overflowing_reference_is_one_error_line(self, capsys, argv, message, action):
+        # the reference's central difference overflows, or the coupling m1 - m2
+        # does: rejected before any estimate, with no numpy warning
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter(action)
+            assert main(argv) == 2
+        assert record == []
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_unwritable_out_is_exit_1(self, tmp_path, capsys):
         assert main(["estimate", "--d", "2", "--out", str(tmp_path / "missing" / "rows.csv")]) == 1
         err = capsys.readouterr().err

@@ -5,7 +5,8 @@ that warning would end the session with an INTERNALERROR (exit 3) and run no
 later test. The command line only parses and prints: ``cli.py`` imports
 no numpy, and of the sampler only the words its flags offer. And the library
 has one channel for advisories, the ``lpgrad`` logger: no module imports
-``warnings``."""
+``warnings``, and none configures the logger, which is the application's to
+configure."""
 import ast
 import subprocess
 import sys
@@ -71,3 +72,33 @@ def test_no_module_imports_warnings():
             if "warnings" in (name.split(".")[0] for name in names):
                 imported.setdefault(path.name, []).append(node.lineno)
     assert imported == {}
+
+
+# the logging.Logger methods that configure a logger rather than log to it
+LOGGER_CONFIGURATION = {"setLevel", "addHandler", "removeHandler", "addFilter", "removeFilter"}
+
+
+def _logger_names(tree) -> set:
+    """The names a module binds to the lpgrad logger: ``log`` imported from
+    ``errors``, or the result of a ``getLogger`` call."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "errors":
+            names |= {alias.asname or alias.name for alias in node.names if alias.name == "log"}
+        elif isinstance(node, ast.Assign) and getattr(getattr(node.value, "func", None), "attr", "") == "getLogger":
+            names |= {target.id for target in node.targets if isinstance(target, ast.Name)}
+    return names
+
+
+def test_library_only_logs():
+    configured, binding = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        names = _logger_names(tree)
+        binding += [path.name] if names else []
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in names
+                    and (isinstance(node.ctx, (ast.Store, ast.Del)) or node.attr in LOGGER_CONFIGURATION)):
+                configured.append(f"{path.name}:{node.lineno}")
+    assert "errors.py" in binding and "estimator.py" in binding
+    assert configured == []
