@@ -166,13 +166,18 @@ def _nonzero(ref: np.ndarray) -> np.ndarray:
 
 def _relative_error(ref: np.ndarray, est: np.ndarray) -> float:
     """||ref - est||_2 / ||ref||_2 for a reference that ``_nonzero`` passed, both
-    in the metric-transformed space: the err of every row and of ``err``. Each
-    vector is first scaled by a power of two taken from its largest entry, so
-    no norm overflows or underflows unless the ratio itself does."""
+    in the metric-transformed space: the err of every row and of ``err``. Both
+    vectors are first scaled by one power of two, so their difference does not
+    overflow, and each vector of a norm by a power of two taken from its largest
+    entry, so no norm overflows or underflows. A ratio beyond the float range
+    is inf."""
+    top = math.frexp(float(max(np.abs(ref).max(), np.abs(est).max())))[1]
+    ref, est = np.ldexp(ref, -top), np.ldexp(est, -top)
     vectors = (ref - est, ref)
     exps = [math.frexp(float(np.abs(v).max()))[1] for v in vectors]
     na, nb = (np.linalg.norm(np.ldexp(v, -e)) for v, e in zip(vectors, exps))
-    return float(np.ldexp(na / nb, exps[0] - exps[1]))
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(na / nb, exps[0] - exps[1]))
 
 
 def err(metric: TensorMetric, grad_true, grad_est) -> float:
@@ -252,14 +257,18 @@ def _reference(function: ObjectiveFunction, metric: TensorMetric) -> np.ndarray:
 
 
 def _map(fn, items, threads: int) -> list:
-    """[fn(item) for item in items], on ``threads`` workers (0 = one per core).
+    """[fn(item) for item in items], on at most ``threads`` workers (0 = one
+    per core), and never more workers than cores or items; one worker runs
+    them in turn on the calling thread.
 
     Results keep the order of ``items`` whatever the worker count.
     """
     threads = _check_int("threads", threads, 0)
-    if threads == 1:
+    cores = os.cpu_count() or 1
+    workers = min(threads or cores, cores, len(items))
+    if workers <= 1:
         return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads or os.cpu_count()) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
 

@@ -54,11 +54,14 @@ class ObjectiveFunction:
     optional analytic gradient callable used by the benchmark harness.
 
     ``estimate_gradient`` makes one rows call per stencil offset and row
-    block, and ``central_fdm`` one per row block, so a ``vectorized``
-    ``fun`` must compute each row on its own, whatever other rows share
-    its call; the built-in objectives and ``expr:`` ones do.
-    ``eval_count`` counts every point evaluated, so after a vectorized
-    ``fun`` fails it includes the whole failing block.
+    block of at most ``_EVAL_BLOCK_BYTES``, and ``central_fdm`` one per row
+    block. A ``vectorized`` ``fun`` maps all rows ``(N, d)`` to ``(N,)`` in
+    that call, so it must compute each row on its own, whatever other rows
+    share its call; the built-in objectives and ``expr:`` ones do. Any other
+    ``fun`` maps one point ``(d,)`` to a number and is called once per row.
+    Either way the whole block is evaluated, then counted in ``eval_count``,
+    and then its first non-finite value raises an ``EvaluationError`` naming
+    its point; so after a failure ``eval_count`` includes the failing block.
     """
 
     fun: Callable
@@ -76,30 +79,25 @@ class ObjectiveFunction:
 
     def __call__(self, x):
         """f at a point ``(d,)`` as a float, or at each row of ``(N, d)`` as an
-        ``(N,)`` array. A ``vectorized`` ``fun`` maps all rows ``(N, d)`` to
-        ``(N,)`` in one call; any other ``fun`` sees one point at a time and
-        stops at the first non-finite value. Every evaluation is counted, and
-        the first non-finite value raises an ``EvaluationError`` naming its
-        point."""
+        ``(N,)`` array."""
         x = np.asarray(x, dtype=float)
+        if x.ndim not in (1, 2) or x.shape[-1] != self.dim:
+            raise DomainError(f"objective {self.name!r} takes a point ({self.dim},) or rows "
+                              f"(N, {self.dim}), got shape {x.shape}")
         # row-major, so a sum over each row adds in the order it would for one point
         rows = np.ascontiguousarray(np.atleast_2d(x))
         n = rows.shape[0]
-        if self.vectorized:
-            with np.errstate(all="ignore"):  # non-finite values raise below
-                out = np.asarray(self.fun(rows), dtype=float)
-            if out.shape != (n,):
-                raise DomainError(f"objective {self.name!r} returned shape {out.shape} "
-                                  f"for {n} rows, expected ({n},)")
-            self.eval_count += n
-        else:
-            out = np.empty(n)
-            for i, row in enumerate(rows):
-                out[i] = self.fun(row)
-                self.eval_count += 1
-                if not math.isfinite(out[i]):
-                    out = out[:i + 1]
-                    break
+        with np.errstate(all="ignore"):  # non-finite values raise below
+            values = self.fun(rows) if self.vectorized else [self.fun(row) for row in rows]
+            try:
+                out = np.asarray(values)
+                out = None if out.dtype.kind == "c" else out.astype(float, copy=False)
+            except (TypeError, ValueError, OverflowError):
+                out = None
+        if out is None or out.shape != (n,):
+            got = "a value that is not a real float" if out is None else f"shape {out.shape}"
+            raise DomainError(f"objective {self.name!r} returned {got} for {n} rows, expected {n} real numbers")
+        self.eval_count += n
         bad = np.flatnonzero(~np.isfinite(out))
         if bad.size:
             i = bad[0]
@@ -206,14 +204,11 @@ def estimate_gradient(
 
     Deterministic in seed; evaluations run sequentially in a fixed
     order so results do not depend on any caller-side parallelism.
-    Costs L*N evaluations, one rows call of ``f`` per stencil offset and
-    row block of at most ``_EVAL_BLOCK_BYTES``, so a vectorized ``f.fun``
-    must compute each row on its own (the L = 1 centering mean reuses the
-    same evaluations). Raises ``EvaluationError`` at the first non-finite
-    objective value, after which ``f.eval_count`` counts a vectorized
-    ``fun``'s rows through the failing block; and when the estimate
-    itself is not finite (e.g. it overflows). A non-finite ``x`` raises
-    ``DomainError`` before any evaluation.
+    Costs L*N evaluations, in blocks as ``ObjectiveFunction`` states (the
+    L = 1 centering mean reuses the same evaluations). Raises
+    ``EvaluationError`` at the first non-finite objective value, and when
+    the estimate itself is not finite (e.g. it overflows). A non-finite
+    ``x`` raises ``DomainError`` before any evaluation.
     """
     x = _check_point(f, x)
     _check_dims(f, metric)

@@ -143,17 +143,17 @@ def _walk(node: ast.AST, text: str, dim: int, depth: int) -> _Node:
 
 def compile_expression(text: str, dim: int):
     """A callable of a point ``(dim,)``, returning a float, or of rows ``(N, dim)``,
-    returning ``(N,)``. It raises if the expression does not reduce to a scalar."""
+    returning ``(N,)``. Raises if the expression does not reduce to a scalar."""
     text = " ".join(text.split())
     if "**" in text or "//" in text:
         raise DomainError("** and // are not in the expression grammar; use ^ and /")
     if not _CHARS.fullmatch(text):
         raise DomainError(f"{_quote(text)} has a character outside the expression grammar")
     node = _compile(_LEADING_ZEROS.sub("", text).replace("^", "**"), dim)
+    if node.vector:
+        raise DomainError("expression must evaluate to a scalar; wrap vector terms in sum(...)")
 
     def fun(x):
-        if node.vector:
-            raise DomainError("expression must evaluate to a scalar; wrap vector terms in sum(...)")
         x = np.asarray(x, dtype=float)
         out = node.fn(x)[..., 0] if node.value is None else np.full(x.shape[:-1], node.value)
         return float(out) if out.ndim == 0 else out

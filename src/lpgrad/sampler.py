@@ -173,9 +173,12 @@ def log_direction_moment(a: float, b: float, d: int, p: float, law: str = SPHERE
     if law not in DIRECTION_KINDS:
         raise DomainError(f"no direction moments for the {law!r} law")
     # summed as the negative log, so log_radius_moment's E[R^2] = sigma^2 / E[U_1^2] keeps its bits
-    neg = math.lgamma(1 / p) + math.lgamma((d + a + b) / p) - math.lgamma((a + 1) / p) - math.lgamma(d / p)
-    if b:
-        neg += math.lgamma(1 / p) - math.lgamma((b + 1) / p)
+    try:
+        neg = math.lgamma(1 / p) + math.lgamma((d + a + b) / p) - math.lgamma((a + 1) / p) - math.lgamma(d / p)
+        if b:
+            neg += math.lgamma(1 / p) - math.lgamma((b + 1) / p)
+    except OverflowError:
+        raise DomainError(f"ln E[|U_1|^{a} |U_2|^{b}] overflows for d={d}, p={p}") from None
     if law == BALL:
         neg += math.log((d + a + b) / d)
     return -neg

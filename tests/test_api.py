@@ -168,6 +168,10 @@ def test_non_finite_argument_rejected(call):
     pytest.param(lambda: lpgrad.from_matrix([[1e-310, 0.0], [0.0, 1e-310]]), id="from-matrix-inverse-overflow"),
     pytest.param(lambda: lpgrad.err(METRIC, [1.0, 2.0, 3.0], [1.0, 2.0]), id="err-lengths-differ"),
     pytest.param(lambda: lpgrad.log_radius_moment(2, 3, 2.0, "bogus"), id="radius-kind-unknown"),
+    pytest.param(lambda: lpgrad.log_direction_moment(1e308, 1.0, 3, 3.0), id="direction-a-lgamma-overflow"),
+    pytest.param(lambda: lpgrad.log_direction_moment(2.0, 1e308, 3, 3.0), id="direction-b-lgamma-overflow"),
+    pytest.param(lambda: F(np.zeros(5)), id="objective-call-point-long"),
+    pytest.param(lambda: F(np.zeros((2, 2, 3))), id="objective-call-rows-3d"),
 ])
 def test_out_of_range_argument_rejected(call):
     # a fraction where an integer is required, a finite number outside the

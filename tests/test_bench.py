@@ -227,6 +227,13 @@ class TestErr:
         # neither norm may underflow to "zero" or overflow to inf
         assert err(identity_metric(2), [scale, scale], [0.0, 0.0]) == 1.0
 
+    def test_difference_beyond_the_float_range(self):
+        # ref - est overflows, but the ratio is 2; no raw numpy warning (they are errors here)
+        assert err(identity_metric(1), [1e308], [-1e308]) == 2.0
+
+    def test_ratio_beyond_the_float_range_is_inf(self):
+        assert err(identity_metric(3), [5e-324, 0.0, 0.0], [0.5, 0.0, 0.0]) == math.inf
+
     def test_degenerate_reference(self):
         with pytest.raises(DomainError):
             err(identity_metric(2), [0.0, 0.0], [1.0, 1.0])
@@ -339,17 +346,33 @@ class TestRunExperiment:
         assert [r.seed for r in rows_1] == [r.seed for r in rows_4]
 
     def test_zero_threads_is_one_worker_per_core(self, monkeypatch):
+        # records the worker count _map asks for and runs the items in turn,
+        # so no thread is started whatever the count
         workers = []
 
-        class Recording(bench.ThreadPoolExecutor):
+        class Recording:
             def __init__(self, max_workers=None):
                 workers.append(max_workers)
-                super().__init__(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
 
         monkeypatch.setattr(bench, "ThreadPoolExecutor", Recording)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        run_experiment(quick_spec(reps=2), threads=0)
+        run_experiment(quick_spec(reps=3), threads=0)
         assert workers == [3]
+        # a worker count is capped by the cores and by the items
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        for reps, expected in [(2, 2), (5, 4)]:
+            workers.clear()
+            rows, _ = run_experiment(quick_spec(reps=reps), threads=10**6)
+            assert workers == [expected] and len(rows) == reps
 
     @given(
         law=st.sampled_from(DIRECTION_KINDS),
@@ -406,6 +429,21 @@ class TestRunExperiment:
         rows, summary = run_experiment(spec)
         assert summary["n_failed"] == 2
         assert all(math.isnan(r.err) and r.note for r in rows)
+
+    def test_scalar_fun_returning_a_vector_annotates_rows(self):
+        d = 4
+        spec = ExperimentSpec(
+            function=ObjectiveFunction(fun=lambda x: x, dim=d, name="vector", grad=lambda x: np.ones(d)),
+            metric=identity_metric(d),
+            cfg=EstimatorConfig(scheme=two_point_central(), law=DirectionLaw.sphere(2.0),
+                                radial=RadialLaw.uniform(0.1), n=5, h=1e-2),
+            reps=2,
+            seed=0,
+        )
+        rows, summary = run_experiment(spec)
+        assert summary["n_failed"] == 2
+        assert all(math.isnan(r.err) and r.n_evals == 0 for r in rows)
+        assert {r.note for r in rows} == {"objective 'vector' returned shape (5, 4) for 5 rows, expected 5 real numbers"}
 
     def test_every_trial_and_reference_goes_through_the_bench_seams(self, seam_calls):
         spec = _build_spec(RunConfig(function="expr:sum(sin(x))", d=4, l=2, n=8, sigma=0.01, reps=3))

@@ -1,6 +1,8 @@
 """Gradient estimator: exactness, accounting, bound constants, parameter rules."""
 import dataclasses
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from lpgrad.estimator import (
     recommended_sigma,
     surrogate_bias_bound,
 )
-from lpgrad.metric import apply_inverse, exp_corr_metric, identity_metric
+from lpgrad.metric import apply_inverse, exp_corr_metric, from_matrix, identity_metric
 from lpgrad.sampler import (
     DIRECTION_KINDS,
     DirectionLaw,
@@ -262,13 +264,48 @@ class TestAccountingAndErrors:
         assert values.tobytes() == np.array(singles).tobytes()
 
     def test_rows_call_stops_at_first_non_finite(self):
+        # a scalar fun, like a vectorized one, evaluates and counts the whole
+        # block, and the error names the first non-finite row
         d, i = 3, 4
         f = ObjectiveFunction(fun=lambda x: float("inf") if x[0] >= i else float(x[0]), dim=d)
         rows = np.repeat(np.arange(8.0)[:, None], d, axis=1)
         with pytest.raises(EvaluationError) as exc:
             f(rows)
-        assert f.eval_count == i + 1
+        assert f.eval_count == len(rows)
         np.testing.assert_array_equal(exc.value.point, rows[i])
+
+    def test_scalar_overflow_is_an_evaluation_error_without_a_warning(self):
+        d, n = 3, 8
+        f = ObjectiveFunction(fun=lambda x: float(np.sum(np.exp(2000 * x))), dim=d)
+        cfg = base_config(d, n=n, h=1.0, radial=RadialLaw.uniform(0.4), decorrelate=None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError, match="non-finite value inf"):
+                estimate_gradient(f, np.zeros(d), cfg, identity_metric(d))
+        assert f.eval_count == n  # the first block, all of it
+
+    @pytest.mark.parametrize("vectorized,fun,match", [
+        (False, lambda x: x, r"shape \(4, 3\)"),
+        (False, lambda x: [1.0, 2.0], r"shape \(4, 2\)"),
+        (False, lambda x: 1j, "real float"),
+        (False, lambda x: 10**400, "real float"),
+        (True, lambda x: np.full(len(x), 1j), "real float"),
+    ], ids=["scalar-vector", "scalar-list", "scalar-complex", "scalar-huge-int", "vectorized-complex"])
+    def test_result_that_is_not_one_real_number_per_row(self, vectorized, fun, match):
+        f = ObjectiveFunction(fun=fun, dim=3, vectorized=vectorized)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=match):
+                f(np.ones((4, 3)))
+        assert f.eval_count == 0
+
+    @pytest.mark.parametrize("vectorized", [False, True], ids=["scalar", "vectorized"])
+    @pytest.mark.parametrize("shape", [(), (5,), (4, 5), (2, 2, 3)], ids=str)
+    def test_argument_must_be_a_point_or_rows(self, vectorized, shape):
+        f = ObjectiveFunction(fun=lambda x: x.sum(axis=-1), dim=3, vectorized=vectorized)
+        with pytest.raises(DomainError, match=re.escape(f"takes a point (3,) or rows (N, 3), got shape {shape}")):
+            f(np.zeros(shape))
+        assert f.eval_count == 0
 
     def test_vectorized_call_counts_the_batch_and_names_the_first_bad_row(self):
         d, n, i = 3, 8, 4
@@ -395,6 +432,68 @@ class TestConstantShift:
             # rounding of f + shift scales with |shift| and 1 / (h sigma)
             tol = 1e-13 * (1.0 + abs(shift)) * l / (cfg.h * cfg.sigma)
             np.testing.assert_allclose(moved.grad, base.grad, rtol=0, atol=tol)
+
+
+class TestMetricAndLinearity:
+    """Invariants of the estimator in the metric and in f, at a fixed seed, for
+    every stencil length and batch kind: the identity metric is the plain
+    gradient's, a power-of-two scale of G scales G^{-1} exactly, and the
+    estimate is a linear map of the objective's values."""
+
+    CASE = dict(
+        l=st.integers(1, 3),
+        decorrelate=st.sampled_from([None, "moment", "sample"]),
+        d=st.integers(1, 6),
+        extra=st.integers(1, 8),  # n - d, so a decorrelated batch has enough rows
+        seed=st.integers(0, 2**32 - 1),
+    )
+
+    @staticmethod
+    def estimate(fun, l, decorrelate, d, extra, seed, metric=None):
+        scheme = build_scheme(list(range(1, l + 1))) if l >= 2 else one_point()
+        cfg = base_config(d, n=d + extra, scheme=scheme, h=0.1, radial=RadialLaw.uniform(0.1),
+                          decorrelate=decorrelate)
+        return estimate_gradient(ObjectiveFunction(fun=fun, dim=d), np.linspace(-0.5, 0.5, d), cfg,
+                                 metric or identity_metric(d), seed=seed).grad
+
+    @staticmethod
+    def fun(x):
+        return float(np.sin(x).sum() + 0.5 * x @ x)
+
+    @given(**CASE)
+    @settings(max_examples=40, deadline=None)
+    def test_identity_marker_equals_the_identity_matrix(self, l, decorrelate, d, extra, seed):
+        case = (l, decorrelate, d, extra, seed)
+        np.testing.assert_array_equal(self.estimate(self.fun, *case, metric=from_matrix(np.eye(d))),
+                                      self.estimate(self.fun, *case))
+
+    @given(rho=st.floats(-0.9, 0.9), k=st.integers(-20, 20), **CASE)
+    @settings(max_examples=40, deadline=None)
+    def test_power_of_two_metric_scale_is_exact(self, rho, k, l, decorrelate, d, extra, seed):
+        idx = np.arange(d)
+        corr = rho ** np.abs(idx[:, None] - idx[None, :])
+        case = (l, decorrelate, d, extra, seed)
+        base = self.estimate(self.fun, *case, metric=from_matrix(corr @ corr))
+        scaled = self.estimate(self.fun, *case, metric=from_matrix(np.ldexp(corr @ corr, k)))
+        np.testing.assert_array_equal(np.ldexp(scaled, k), base)
+
+    @given(a=st.floats(-100, 100), b=st.floats(-100, 100), **CASE)
+    @settings(max_examples=40, deadline=None)
+    def test_estimate_is_linear_in_f(self, a, b, l, decorrelate, d, extra, seed):
+        def f1(x):
+            return float(np.sin(x).sum())
+
+        def f2(x):
+            return float(0.5 * x @ x + x[0])
+
+        case = (l, decorrelate, d, extra, seed)
+        both = self.estimate(lambda x: a * f1(x) + b * f2(x), *case)
+        apart = a * self.estimate(f1, *case) + b * self.estimate(f2, *case)
+        # |f1|, |f2| <= d on the points, and the rounding of their values
+        # grows by l stencil weights and 1 / (h sigma); the floor covers a
+        # tiny a or b, whose products with f are subnormal and round coarsely
+        tol = 1e-14 * (abs(a) + abs(b)) * d * l / (0.1 * 0.1) + 1e-290
+        np.testing.assert_allclose(both, apart, rtol=0, atol=tol)
 
 
 class TestBoundConstants:

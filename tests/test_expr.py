@@ -35,16 +35,13 @@ class TestCompileExpression:
         assert f(x) == pytest.approx(np.cos(0.3) + np.exp(0.2))
 
     def test_vector_result_rejected(self):
-        f = compile_expression("sin(x)", 2)
         with pytest.raises(DomainError):
-            f(np.array([1.0, 2.0]))
+            compile_expression("sin(x)", 2)
 
     def test_vector_result_rejected_at_d1(self):
         # one value per row by shape, but still a vector expression
-        f = compile_expression("sin(x)", 1)
-        for x in (np.array([0.5]), np.full((3, 1), 0.5)):
-            with pytest.raises(DomainError, match="scalar"):
-                f(x)
+        with pytest.raises(DomainError, match="scalar"):
+            compile_expression("sin(x)", 1)
 
     def test_rows_broadcast_scalars_per_row_at_n_equal_d(self):
         d = 3
