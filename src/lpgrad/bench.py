@@ -381,12 +381,13 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1):
     Per-rep seeds derive deterministically from (spec.seed, rep); rows
     come back ordered by rep regardless of the worker count, so output
     does not depend on ``threads``. Each row's err is
-    ||G^{-1} grad - estimate|| / ||G^{-1} grad||. Trial failures
-    annotate their row (err = nan, note set) instead of aborting the
-    experiment.
+    ||G^{-1} grad - estimate|| / ||G^{-1} grad||. A trial fails when its
+    estimate raises; that annotates its row (err = nan, note set) instead
+    of aborting the experiment.
 
     Returns (rows, summary) where summary holds mean/sd of err and the
-    mean evaluation count over successful reps.
+    mean evaluation count over successful reps (an err may be inf), and
+    the number of failed reps.
     """
     ref = _nonzero(_reference(spec.function, spec.metric))
     static = _row_static(spec)
@@ -396,15 +397,15 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1):
     for rep, (seed, (grad, n_evals, wall, note)) in enumerate(zip(seeds, trials)):
         e = float("nan") if grad is None else _relative_error(ref, grad)
         rows.append(ResultRow(**static, rep=rep, seed=seed, err=e, n_evals=n_evals, wall_ms=wall, note=note))
-    errs = np.array([row.err for row in rows])
-    good = errs[np.isfinite(errs)]
-    evals = np.array([row.n_evals for row in rows if math.isfinite(row.err)], dtype=float)
-    summary = {
-        "mean_err": float(good.mean()) if good.size else float("nan"),
-        "sd_err": float(good.std(ddof=1)) if good.size > 1 else 0.0,
-        "mean_n_evals": float(evals.mean()) if evals.size else float("nan"),
-        "n_failed": int(np.sum(~np.isfinite(errs))),
-    }
+    ok = [row for row, (grad, *_) in zip(rows, trials) if grad is not None]
+    errs = np.array([row.err for row in ok])
+    with np.errstate(all="ignore"):  # the mean or sd of errs beyond the float range is inf or nan
+        summary = {
+            "mean_err": float(errs.mean()) if ok else float("nan"),
+            "sd_err": float(errs.std(ddof=1)) if len(ok) > 1 else 0.0,
+            "mean_n_evals": float(np.mean([row.n_evals for row in ok])) if ok else float("nan"),
+            "n_failed": spec.reps - len(ok),
+        }
     return rows, summary
 
 
@@ -459,9 +460,9 @@ def mse_sweep(spec: ExperimentSpec, n_values, threads: int = 1):
     jobs = [(cfg, derive_seed(spec.seed, cfg.n, rep)) for cfg in cfgs for rep in range(spec.reps)]
     grads = [grad for grad, *_ in _map(lambda job: _trial(spec, *job), jobs, threads)]
     n_failed = sum(grad is None for grad in grads)
-    sq = np.array([np.nan if g is None else (g - ref) @ (g - ref) for g in grads])
-    sq = sq.reshape(len(n_values), spec.reps)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(all="ignore"):  # a square beyond the float range gives an inf MSE, left unfitted
+        sq = np.array([np.nan if g is None else (g - ref) @ (g - ref) for g in grads])
+        sq = sq.reshape(len(n_values), spec.reps)
         means = np.array([np.nanmean(col) if np.isfinite(col).any() else float("nan") for col in sq])
     points = [(n, float(m)) for n, m in zip(n_values, means)]
     valid = [(n, m) for n, m in points if math.isfinite(m)]

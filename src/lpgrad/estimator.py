@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import copy
 import math
+import numbers
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -89,9 +91,11 @@ class ObjectiveFunction:
         n = rows.shape[0]
         with np.errstate(all="ignore"):  # non-finite values raise below
             values = self.fun(rows) if self.vectorized else [self.fun(row) for row in rows]
-            try:
+            try:  # bool, int or float, or objects that are all numbers, such as Fraction or 2**70
                 out = np.asarray(values)
-                out = None if out.dtype.kind == "c" else out.astype(float, copy=False)
+                real = out.dtype.kind in "biuf" or (
+                    out.dtype.kind == "O" and all(isinstance(item, numbers.Number) for item in out.flat))
+                out = out.astype(float, copy=False) if real else None
             except (TypeError, ValueError, OverflowError):
                 out = None
         if out is None or out.shape != (n,):
@@ -136,12 +140,14 @@ _EVAL_BLOCK_BYTES = 1 << 18
 def _evaluate_rows(f: ObjectiveFunction, n: int, rows: Callable) -> np.ndarray:
     """f at n points, where ``rows(i, j)`` builds points i..j-1 as a
     ``(j - i, f.dim)`` array: one rows call of f per block of at most
-    ``_EVAL_BLOCK_BYTES``, in order, so a failure stops at its block."""
+    ``_EVAL_BLOCK_BYTES``, in order, so a failure stops at its block.
+    A point beyond the float range reaches f as inf, without a warning."""
     step = max(1, _EVAL_BLOCK_BYTES // (8 * f.dim))
     out = np.empty(n)
-    for i in range(0, n, step):
-        j = min(i + step, n)
-        out[i:j] = f(rows(i, j))
+    with np.errstate(all="ignore"):  # f raises at a non-finite value
+        for i in range(0, n, step):
+            j = min(i + step, n)
+            out[i:j] = f(rows(i, j))
     return out
 
 
@@ -207,8 +213,9 @@ def estimate_gradient(
     Costs L*N evaluations, in blocks as ``ObjectiveFunction`` states (the
     L = 1 centering mean reuses the same evaluations). Raises
     ``EvaluationError`` at the first non-finite objective value, and when
-    the estimate itself is not finite (e.g. it overflows). A non-finite
-    ``x`` raises ``DomainError`` before any evaluation.
+    the estimate itself is not finite (e.g. it overflows); an overflow in a
+    point, value or sum prints no numpy warning. A non-finite ``x`` raises
+    ``DomainError`` before any evaluation.
     """
     x = _check_point(f, x)
     _check_dims(f, metric)
@@ -218,20 +225,10 @@ def estimate_gradient(
         v = draw_batch(cfg.law, cfg.radial, cfg.n, d, seed).values
     else:  # passed on unnamed, so no name here keeps the raw batch through the QR
         v = decorrelate(draw_batch(cfg.law, cfg.radial, cfg.n, d, seed), cfg.sigma, cfg.decorrelate).values
-    values = []
-    for beta in scheme.betas:
-        scale = beta * cfg.h
-
-        def points(i, j):  # x + beta h V_k for rows k in i..j-1
-            block = scale * v[i:j]
-            block += x
-            return block
-
-        values.append(_evaluate_rows(f, cfg.n, points))
     with np.errstate(all="ignore"):  # a non-finite estimate raises below
         weights = np.zeros(cfg.n)
-        for c, fv in zip(scheme.coeffs, values):
-            weights += c * fv
+        for beta, c in zip(scheme.betas, scheme.coeffs):  # points x + beta h V_k, one temporary each
+            weights += c * _evaluate_rows(f, cfg.n, lambda i, j: operator.iadd(beta * cfg.h * v[i:j], x))
         if scheme.l == 1:
             weights -= weights.mean()
         raw = v.T @ weights / (cfg.n * cfg.h * cfg.sigma**2)

@@ -207,6 +207,12 @@ class TestCentralFdm:
             central_fdm(f, np.zeros(2), 1e-3)
         np.testing.assert_array_equal(exc.value.point, [0.0, 0.0])
 
+    def test_overflowing_point_is_an_evaluation_error(self):
+        # x + h e_1 is beyond the float range: f's value there raises, with no numpy warning
+        with pytest.raises(EvaluationError, match="returned non-finite value inf") as exc:
+            central_fdm(rosenbrock(3), [1e308, 0.0, 0.0], 1e308)
+        np.testing.assert_array_equal(exc.value.point, [np.inf, 0.0, 0.0])
+
 
 class TestErr:
     def test_exact_estimate(self):
@@ -429,6 +435,24 @@ class TestRunExperiment:
         rows, summary = run_experiment(spec)
         assert summary["n_failed"] == 2
         assert all(math.isnan(r.err) and r.note for r in rows)
+
+    def test_err_beyond_the_float_range_is_a_success(self):
+        # the reference is tiny and the estimate's noise is not: each err is inf, no trial fails
+        d, n = 2, 20
+        f = ObjectiveFunction(fun=lambda x: 1e-305 * x[0] + 1e10 * x[1] ** 2, dim=d,
+                              grad=lambda x: np.array([1e-305, 2e10 * x[1]]))
+        spec = ExperimentSpec(
+            function=f,
+            metric=identity_metric(d),
+            cfg=EstimatorConfig(scheme=one_point(), law=DirectionLaw.sphere(3.0),
+                                radial=RadialLaw.uniform(0.25), n=n, h=1e-4),
+            reps=2,
+            seed=0,
+        )
+        rows, summary = run_experiment(spec)
+        assert all(r.err == math.inf and r.note == "" for r in rows)
+        assert summary["n_failed"] == 0 and summary["mean_n_evals"] == n
+        assert summary["mean_err"] == math.inf and math.isnan(summary["sd_err"])
 
     def test_scalar_fun_returning_a_vector_annotates_rows(self):
         d = 4

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lpgrad import bench, cli
@@ -594,6 +594,13 @@ class TestGoldenOutput:
          "mse_sweep_sin_seed3.csv", False),
         (["table", "--name", "t5", "--reps", "2", "--seed", "0"],
          "table_t5_reps2_seed0.csv", True),
+        (["estimate", "--function", "rosenbrock", "--d", "6", "--N", "12", "--law", "ball",
+          "--radial", "dirac", "--L", "3", "--reps", "3", "--seed", "4"],
+         "estimate_ball_dirac_seed4.csv", True),
+        (["mse-sweep", "--function", "expr:sum(sin(x)) + 0.5*pow(sum(x), 2)", "--d", "50", "--p", "4",
+          "--L", "2", "--sigma", "auto-d2", "--h", "1e-4", "--metric", "exp-corr:0.5",
+          "--n-values", "32,64,128,256,512,1024,2048", "--threads", "2", "--reps", "20", "--seed", "1000004"],
+         "mse_sweep_expr_mt_seed1000004.csv", False),
     ])
     def test_matches_fixture(self, tmp_path, capsys, argv, fixture, timed):
         out = tmp_path / "out.csv"
@@ -657,6 +664,11 @@ def fuzz_argv(draw):
 
 class TestFuzz:
     @given(argv=fuzz_argv())
+    # points and squared errors beyond the float range
+    @example(argv=["estimate", "--function", "rosenbrock", "--d", "3", "--h", "1e308", "--sigma", "1",
+                   "--L", "2", "--reps", "2"])
+    @example(argv=["mse-sweep", "--function", "expr:1e200*x1", "--d", "2", "--L", "1", "--reps", "3",
+                   "--n-values", "8,16"])
     @settings(max_examples=150, deadline=None)
     def test_exit_code_never_traceback(self, tmp_path_factory, argv):
         # any bounded command line ends in 0, 1 (moments-check z > 5 or

@@ -289,8 +289,11 @@ class TestAccountingAndErrors:
         (False, lambda x: [1.0, 2.0], r"shape \(4, 2\)"),
         (False, lambda x: 1j, "real float"),
         (False, lambda x: 10**400, "real float"),
+        (False, lambda x: None, "real float"),
+        (False, lambda x: "3", "real float"),
         (True, lambda x: np.full(len(x), 1j), "real float"),
-    ], ids=["scalar-vector", "scalar-list", "scalar-complex", "scalar-huge-int", "vectorized-complex"])
+    ], ids=["scalar-vector", "scalar-list", "scalar-complex", "scalar-huge-int", "scalar-none", "scalar-str",
+            "vectorized-complex"])
     def test_result_that_is_not_one_real_number_per_row(self, vectorized, fun, match):
         f = ObjectiveFunction(fun=fun, dim=3, vectorized=vectorized)
         with warnings.catch_warnings():
