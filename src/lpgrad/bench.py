@@ -386,8 +386,8 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1):
     of aborting the experiment.
 
     Returns (rows, summary) where summary holds mean/sd of err and the
-    mean evaluation count over successful reps (an err may be inf), and
-    the number of failed reps.
+    mean evaluation count over successful reps (nan with too few of them
+    to tell; an err may be inf), and the number of failed reps.
     """
     ref = _nonzero(_reference(spec.function, spec.metric))
     static = _row_static(spec)
@@ -402,7 +402,7 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1):
     with np.errstate(all="ignore"):  # the mean or sd of errs beyond the float range is inf or nan
         summary = {
             "mean_err": float(errs.mean()) if ok else float("nan"),
-            "sd_err": float(errs.std(ddof=1)) if len(ok) > 1 else 0.0,
+            "sd_err": float(errs.std(ddof=1)) if len(ok) > 1 else float("nan"),
             "mean_n_evals": float(np.mean([row.n_evals for row in ok])) if ok else float("nan"),
             "n_failed": spec.reps - len(ok),
         }

@@ -93,12 +93,20 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+# extreme finite values for a real argument; a huge integer count would run
+# for very long, and a huge thread count must never be started
+EXTREME = {"1e308": 1e308, "-1e308": -1e308, "1e300": 1e300, "1e-300": 1e-300, "5e-324": 5e-324}
+
+
 def _bad_values(value) -> dict:
     """label -> bad value derived from a valid ``value``: nan, +-inf and,
-    for an integer, the nearest value halfway to the next one."""
+    for an integer, the nearest value halfway to the next one, or, for a
+    real, each extreme finite value."""
     bad = {"nan": NAN, "inf": INF, "-inf": -INF}
     if isinstance(value, int):
         bad["+0.5"] = value + 0.5
+    else:
+        bad.update(EXTREME)
     return bad
 
 
@@ -138,7 +146,7 @@ def test_valid_call_runs(prefix, fn, kwargs):
     fn(**kwargs)
 
 
-@pytest.mark.parametrize("call", _derived(lambda label: label != "+0.5") + [
+@pytest.mark.parametrize("call", _derived(lambda label: label in ("nan", "inf", "-inf")) + [
     pytest.param(lambda: lpgrad.build_scheme([1.0, NAN]), id="scheme-second-offset-nan"),
 ])
 def test_non_finite_argument_rejected(call):
@@ -178,3 +186,12 @@ def test_out_of_range_argument_rejected(call):
     # range, or an array of the wrong shape
     with pytest.raises(lpgrad.LpgradError):
         call()
+
+
+@pytest.mark.parametrize("call", _derived(lambda label: label in EXTREME))
+def test_extreme_finite_argument_succeeds_or_is_rejected(call):
+    # either is allowed; a numpy warning fails the call, as filterwarnings = error
+    try:
+        call()
+    except lpgrad.LpgradError:
+        pass

@@ -435,6 +435,7 @@ class TestRunExperiment:
         rows, summary = run_experiment(spec)
         assert summary["n_failed"] == 2
         assert all(math.isnan(r.err) and r.note for r in rows)
+        assert math.isnan(summary["sd_err"])  # no spread is known without two successes
 
     def test_err_beyond_the_float_range_is_a_success(self):
         # the reference is tiny and the estimate's noise is not: each err is inf, no trial fails

@@ -5,6 +5,7 @@ import io
 import json
 import logging
 import math
+import os
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import THREAD_VARIABLES
 from lpgrad import bench, cli
 from lpgrad.cli import CSV_HEADER, RunConfig, main
 from lpgrad.errors import DomainError, log
@@ -238,6 +240,7 @@ class TestInvalidInput:
         SWEEP_ARGS + ["--n-values", "8,abc"],
         ["moments-check", "--d", "3", "--p", "2", "--draws", "100", "--seed", "-1"],
         ["estimate", "--d", "4", "--sigma", "1e308"],
+        ["estimate", "--d", "3", "--sigma", "abc"],
         ["estimate", "--d", "4", "--sigma", "1e200", "--h", "1e-300"],
         ["moments-check", "--d", "2", "--p", "2", "--draws", "10", "--sigma", "1e308"],
         ["moments-check", "--d", "1", "--p", "1", "--draws", "10", "--sigma", "1e150"],
@@ -255,7 +258,7 @@ class TestInvalidInput:
         # a config saved while the non-spherical iid-uniform law existed
         ["estimate", "--d", "4", "--config", "law-iid-uniform.json", "--radial", "dirac"],
     ], ids=["estimate-expr-index", "sweep-expr-index", "exp-corr-rho", "metric-unknown", "sweep-n-values",
-            "moments-seed", "sigma-square-overflow", "sigma-h-overflow", "moments-sigma-overflow",
+            "moments-seed", "sigma-square-overflow", "sigma-word", "sigma-h-overflow", "moments-sigma-overflow",
             "moments-r0-overflow", "moments-r0-underflow", "expr-div-zero", "expr-pow-zero", "expr-overflow",
             "expr-complex", "synthetic-m1-nan", "synthetic-m2-inf", "expr-huge-index",
             "sweep-decorrelate", "L-zero", "sweep-format-json", "iid-uniform-dirac"])
@@ -601,6 +604,11 @@ class TestGoldenOutput:
           "--L", "2", "--sigma", "auto-d2", "--h", "1e-4", "--metric", "exp-corr:0.5",
           "--n-values", "32,64,128,256,512,1024,2048", "--threads", "2", "--reps", "20", "--seed", "1000004"],
          "mse_sweep_expr_mt_seed1000004.csv", False),
+        # the d = 1000 sample-decorrelated cells and fdm row; the decorrelated
+        # err moves with the BLAS thread count, so the fixture holds for one thread
+        pytest.param(["table", "--name", "t4", "--reps", "2", "--seed", "5"], "table_t4_reps2_seed5.csv", True,
+                     marks=pytest.mark.skipif(any(os.environ.get(name) != "1" for name in THREAD_VARIABLES),
+                                              reason="BLAS runs on more than one thread")),
     ])
     def test_matches_fixture(self, tmp_path, capsys, argv, fixture, timed):
         out = tmp_path / "out.csv"

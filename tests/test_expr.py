@@ -109,7 +109,8 @@ class TestCompileExpression:
 
     @pytest.mark.parametrize("signs", ["+", "+-", "*/"])
     def test_long_flat_chain_is_the_left_fold(self, signs):
-        # 3000 terms: deeper than Python's ast builds a left-nested chain
+        # 3000 terms: a chain is a loop, so it may be of any length, also
+        # inside parentheses and as an argument
         rows = np.random.default_rng(4).uniform(0.9, 1.1, size=(5, 3))
         ops = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
         text, want = "x1", rows[:, 0]
@@ -117,13 +118,23 @@ class TestCompileExpression:
             sign = signs[k % len(signs)]
             text += f" {sign} x{k % 3 + 1}"
             want = ops[sign](want, rows[:, k % 3])
-        f = compile_expression(text, 3)
-        assert f(rows).tobytes() == want.tobytes()
-        assert np.float64(f(rows[1])).tobytes() == want[1].tobytes()
+        for wrapped in (text, f"({text})", f"sum({text})"):
+            f = compile_expression(wrapped, 3)
+            assert f(rows).tobytes() == want.tobytes()
+            assert np.float64(f(rows[1])).tobytes() == want[1].tobytes()
 
     def test_nesting_bound(self):
-        for depth_ok in ("-" * 50 + "x1", "sin(" * 49 + "x1" + ")" * 49):
-            assert compile_expression(depth_ok, 1)(np.array([0.5])) is not None
-        for too_deep in ("-" * 51 + "x1", "sin(" * 51 + "x1" + ")" * 51, "(" * 3000 + "x1" + ")" * 3000):
-            with pytest.raises(DomainError):
-                compile_expression(too_deep, 1)
+        # calls, unary minus, parentheses and both operands of ^ each nest one level
+        nested = {
+            "minus": lambda k: "-" * k + "x1",
+            "call": lambda k: "sin(" * k + "x1" + ")" * k,
+            "call-around-chain": lambda k: "sin(" * k + "x1 + x1" + ")" * k,
+            "parentheses": lambda k: "(" * k + "x1" + ")" * k,
+            "power-base": lambda k: "sin(" * (k - 2) + "sin(x1)^2" + ")" * (k - 2),
+        }
+        for name, text in nested.items():
+            assert compile_expression(text(50), 1)(np.array([0.5])) is not None, name
+            with pytest.raises(DomainError, match="deeper than 50"):
+                compile_expression(text(51), 1)
+        with pytest.raises(DomainError):
+            compile_expression("(" * 3000 + "x1" + ")" * 3000, 1)
