@@ -210,6 +210,9 @@ class ExperimentSpec:
     def __post_init__(self):
         object.__setattr__(self, "reps", _check_int("reps", self.reps, 1))
         object.__setattr__(self, "seed", _check_int("seed", self.seed, 0))
+        for name, cls in (("function", ObjectiveFunction), ("metric", TensorMetric), ("cfg", EstimatorConfig)):
+            if not isinstance(getattr(self, name), cls):
+                raise DomainError(f"{name} must be a {cls.__name__}, got {getattr(self, name)!r}")
         _check_dims(self.function, self.metric)
 
 
@@ -300,8 +303,8 @@ def moments_report(d: int, p: float, draws: int, seed: int, sigma: float = 1.0):
     Samples are divided by their positive analytic value first, so the
     merge works on numbers near 1; a moment it cannot score gets a nan z.
     """
-    law = DirectionLaw.sphere(p)
-    radial = RadialLaw.uniform(sigma)
+    law = DirectionLaw(SPHERE, p)
+    radial = RadialLaw(RADIAL_UNIFORM, sigma)
     analytic = [(f"E|U1|^{q}", math.exp(log_direction_moment(q, 0, d, p))) for q in (1, 2, 3, 4)]
     if d >= 2:
         analytic.append(("E[U1^2|U2|]", math.exp(log_direction_moment(2, 1, d, p))))
@@ -353,8 +356,8 @@ def _row_static(spec: ExperimentSpec) -> dict:
         "p": float(law.p),
         "l": cfg.scheme.l,
         "n": cfg.n,
-        "h": cfg.h,
-        "sigma": cfg.sigma,
+        "h": float(cfg.h),
+        "sigma": float(cfg.radial.sigma),
         "law": law.kind,
         "radial": cfg.radial.kind,
         "decorrelated": cfg.decorrelate is not None,
@@ -423,7 +426,7 @@ def fdm_row(function: ObjectiveFunction, metric: TensorMetric, h: float) -> Resu
         p=float("nan"),
         l=0,
         n=f.dim,
-        h=h,
+        h=float(h),
         sigma=float("nan"),
         law="central-fdm",
         radial="none",

@@ -25,16 +25,13 @@ __all__ = ["RunConfig", "main", "CSV_HEADER"]
 # ResultRow / RunConfig field -> CSV column and command-line flag name
 _UPPER = {"l": "L", "n": "N"}
 CSV_HEADER = [_UPPER.get(f.name, f.name) for f in fields(bench.ResultRow) if f.name != "note"]
-_CELL_TYPES = {_UPPER.get(f.name, f.name): f.type for f in fields(bench.ResultRow)}
 
 
-def _csv_cell(name: str, value) -> str:
-    if _CELL_TYPES[name] == "float":
-        return format(float(value), ".17e")
-    if _CELL_TYPES[name] == "int":
-        return str(int(value))
-    if _CELL_TYPES[name] == "bool":
+def _csv_cell(value) -> str:
+    if isinstance(value, bool):
         return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".17e")
     return str(value)
 
 
@@ -56,7 +53,7 @@ def _write_csv(out: str | None, header, lines) -> None:
     with _open_out(out) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(lines)
+        writer.writerows([_csv_cell(value) for value in line] for line in lines)
 
 
 def write_rows(rows, out: str | None, fmt: str = FORMAT_CSV) -> None:
@@ -66,8 +63,7 @@ def write_rows(rows, out: str | None, fmt: str = FORMAT_CSV) -> None:
         with _open_out(out) as fh:
             fh.write(json.dumps(records, indent=2) + "\n")
     else:
-        lines = [[_csv_cell(name, rec[name]) for name in CSV_HEADER] for rec in records]
-        _write_csv(out, CSV_HEADER, lines)
+        _write_csv(out, CSV_HEADER, [[rec[name] for name in CSV_HEADER] for rec in records])
 
 
 _CHOICES = {
@@ -173,7 +169,7 @@ def cmd_mse_sweep(args) -> int:
     points, slope, n_failed = bench.mse_sweep(spec, n_values, threads=cfg.threads)
     if args.save_config:  # only a run that passed every check
         cfg.to_json(args.save_config, _SWEEP_UNREAD)
-    _write_csv(cfg.out, ["n", "mse"], [[str(n), format(mse, ".17e")] for n, mse in points])
+    _write_csv(cfg.out, ["n", "mse"], points)
     print(f"log-log slope = {slope:.4f}", file=sys.stderr)
     print(f"failed {n_failed} of {len(points) * spec.reps} trials", file=sys.stderr)
     return 0

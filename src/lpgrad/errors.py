@@ -4,8 +4,7 @@ arguments: every public entry point checks each number with ``_check_int`` or
 import logging
 import math
 
-__all__ = ["LpgradError", "DomainError", "NotApplicableError", "DegenerateSampleError",
-           "SingularSchemeError", "EvaluationError"]
+__all__ = ["LpgradError", "DomainError", "DegenerateSampleError", "EvaluationError"]
 
 log = logging.getLogger("lpgrad")  # the one channel for advisories: a valid but doubtful input
 
@@ -15,24 +14,13 @@ class LpgradError(Exception):
 
 
 class DomainError(LpgradError, ValueError):
-    """An argument lies outside the mathematical domain of an operation."""
-
-
-class NotApplicableError(LpgradError, ValueError):
-    """The requested operation does not apply to the given inputs.
-
-    Raised e.g. when decorrelation is requested for a batch with fewer
-    samples than dimensions; the benchmark runner turns it, like any
-    ``LpgradError`` in a trial, into that trial's row note.
-    """
+    """An input the operation cannot use: outside its mathematical domain, or
+    unusable as given, such as repeated stencil offsets or decorrelating fewer
+    rows than dimensions. The input must change; another seed will not help."""
 
 
 class DegenerateSampleError(LpgradError, ValueError):
-    """A sample matrix is numerically rank-deficient."""
-
-
-class SingularSchemeError(LpgradError, ValueError):
-    """The stencil constraint system is singular (repeated offsets, cond = inf, or no finite weights)."""
+    """A sample matrix is numerically rank-deficient: this draw failed, and another seed may work."""
 
 
 class EvaluationError(LpgradError, RuntimeError):

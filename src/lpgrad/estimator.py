@@ -75,6 +75,8 @@ class ObjectiveFunction:
     eval_count: int = field(default=0, init=False, compare=False)
 
     def __post_init__(self):
+        if not callable(self.fun):
+            raise DomainError(f"fun must be callable, got {self.fun!r}")
         self.dim = _check_int("dim", self.dim, 1)
         if self.m2 is not None:
             _check_real("m2", self.m2, 0.0, closed=True)
@@ -173,14 +175,10 @@ class EstimatorConfig:
         _check_real("h", self.h, 0.0)
         if self.decorrelate not in (None, *DECORRELATE_MODES):
             raise DomainError(f"decorrelate must be None or one of {DECORRELATE_MODES}, got {self.decorrelate!r}")
-        width = self.scheme.beta_max * self.h * self.sigma
+        width = self.scheme.beta_max * self.h * self.radial.sigma
         if width > 0.5:
             log.warning(f"beta_max * h * sigma = {width:.3g} exceeds 1/2; consider a smaller h or sigma",
                         stacklevel=3)  # the caller of the generated __init__
-
-    @property
-    def sigma(self) -> float:
-        return self.radial.sigma
 
 
 def _with_n(cfg: EstimatorConfig, n: int) -> EstimatorConfig:
@@ -224,14 +222,14 @@ def estimate_gradient(
     if cfg.decorrelate is None:
         v = draw_batch(cfg.law, cfg.radial, cfg.n, d, seed).values
     else:  # passed on unnamed, so no name here keeps the raw batch through the QR
-        v = decorrelate(draw_batch(cfg.law, cfg.radial, cfg.n, d, seed), cfg.sigma, cfg.decorrelate).values
+        v = decorrelate(draw_batch(cfg.law, cfg.radial, cfg.n, d, seed), cfg.radial.sigma, cfg.decorrelate).values
     with np.errstate(all="ignore"):  # a non-finite estimate raises below
         weights = np.zeros(cfg.n)
         for beta, c in zip(scheme.betas, scheme.coeffs):  # points x + beta h V_k, one temporary each
             weights += c * _evaluate_rows(f, cfg.n, lambda i, j: operator.iadd(beta * cfg.h * v[i:j], x))
         if scheme.l == 1:
             weights -= weights.mean()
-        raw = v.T @ weights / (cfg.n * cfg.h * cfg.sigma**2)
+        raw = v.T @ weights / (cfg.n * cfg.h * cfg.radial.sigma**2)
         grad = apply_inverse(metric, raw)
     if not np.isfinite(grad).all():
         raise EvaluationError("the gradient estimate is not finite", point=x.copy())
@@ -269,7 +267,7 @@ def surrogate_bias_bound(metric: TensorMetric, m2: float, cfg: EstimatorConfig) 
     _check_real("m2", m2, 0.0, closed=True)
     d, p = metric.dim, cfg.law.p
     log_factor = log_radius_moment(3, d, p, cfg.radial.kind, cfg.law.kind) + _log_k1(d, p, cfg.law.kind)
-    return m2 * cfg.h * math.exp(log_factor) * cfg.sigma * metric.abs_ginv_ones_l2
+    return m2 * cfg.h * math.exp(log_factor) * cfg.radial.sigma * metric.abs_ginv_ones_l2
 
 
 def recommended_sigma(metric: TensorMetric, p: float) -> float:

@@ -40,10 +40,6 @@ class TensorMetric:
     abs_ginv_ones_l2: float
     label: str = "matrix"
 
-    @property
-    def is_identity(self) -> bool:
-        return self.ginv is None
-
 
 def identity_metric(d: int) -> TensorMetric:
     """The identity marker metric for independent variables."""
@@ -110,7 +106,7 @@ def apply_inverse(metric: TensorMetric, v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (metric.dim,):
         raise DomainError(f"expected a vector of length {metric.dim}, got shape {v.shape}")
-    if metric.is_identity:
+    if metric.ginv is None:
         return v.copy()
     return metric.ginv @ v
 

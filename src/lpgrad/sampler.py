@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSampleError, DomainError, NotApplicableError, _check_int, _check_real
+from .errors import DegenerateSampleError, DomainError, _check_int, _check_real
 
 __all__ = [
     "DirectionLaw",
@@ -51,14 +51,6 @@ class DirectionLaw:
             raise DomainError(f"unknown direction law kind {self.kind!r}")
         _check_real("p", self.p, 1.0, closed=True)
 
-    @classmethod
-    def sphere(cls, p: float) -> "DirectionLaw":
-        return cls(SPHERE, p=p)
-
-    @classmethod
-    def ball(cls, p: float) -> "DirectionLaw":
-        return cls(BALL, p=p)
-
 
 @dataclass(frozen=True)
 class RadialLaw:
@@ -78,14 +70,6 @@ class RadialLaw:
         # sigma^2 divides the final sum, so it must be finite and nonzero too
         if not (self.sigma > 0.0 and 0.0 < self.sigma * self.sigma < math.inf):
             raise DomainError(f"sigma must be positive with a finite nonzero square, got {self.sigma}")
-
-    @classmethod
-    def uniform(cls, sigma: float) -> "RadialLaw":
-        return cls(RADIAL_UNIFORM, sigma)
-
-    @classmethod
-    def dirac(cls, sigma: float) -> "RadialLaw":
-        return cls(RADIAL_DIRAC, sigma)
 
 
 @dataclass(frozen=True)
@@ -254,13 +238,13 @@ def decorrelate(batch: SampleBatch, sigma: float, mode: str = DECORRELATE_MOMENT
         raise DomainError(f"unknown decorrelate mode {mode!r}")
     _check_real("sigma", sigma, 0.0)
     if n < d:
-        raise NotApplicableError(
+        raise DomainError(
             f"decorrelation needs at least as many samples as dimensions (n={n} < d={d})"
         )
     sample = mode == DECORRELATE_SAMPLE
     ddof = 1 if sample else 0
     if n <= ddof:
-        raise NotApplicableError("sample-convention decorrelation needs n >= 2")
+        raise DomainError("sample-convention decorrelation needs n >= 2")
     w = batch.values
     if sample and n > d:  # column-major, so numpy's QR copies whole columns instead of transposing
         w = np.subtract(w, w.mean(axis=0), order="F")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SingularSchemeError, log
+from .errors import DomainError, log
 
 __all__ = [
     "PointScheme",
@@ -70,14 +70,14 @@ def build_scheme(betas) -> PointScheme:
     if not np.isfinite(betas).all():
         raise DomainError(f"offsets must be finite, got {betas}")
     if len(np.unique(betas)) != l:
-        raise SingularSchemeError(f"offsets must be pairwise distinct, got {betas}")
+        raise DomainError(f"offsets must be pairwise distinct, got {betas}")
     with np.errstate(over="ignore"):  # an overflowed power is rejected below
         a, rhs = _constraint_system(betas)
     if not np.isfinite(a).all():
         raise DomainError(f"offset powers up to {l - 1} overflow (max |offset| {np.abs(betas).max():g})")
     condition = float(np.linalg.cond(a))
     if not np.isfinite(condition):  # the solve would return garbage or raise, by BLAS thread count
-        raise SingularSchemeError(f"stencil constraint system is numerically singular (cond ~ {condition:.2e})")
+        raise DomainError(f"stencil constraint system is numerically singular (cond ~ {condition:.2e})")
     if condition > CONDITION_WARN_THRESHOLD:
         log.warning(f"stencil constraint system is ill-conditioned (cond ~ {condition:.2e})", stacklevel=2)
     try:
@@ -85,7 +85,7 @@ def build_scheme(betas) -> PointScheme:
     except np.linalg.LinAlgError:  # exactly singular in floating point
         coeffs = np.full(l, np.nan)
     if not np.isfinite(coeffs).all():
-        raise SingularSchemeError(f"stencil constraint system is numerically singular (cond ~ {condition:.2e})")
+        raise DomainError(f"stencil constraint system is numerically singular (cond ~ {condition:.2e})")
     return PointScheme(betas=betas, coeffs=coeffs, condition=condition)
 
 

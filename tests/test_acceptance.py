@@ -87,8 +87,8 @@ def _exactness_case(d, metric, kind, seed):
         grad = lambda x: 2.0 * sym @ x + b
     cfg = EstimatorConfig(
         scheme=two_point_central(),
-        law=DirectionLaw.sphere(3.0),
-        radial=RadialLaw.uniform(0.01),
+        law=DirectionLaw("sphere", 3.0),
+        radial=RadialLaw("uniform", 0.01),
         n=d + 3,
         h=0.01,
         decorrelate="moment",
@@ -115,8 +115,8 @@ def test_criterion_4_dimension_free_bias_constant():
             metric = identity_metric(d)
             sigma = recommended_sigma(metric, p)
             m2, h = 3.0, 1e-4
-            cfg = EstimatorConfig(two_point_central(), DirectionLaw.sphere(p),
-                                  RadialLaw.uniform(sigma), n=1, h=h)
+            cfg = EstimatorConfig(two_point_central(), DirectionLaw("sphere", p),
+                                  RadialLaw("uniform", sigma), n=1, h=h)
             bound = surrogate_bias_bound(metric, m2, cfg)
             assert abs(bound - m2 * h) <= 1e-10 * m2 * h
 
@@ -156,8 +156,8 @@ def test_criterion_6_mse_rate():
         p = recommend_p(d)
         spec_cfg = EstimatorConfig(
             scheme=two_point_central(),
-            law=DirectionLaw.sphere(float(p)),
-            radial=RadialLaw.uniform(d**-2.0),
+            law=DirectionLaw("sphere", float(p)),
+            radial=RadialLaw("uniform", d**-2.0),
             n=32,
             h=1e-4,
         )
@@ -200,8 +200,8 @@ def test_criterion_7_dimension_robustness():
             p = recommend_p(d)
             cfg = EstimatorConfig(
                 scheme=two_point_central(),
-                law=DirectionLaw.sphere(float(p)),
-                radial=RadialLaw.uniform(d**-2.0),
+                law=DirectionLaw("sphere", float(p)),
+                radial=RadialLaw("uniform", d**-2.0),
                 n=n,
                 h=1e-4,
             )

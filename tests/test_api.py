@@ -31,8 +31,8 @@ def test_star_import(name):
 NAN, INF = math.nan, math.inf
 F = lpgrad.rosenbrock(3)
 METRIC = lpgrad.identity_metric(3)
-CFG = lpgrad.EstimatorConfig(scheme=lpgrad.one_point(), law=lpgrad.DirectionLaw.sphere(2.0),
-                             radial=lpgrad.RadialLaw.uniform(0.1), n=4, h=1e-3)
+CFG = lpgrad.EstimatorConfig(scheme=lpgrad.one_point(), law=lpgrad.DirectionLaw("sphere", 2.0),
+                             radial=lpgrad.RadialLaw("uniform", 0.1), n=4, h=1e-3)
 SPEC = lpgrad.ExperimentSpec(function=F, metric=METRIC, cfg=CFG, reps=2, seed=0)
 BATCH = lpgrad.draw_batch(CFG.law, CFG.radial, 8, 3, 0)
 
@@ -195,3 +195,17 @@ def test_extreme_finite_argument_succeeds_or_is_rejected(call):
         call()
     except lpgrad.LpgradError:
         pass
+
+
+# the object arguments each checked for its type where it enters
+TYPED = {"objective": ("fun",), "spec": ("function", "metric", "cfg")}
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(functools.partial(fn, **{**kwargs, name: bad}), id=f"{prefix}-{name}-{label}")
+    for prefix, fn, kwargs in VALID for name in TYPED.get(prefix, ())
+    for label, bad in {"none": None, "str": "x", "int": 3}.items()
+])
+def test_wrong_typed_object_rejected(call):
+    with pytest.raises(lpgrad.DomainError):
+        call()

@@ -97,7 +97,7 @@ class TestBatchedObjectives:
             return out
 
         f = ObjectiveFunction(fun=fun, dim=d, vectorized=True)
-        cfg = EstimatorConfig(one_point(), DirectionLaw.ball(2.0), RadialLaw.uniform(0.1), n=70, h=1e-3)
+        cfg = EstimatorConfig(one_point(), DirectionLaw("ball", 2.0), RadialLaw("uniform", 0.1), n=70, h=1e-3)
         with pytest.raises(EvaluationError):
             estimate_gradient(f, np.zeros(d), cfg, identity_metric(d))
         assert f.eval_count == 64
@@ -264,8 +264,8 @@ class TestErr:
 def quick_spec(reps=3, n=12, d=6, seed=5, **cfg_kw):
     kw = dict(
         scheme=two_point_central(),
-        law=DirectionLaw.sphere(3.0),
-        radial=RadialLaw.uniform(0.01),
+        law=DirectionLaw("sphere", 3.0),
+        radial=RadialLaw("uniform", 0.01),
         n=n,
         h=1e-3,
     )
@@ -422,8 +422,8 @@ class TestRunExperiment:
             metric=identity_metric(d),
             cfg=EstimatorConfig(
                 scheme=two_point_central(),
-                law=DirectionLaw.sphere(2.0),
-                radial=RadialLaw.uniform(0.1),
+                law=DirectionLaw("sphere", 2.0),
+                radial=RadialLaw("uniform", 0.1),
                 n=5,
                 h=1e-2,
             ),
@@ -445,8 +445,8 @@ class TestRunExperiment:
         spec = ExperimentSpec(
             function=f,
             metric=identity_metric(d),
-            cfg=EstimatorConfig(scheme=one_point(), law=DirectionLaw.sphere(3.0),
-                                radial=RadialLaw.uniform(0.25), n=n, h=1e-4),
+            cfg=EstimatorConfig(scheme=one_point(), law=DirectionLaw("sphere", 3.0),
+                                radial=RadialLaw("uniform", 0.25), n=n, h=1e-4),
             reps=2,
             seed=0,
         )
@@ -460,8 +460,8 @@ class TestRunExperiment:
         spec = ExperimentSpec(
             function=ObjectiveFunction(fun=lambda x: x, dim=d, name="vector", grad=lambda x: np.ones(d)),
             metric=identity_metric(d),
-            cfg=EstimatorConfig(scheme=two_point_central(), law=DirectionLaw.sphere(2.0),
-                                radial=RadialLaw.uniform(0.1), n=5, h=1e-2),
+            cfg=EstimatorConfig(scheme=two_point_central(), law=DirectionLaw("sphere", 2.0),
+                                radial=RadialLaw("uniform", 0.1), n=5, h=1e-2),
             reps=2,
             seed=0,
         )
@@ -524,8 +524,8 @@ class TestMseSweep:
                 metric=identity_metric(d),
                 cfg=EstimatorConfig(
                     scheme=scheme,
-                    law=DirectionLaw.sphere(2.0),
-                    radial=RadialLaw.uniform(0.1),
+                    law=DirectionLaw("sphere", 2.0),
+                    radial=RadialLaw("uniform", 0.1),
                     n=8,
                     h=1e-2,
                 ),
@@ -555,8 +555,8 @@ class TestMseSweep:
             metric=identity_metric(d),
             cfg=EstimatorConfig(
                 scheme=two_point_central(),
-                law=DirectionLaw.sphere(2.0),
-                radial=RadialLaw.uniform(0.1),
+                law=DirectionLaw("sphere", 2.0),
+                radial=RadialLaw("uniform", 0.1),
                 n=4,
                 h=1e-2,
             ),
@@ -570,8 +570,8 @@ class TestMseSweep:
         d, reps, n_values = 3, 6, [4, 8, 16]
         cfg = EstimatorConfig(
             scheme=two_point_central(),
-            law=DirectionLaw.sphere(2.0),
-            radial=RadialLaw.uniform(0.1),
+            law=DirectionLaw("sphere", 2.0),
+            radial=RadialLaw("uniform", 0.1),
             n=4,
             h=1e-2,
         )
@@ -643,8 +643,8 @@ class TestMseSweep:
                 metric=identity_metric(d),
                 cfg=EstimatorConfig(
                     scheme=two_point_central(),
-                    law=DirectionLaw.sphere(p),
-                    radial=RadialLaw.uniform(d**-2.0),
+                    law=DirectionLaw("sphere", p),
+                    radial=RadialLaw("uniform", d**-2.0),
                     n=n,
                     h=1e-4,
                 ),
@@ -664,7 +664,7 @@ class TestTableSpecs:
         ]
         assert all(s.cfg.decorrelate == "sample" for s in specs)
         assert specs[0].function.dim == 100
-        assert specs[0].cfg.sigma == pytest.approx(1e-4)
+        assert specs[0].cfg.radial.sigma == pytest.approx(1e-4)
 
     def test_t6_preset_constants(self):
         specs = table_specs("t6", reps=1, seed=0)
@@ -676,7 +676,7 @@ class TestTableSpecs:
 
     def test_t2dep_metric(self):
         specs = table_specs("t2dep", reps=1, seed=0)
-        assert not specs[0].metric.is_identity
+        assert specs[0].metric.ginv is not None
         assert specs[0].metric.label == "exp-corr:0.5"
 
     def test_unknown_preset(self):

@@ -6,6 +6,8 @@ import json
 import logging
 import math
 import os
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -144,6 +146,17 @@ class TestEstimate:
         assert len(payload) == 2
         assert payload[0]["function"] == "synthetic"
         assert "note" in payload[0]
+
+    def test_json_and_csv_both_give_h_and_sigma_as_floats(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"d": 3, "h": 1, "sigma": 1, "reps": 1}))
+        out = tmp_path / "rows.json"
+        assert main(["estimate", "--config", str(cfg), "--format", "json", "--out", str(out)]) == 0
+        text = out.read_text()
+        assert '"h": 1.0,' in text and '"sigma": 1.0,' in text
+        assert main(["estimate", "--config", str(cfg), "--out", str(tmp_path / "rows.csv")]) == 0
+        rows = read_csv(tmp_path / "rows.csv")
+        assert [rows[1][rows[0].index(name)] for name in ("h", "sigma")] == ["1.00000000000000000e+00"] * 2
 
     def test_custom_expression(self, tmp_path, capsys):
         out = tmp_path / "rows.csv"
@@ -333,6 +346,15 @@ class TestInvalidInput:
         assert record == []
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
+    def test_module_entry_point(self):
+        # python -m lpgrad.cli reaches main() through the module's __main__ guard
+        src = str(Path(cli.__file__).parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run([sys.executable, "-m", "lpgrad.cli", "estimate", "--d", "0"],
+                                capture_output=True, text=True, timeout=120, env=env)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr == "error: d must be an integer >= 2, got 0\n"
+
     def test_unwritable_out_is_exit_1(self, tmp_path, capsys):
         assert main(["estimate", "--d", "2", "--out", str(tmp_path / "missing" / "rows.csv")]) == 1
         err = capsys.readouterr().err
@@ -520,7 +542,7 @@ class TestMomentsCheck:
         monkeypatch.setattr(bench, "_MOMENTS_CHUNK_ELEMENTS", rows * d)
         checks = bench.moments_report(d, p, draws, seed)
         v = np.vstack([
-            draw_batch(DirectionLaw.sphere(p), RadialLaw.uniform(1.0), min(rows, draws - start), d,
+            draw_batch(DirectionLaw("sphere", p), RadialLaw("uniform", 1.0), min(rows, draws - start), d,
                        bench.derive_seed(seed, k)).values
             for k, start in enumerate(range(0, draws, rows))
         ])

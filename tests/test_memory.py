@@ -16,7 +16,7 @@ from lpgrad.scheme import one_point, two_point_central
 
 N, D = 1000, 500
 BLOCK = N * D * 8
-LAW, RADIAL = DirectionLaw.sphere(3.0), RadialLaw.uniform(0.01)
+LAW, RADIAL = DirectionLaw("sphere", 3.0), RadialLaw("uniform", 0.01)
 
 
 def peak_blocks(fn):

@@ -18,7 +18,7 @@ from lpgrad.metric import (
 class TestIdentityMetric:
     def test_fields(self):
         m = identity_metric(10)
-        assert m.is_identity
+        assert m.ginv is None
         assert m.abs_ginv_ones_l2 == pytest.approx(math.sqrt(10))
 
     def test_d1(self):

@@ -102,3 +102,14 @@ def test_library_only_logs():
                 configured.append(f"{path.name}:{node.lineno}")
     assert "errors.py" in binding and "estimator.py" in binding
     assert configured == []
+
+
+def test_only_errors_defines_exception_classes():
+    # so a new error kind is decided in one file
+    defined = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                    ast.unparse(base).endswith(("Error", "Exception", "Warning")) for base in node.bases):
+                defined.setdefault(path.name, []).append(node.name)
+    assert set(defined) == {"errors.py"}
