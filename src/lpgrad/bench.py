@@ -18,6 +18,7 @@ import json
 import math
 import os
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -450,8 +451,9 @@ def mse_sweep(spec: ExperimentSpec, n_values, threads: int = 1):
     (spec.seed, N, rep) so sweeps with different laws pair up by seed.
     A failed trial is left out of its N's mean.
 
-    Returns (points, slope, n_failed) with points a list of (n, mse)
-    and n_failed the number of failed (N, rep) trials.
+    Returns (points, slope, notes) with points a list of (n, mse) and
+    notes the count of failed (N, rep) trials per distinct note, empty
+    when none failed; a fit it cannot make names them in its error.
     """
     n_values = sorted({_check_int("n", n, 1) for n in n_values})
     if len(n_values) < 2:
@@ -461,8 +463,9 @@ def mse_sweep(spec: ExperimentSpec, n_values, threads: int = 1):
     ref = _reference(spec.function, spec.metric)
     cfgs = [_with_n(spec.cfg, n) for n in n_values]
     jobs = [(cfg, derive_seed(spec.seed, cfg.n, rep)) for cfg in cfgs for rep in range(spec.reps)]
-    grads = [grad for grad, *_ in _map(lambda job: _trial(spec, *job), jobs, threads)]
-    n_failed = sum(grad is None for grad in grads)
+    trials = _map(lambda job: _trial(spec, *job), jobs, threads)
+    grads = [grad for grad, *_ in trials]
+    notes = Counter(note for grad, _, _, note in trials if grad is None)
     with np.errstate(all="ignore"):  # a square beyond the float range gives an inf MSE, left unfitted
         sq = np.array([np.nan if g is None else (g - ref) @ (g - ref) for g in grads])
         sq = sq.reshape(len(n_values), spec.reps)
@@ -470,7 +473,8 @@ def mse_sweep(spec: ExperimentSpec, n_values, threads: int = 1):
     points = [(n, float(m)) for n, m in zip(n_values, means)]
     valid = [(n, m) for n, m in points if math.isfinite(m)]
     if len(valid) < 2:
-        raise DomainError("mse_sweep has fewer than two valid points to fit")
+        raise DomainError("; ".join(["mse_sweep has fewer than two valid points to fit",
+                                     *_failure_lines(notes, len(jobs), "trials")]))
     positive = [(n, m) for n, m in valid if m > 0.0]
     if len(positive) < 2:
         slope = float("nan")  # e.g. a constant objective: every MSE is zero
@@ -478,7 +482,12 @@ def mse_sweep(spec: ExperimentSpec, n_values, threads: int = 1):
         log_n = np.log([n for n, _ in positive])
         log_m = np.log([m for _, m in positive])
         slope = float(np.polyfit(log_n, log_m, 1)[0])
-    return points, slope, n_failed
+    return points, slope, notes
+
+
+def _failure_lines(notes: dict, total: int, unit: str) -> list[str]:
+    """'k of total unit failed: note' for each note with its count k."""
+    return [f"{count} of {total} {unit} failed: {note}" for note, count in notes.items()]
 
 
 # the output formats, spelled once, and a name for each

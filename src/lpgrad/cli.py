@@ -13,6 +13,7 @@ import csv
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import asdict, fields
 
 from . import bench
@@ -36,7 +37,9 @@ def _csv_cell(value) -> str:
 
 
 def _row_record(row: bench.ResultRow) -> dict:
-    return {_UPPER.get(name, name): value for name, value in asdict(row).items()}
+    # a non-finite float becomes the string its CSV cell holds, so the JSON stays standard
+    return {_UPPER.get(name, name): _csv_cell(value) if isinstance(value, float) and not math.isfinite(value)
+            else value for name, value in asdict(row).items()}
 
 
 @contextlib.contextmanager
@@ -61,7 +64,7 @@ def write_rows(rows, out: str | None, fmt: str = FORMAT_CSV) -> None:
     records = [_row_record(row) for row in rows]
     if fmt == FORMAT_JSON:
         with _open_out(out) as fh:
-            fh.write(json.dumps(records, indent=2) + "\n")
+            fh.write(json.dumps(records, indent=2, allow_nan=False) + "\n")
     else:
         _write_csv(out, CSV_HEADER, [[rec[name] for name in CSV_HEADER] for rec in records])
 
@@ -111,6 +114,12 @@ def _run_config(args, unread=()) -> RunConfig:
     return RunConfig.from_json(args.config, unread, **given) if args.config else RunConfig.from_dict(given)
 
 
+def _print_failures(notes: dict, total: int, unit: str = "reps") -> None:
+    """One stderr line per distinct failure note, with its count; none when nothing failed."""
+    for line in bench._failure_lines(notes, total, unit):
+        print(line, file=sys.stderr)
+
+
 def cmd_estimate(args) -> int:
     cfg = _run_config(args)
     if cfg.decorrelate and cfg.n < cfg.d:
@@ -125,6 +134,7 @@ def cmd_estimate(args) -> int:
         f"mean evals {summary['mean_n_evals']:.1f}, failed {summary['n_failed']})",
         file=sys.stderr,
     )
+    _print_failures(Counter(row.note for row in rows if row.note), cfg.reps)
     return 0
 
 
@@ -138,6 +148,7 @@ def cmd_table(args) -> int:
             f"{spec.name}: mean err = {summary['mean_err']:.4g} over {spec.reps} reps",
             file=sys.stderr,
         )
+        _print_failures(Counter(row.note for row in cell_rows if row.note), spec.reps)
     preset = bench.TABLE_PRESETS[args.name]
     if preset["fdm"]:
         spec0 = specs[0]
@@ -166,12 +177,13 @@ def cmd_mse_sweep(args) -> int:
         raise DomainError(f"--n-values must be comma-separated integers, got {args.n_values!r}") from None
     cfg = _run_config(args, _SWEEP_UNREAD)
     spec = _build_spec(cfg)
-    points, slope, n_failed = bench.mse_sweep(spec, n_values, threads=cfg.threads)
+    points, slope, notes = bench.mse_sweep(spec, n_values, threads=cfg.threads)
     if args.save_config:  # only a run that passed every check
         cfg.to_json(args.save_config, _SWEEP_UNREAD)
     _write_csv(cfg.out, ["n", "mse"], points)
     print(f"log-log slope = {slope:.4f}", file=sys.stderr)
-    print(f"failed {n_failed} of {len(points) * spec.reps} trials", file=sys.stderr)
+    print(f"failed {sum(notes.values())} of {len(points) * spec.reps} trials", file=sys.stderr)
+    _print_failures(notes, len(points) * spec.reps, "trials")
     return 0
 
 

@@ -20,7 +20,8 @@ class DomainError(LpgradError, ValueError):
 
 
 class DegenerateSampleError(LpgradError, ValueError):
-    """A sample matrix is numerically rank-deficient: this draw failed, and another seed may work."""
+    """A drawn direction is zero, or a sample matrix is numerically rank-deficient:
+    this draw failed, and another seed may work."""
 
 
 class EvaluationError(LpgradError, RuntimeError):

@@ -129,22 +129,6 @@ def _pgauss_matrix(rng: np.random.Generator, n: int, d: int, p: float) -> np.nda
     return g
 
 
-def _direction_matrix(rng: np.random.Generator, n: int, d: int, p: float) -> np.ndarray:
-    """n iid cone-measure directions on the unit lp-sphere, as rows."""
-    g = _pgauss_matrix(rng, n, d, p)
-    norms = lp_norm(g, p)
-    for _ in range(100):
-        bad = norms == 0.0
-        if not bad.any():
-            break
-        g[bad] = _pgauss_matrix(rng, int(bad.sum()), d, p)
-        norms = lp_norm(g, p)
-    else:  # pragma: no cover - probability zero
-        raise DegenerateSampleError("could not draw a nonzero direction")
-    g /= norms[:, None]
-    return g
-
-
 def log_direction_moment(a: float, b: float, d: int, p: float, law: str = SPHERE) -> float:
     """ln E[|U_1|^a |U_2|^b] for ``law`` directions: the cone measure on the
     unit lp-sphere ("sphere"), or W^(1/d) times it with W ~ U(0, 1) ("ball"),
@@ -199,12 +183,17 @@ def draw_batch(
     """Draw n iid perturbation rows V = R * U, deterministic in seed.
 
     Uses the SFC64 bit generator, so identical (law, radial, n, d,
-    seed) always produce bit-identical batches.
+    seed) always produce bit-identical batches. A drawn row of zeros has
+    no direction: the draw raises DegenerateSampleError.
     """
     n, d, seed = _check_int("n", n, 1), _check_int("d", d, 1), _check_int("seed", seed, 0)
     _check_laws(law, radial)
     rng = np.random.Generator(np.random.SFC64(seed))
-    values = _direction_matrix(rng, n, d, law.p)
+    values = _pgauss_matrix(rng, n, d, law.p)
+    norms = lp_norm(values, law.p)
+    if not norms.all():  # an all-zero row has no direction
+        raise DegenerateSampleError("drew a zero direction")
+    values /= norms[:, None]
     if law.kind == BALL:
         # the radial cdf of the uniform ball law is r^d: scale by W^(1/d)
         values *= rng.uniform(0.0, 1.0, size=n)[:, None] ** (1.0 / d)

@@ -3,6 +3,7 @@ import math
 import os
 import threading
 import time
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -25,7 +26,7 @@ from lpgrad.bench import (
     table_specs,
     trig_sum,
 )
-from lpgrad import bench
+from lpgrad import bench, sampler
 from lpgrad.errors import DomainError, EvaluationError, log
 from lpgrad.estimator import _EVAL_BLOCK_BYTES, EstimatorConfig, ObjectiveFunction, estimate_gradient
 from lpgrad.metric import exp_corr_metric, from_matrix, identity_metric
@@ -400,6 +401,28 @@ class TestRunExperiment:
         assert [repr(replace(r, wall_ms=0.0)) for r in rows_1] == \
             [repr(replace(r, wall_ms=0.0)) for r in rows_3]
 
+    def test_zero_direction_fails_only_its_rep(self, monkeypatch):
+        # rep 2's first draw gets a row of zeros; a redraw from the same
+        # generator would be left as it comes
+        spec = quick_spec(reps=4)
+        fresh = np.random.SFC64(derive_seed(spec.seed, 2)).state["state"]["state"]
+        pgauss = sampler._pgauss_matrix
+
+        def pgauss_with_zero_row(rng, n, d, p):
+            first = np.array_equal(rng.bit_generator.state["state"]["state"], fresh)
+            g = pgauss(rng, n, d, p)
+            if first:
+                g[1] = 0.0
+            return g
+
+        monkeypatch.setattr(sampler, "_pgauss_matrix", pgauss_with_zero_row)
+        rows_1, summary = run_experiment(spec, threads=1)
+        rows_3, _ = run_experiment(spec, threads=3)
+        assert [r.note for r in rows_1] == ["", "", "drew a zero direction", ""]
+        assert math.isnan(rows_1[2].err) and summary["n_failed"] == 1
+        assert [repr(replace(r, wall_ms=0.0)) for r in rows_1] == \
+            [repr(replace(r, wall_ms=0.0)) for r in rows_3]
+
     def test_summary_mean_is_row_mean(self):
         rows, summary = run_experiment(quick_spec(reps=7))
         np.testing.assert_allclose(
@@ -581,16 +604,16 @@ class TestMseSweep:
             dim=d, name="flaky", grad=lambda x: np.cos(x),
         )
         spec = ExperimentSpec(function=flaky, metric=identity_metric(d), cfg=cfg, reps=reps, seed=4)
-        _, _, n_failed = mse_sweep(spec, n_values)
-        expected = 0
+        _, _, notes = mse_sweep(spec, n_values)
+        expected = Counter()
         for n in n_values:
             for rep in range(reps):
                 try:
                     estimate_gradient(flaky.fresh(), np.zeros(d), replace(cfg, n=n), spec.metric,
                                       seed=derive_seed(spec.seed, n, rep))
-                except EvaluationError:
-                    expected += 1
-        assert 0 < n_failed == expected < reps * len(n_values)
+                except EvaluationError as exc:
+                    expected[str(exc)] += 1
+        assert notes == expected and 0 < sum(notes.values()) < reps * len(n_values)
 
     def test_concurrent_sweeps_leave_the_logger_alone(self, monkeypatch):
         # two sweeps on threads, the second started while the first is in a

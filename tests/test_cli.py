@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import THREAD_VARIABLES
-from lpgrad import bench, cli
+from lpgrad import bench, cli, sampler
 from lpgrad.cli import CSV_HEADER, RunConfig, main
 from lpgrad.errors import DomainError, log
 from lpgrad.estimator import recommended_sigma
@@ -101,7 +101,7 @@ class TestEstimate:
         assert main(["estimate", "--function", "synthetic", "--d", "2", *extreme,
                      "--format", "json", "--out", str(out)]) == 0
         for row in json.loads(out.read_text()):
-            assert math.isfinite(row["err"]) or row["note"]
+            assert math.isfinite(float(row["err"])) or row["note"]
 
     def test_overflow_prints_no_numpy_warning(self, tmp_path, capsys):
         out = tmp_path / "rows.json"
@@ -112,7 +112,7 @@ class TestEstimate:
         assert not [w for w in record if issubclass(w.category, RuntimeWarning)]
         assert "RuntimeWarning" not in capsys.readouterr().err
         rows = json.loads(out.read_text())
-        failed = [row for row in rows if not math.isfinite(row["err"])]
+        failed = [row for row in rows if not math.isfinite(float(row["err"]))]
         assert failed and all(row["note"] for row in failed)
 
     @pytest.mark.parametrize("sigma,code", [("1e150", 2), ("1e50", 0)])
@@ -232,6 +232,52 @@ SWEEP_ARGS = ["mse-sweep", "--function", "expr:sum(sin(x))", "--d", "3", "--L", 
               "--sigma", "0.01", "--n-values", "8,16", "--reps", "2"]
 ESTIMATE_ARGS = ["estimate", "--function", "rosenbrock", "--d", "4", "--N", "6"]
 TABLE_ARGS = ["table", "--name", "t2", "--reps", "1"]
+
+
+class TestFailureNotes:
+    """A failed rep's note reaches stderr, counted, and the JSON stays standard."""
+
+    OVERFLOW = ["--function", "expr:exp(2000*x1)", "--d", "3", "--sigma", "1", "--h", "1", "--reps", "4"]
+    INF = "objective 'custom-expr' returned non-finite value inf"
+
+    def test_estimate_counts_each_note(self, tmp_path, capsys):
+        assert main(["estimate", *self.OVERFLOW, "--N", "8", "--out", str(tmp_path / "rows.csv")]) == 0
+        assert capsys.readouterr().err.splitlines()[-2:] == [
+            "mean err = nan (sd nan, mean evals nan, failed 4)", f"4 of 4 reps failed: {self.INF}"]
+
+    def test_sweep_fit_error_names_its_notes(self, capsys):
+        assert main(["mse-sweep", *self.OVERFLOW, "--n-values", "8,16"]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"error: mse_sweep has fewer than two valid points to fit; 8 of 8 trials failed: {self.INF}")
+
+    def test_sweep_counts_each_note(self, capsys):
+        assert main(["mse-sweep", "--function", "expr:pow(x1+0.3, 0.5)", "--d", "3", "--sigma", "0.15",
+                     "--h", "1", "--reps", "4", "--n-values", "8,16"]) == 0
+        assert capsys.readouterr().err.splitlines()[-2:] == [
+            "failed 3 of 8 trials", "3 of 8 trials failed: objective 'custom-expr' returned non-finite value nan"]
+
+    def test_table_counts_notes_per_cell(self, tmp_path, capsys, monkeypatch):
+        def zero_rows(rng, n, d, p):
+            return np.zeros((n, d))
+
+        monkeypatch.setattr(sampler, "_pgauss_matrix", zero_rows)
+        assert main(["table", "--name", "t2", "--reps", "2", "--out", str(tmp_path / "rows.csv")]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[:2] == ["t2[LN=11,L=1]: mean err = nan over 2 reps", "2 of 2 reps failed: drew a zero direction"]
+        assert lines.count("2 of 2 reps failed: drew a zero direction") == 4
+
+    def test_no_line_when_no_rep_fails(self, tmp_path, capsys):
+        assert main(["estimate", "--d", "3", "--reps", "2", "--out", str(tmp_path / "rows.csv")]) == 0
+        assert len(capsys.readouterr().err.splitlines()) == 1
+
+    def test_json_is_strict(self, tmp_path, capsys):
+        def reject(token):
+            raise ValueError(f"{token} is not standard JSON")
+
+        out = tmp_path / "rows.json"
+        assert main(["estimate", *self.OVERFLOW, "--N", "8", "--format", "json", "--out", str(out)]) == 0
+        rows = json.loads(out.read_text(), parse_constant=reject)
+        assert [(row["err"], row["note"]) for row in rows] == [("nan", self.INF)] * 4
 
 
 class TestInvalidInput:

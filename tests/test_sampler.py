@@ -16,7 +16,6 @@ from lpgrad.sampler import (
     DirectionLaw,
     RadialLaw,
     SampleBatch,
-    _direction_matrix,
     _pgauss_matrix,
     decorrelate,
     draw_batch,
@@ -93,13 +92,12 @@ def _sphere_sample(d, p, n, seed):
 
 class TestUnitSphere:
     def test_unit_norm(self):
-        rng = np.random.default_rng(20)
         for d, p in [(3, 1.0), (10, 3.0), (50, 7.5)]:
-            u = _direction_matrix(rng, 100, d, p)
+            u = _sphere_sample(d, p, 100, seed=20)
             assert np.abs(lp_norm(u, p) - 1.0).max() < 1e-12
 
     def test_d1_is_sign(self):
-        draws = _direction_matrix(np.random.default_rng(21), 2000, 1, 3.0)[:, 0]
+        draws = _sphere_sample(1, 3.0, 2000, seed=21)[:, 0]
         assert set(np.round(draws, 12)) <= {-1.0, 1.0}
         assert abs(zscore(draws, 0.0)) < 4.0
 
@@ -198,7 +196,9 @@ class TestDirectionMoments:
         assert uniform_xi(50, 4.0, 1.0).hex() == "0x1.64bc2fe71e3e7p+2"
         d, p, n, seed = 50, 4.0, 16, 7  # draw_batch scales its directions by U(0, xi) draws with this xi
         rng = np.random.Generator(np.random.SFC64(seed))
-        expected = _direction_matrix(rng, n, d, p) * rng.uniform(0.0, uniform_xi(d, p, 1.0), size=n)[:, None]
+        g = _pgauss_matrix(rng, n, d, p)
+        g /= lp_norm(g, p)[:, None]
+        expected = g * rng.uniform(0.0, uniform_xi(d, p, 1.0), size=n)[:, None]
         assert np.array_equal(draw_batch(DirectionLaw("sphere", p), RadialLaw("uniform", 1.0), n, d, seed).values, expected)
         lg = math.lgamma
         for d in (1, 2, 5, 50, 1000, 10**6):
@@ -326,21 +326,15 @@ class TestDrawBatch:
         assert abs(zscore(v[:, 0] * v[:, 1], 0.0)) < 4.0
         assert abs(zscore(v[:, 0] ** 3, 0.0)) < 4.0
 
-    def test_zero_norm_row_is_redrawn(self, monkeypatch):
-        sizes = []
-
+    def test_zero_direction_fails_the_draw(self, monkeypatch):
         def pgauss_with_zero_row(rng, n, d, p):
             g = _pgauss_matrix(rng, n, d, p)
-            if not sizes:
-                g[3] = 0.0
-            sizes.append(n)
+            g[3] = 0.0
             return g
 
         monkeypatch.setattr(sampler, "_pgauss_matrix", pgauss_with_zero_row)
-        batch = draw_batch(DirectionLaw("sphere", 3.0), RadialLaw("dirac", 1.0), 10, 4, seed=5)
-        assert sizes == [10, 1]
-        norms = lp_norm(batch.values, 3.0)
-        np.testing.assert_allclose(norms, norms[0], rtol=1e-14)
+        with pytest.raises(DegenerateSampleError, match="drew a zero direction"):
+            draw_batch(DirectionLaw("sphere", 3.0), RadialLaw("dirac", 1.0), 10, 4, seed=5)
 
     @pytest.mark.parametrize("p", [2001.0, 5000.0, 1e300])
     def test_every_p_draws_the_generalized_gaussian(self, monkeypatch, p):

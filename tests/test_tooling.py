@@ -6,7 +6,8 @@ later test. The command line only parses and prints: ``cli.py`` imports
 no numpy, and of the sampler only the words its flags offer. And the library
 has one channel for advisories, the ``lpgrad`` logger: no module imports
 ``warnings``, and none configures the logger, which is the application's to
-configure."""
+configure. No line of the library is excluded from coverage: a path that
+no test reaches is deleted, not hidden."""
 import ast
 import subprocess
 import sys
@@ -113,3 +114,9 @@ def test_only_errors_defines_exception_classes():
                     ast.unparse(base).endswith(("Error", "Exception", "Warning")) for base in node.bases):
                 defined.setdefault(path.name, []).append(node.name)
     assert set(defined) == {"errors.py"}
+
+
+def test_no_line_is_excluded_from_coverage():
+    excluded = [f"{path.name}:{number}" for path in sorted(SRC.glob("*.py"))
+                for number, line in enumerate(path.read_text().splitlines(), 1) if "pragma: no cover" in line]
+    assert excluded == []
