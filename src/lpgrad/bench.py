@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .errors import DomainError, EvaluationError, LpgradError, _check_int, _check_real
+from .errors import DomainError, EvaluationError, LpgradError, _check_int, _check_real, _check_type
 from .estimator import (
     EstimatorConfig,
     ObjectiveFunction,
@@ -212,8 +212,7 @@ class ExperimentSpec:
         object.__setattr__(self, "reps", _check_int("reps", self.reps, 1))
         object.__setattr__(self, "seed", _check_int("seed", self.seed, 0))
         for name, cls in (("function", ObjectiveFunction), ("metric", TensorMetric), ("cfg", EstimatorConfig)):
-            if not isinstance(getattr(self, name), cls):
-                raise DomainError(f"{name} must be a {cls.__name__}, got {getattr(self, name)!r}")
+            _check_type(name, getattr(self, name), cls)
         _check_dims(self.function, self.metric)
 
 
@@ -374,8 +373,8 @@ def _trial(spec: ExperimentSpec, cfg: EstimatorConfig, seed: int):
     try:
         grad = estimate_gradient(f, np.zeros(f.dim), cfg, spec.metric, seed=seed).grad
         note = ""
-    except LpgradError as exc:
-        grad, note = None, str(exc)
+    except LpgradError as exc:  # the class names a failure whose message is empty, so every one has a note
+        grad, note = None, str(exc) or type(exc).__name__
     return grad, f.eval_count, (time.perf_counter() - t0) * 1e3, note
 
 
@@ -391,7 +390,7 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1):
 
     Returns (rows, summary) where summary holds mean/sd of err and the
     mean evaluation count over successful reps (nan with too few of them
-    to tell; an err may be inf), and the number of failed reps.
+    to tell; an err may be inf), and ``notes``, a Counter of the failed reps by note.
     """
     ref = _nonzero(_reference(spec.function, spec.metric))
     static = _row_static(spec)
@@ -408,7 +407,7 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1):
             "mean_err": float(errs.mean()) if ok else float("nan"),
             "sd_err": float(errs.std(ddof=1)) if len(ok) > 1 else float("nan"),
             "mean_n_evals": float(np.mean([row.n_evals for row in ok])) if ok else float("nan"),
-            "n_failed": spec.reps - len(ok),
+            "notes": Counter(note for grad, _, _, note in trials if grad is None),
         }
     return rows, summary
 

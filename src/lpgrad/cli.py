@@ -13,7 +13,6 @@ import csv
 import json
 import math
 import sys
-from collections import Counter
 from dataclasses import asdict, fields
 
 from . import bench
@@ -131,10 +130,10 @@ def cmd_estimate(args) -> int:
     write_rows(rows, cfg.out, cfg.format)
     print(
         f"mean err = {summary['mean_err']:.6g} (sd {summary['sd_err']:.3g}, "
-        f"mean evals {summary['mean_n_evals']:.1f}, failed {summary['n_failed']})",
+        f"mean evals {summary['mean_n_evals']:.1f}, failed {sum(summary['notes'].values())})",
         file=sys.stderr,
     )
-    _print_failures(Counter(row.note for row in rows if row.note), cfg.reps)
+    _print_failures(summary["notes"], cfg.reps)
     return 0
 
 
@@ -148,7 +147,7 @@ def cmd_table(args) -> int:
             f"{spec.name}: mean err = {summary['mean_err']:.4g} over {spec.reps} reps",
             file=sys.stderr,
         )
-        _print_failures(Counter(row.note for row in cell_rows if row.note), spec.reps)
+        _print_failures(summary["notes"], spec.reps)
     preset = bench.TABLE_PRESETS[args.name]
     if preset["fdm"]:
         spec0 = specs[0]

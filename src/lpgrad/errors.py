@@ -1,6 +1,7 @@
-"""Exception types shared across the library, and the one rule for numeric
-arguments: every public entry point checks each number with ``_check_int`` or
-``_check_real``, which raise ``DomainError`` for one that is out of its domain."""
+"""Exception types shared across the library, and the one rule for arguments:
+every public entry point checks each number with ``_check_int`` or
+``_check_real`` and each library object with ``_check_type``, which raise
+``DomainError`` for one that is out of its domain or of the wrong class."""
 import logging
 import math
 
@@ -52,4 +53,11 @@ def _check_real(name: str, value, low: float = -math.inf, high: float = math.inf
     if not ok:
         raise DomainError(f"{name} must be a finite number in {'[' if closed else '('}{low:g}, {high:g}), "
                           f"got {value!r}")
+    return value
+
+
+def _check_type(name: str, value, cls: type):
+    """``value`` if it is an instance of ``cls``, else a DomainError."""
+    if not isinstance(value, cls):
+        raise DomainError(f"{name} must be a {cls.__name__}, got {value!r}")
     return value

@@ -19,14 +19,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, EvaluationError, _check_int, _check_real, log
+from .errors import DomainError, EvaluationError, _check_int, _check_real, _check_type, log
 from .metric import TensorMetric, apply_inverse
 from .sampler import (
     DECORRELATE_MODES,
     SPHERE,
     DirectionLaw,
     RadialLaw,
-    _check_laws,
     decorrelate,
     draw_batch,
     log_direction_moment,
@@ -171,7 +170,8 @@ class EstimatorConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "n", _check_int("n", self.n, 1))
-        _check_laws(self.law, self.radial)
+        for name, cls in (("scheme", PointScheme), ("law", DirectionLaw), ("radial", RadialLaw)):
+            _check_type(name, getattr(self, name), cls)
         _check_real("h", self.h, 0.0)
         if self.decorrelate not in (None, *DECORRELATE_MODES):
             raise DomainError(f"decorrelate must be None or one of {DECORRELATE_MODES}, got {self.decorrelate!r}")
@@ -215,6 +215,9 @@ def estimate_gradient(
     point, value or sum prints no numpy warning. A non-finite ``x`` raises
     ``DomainError`` before any evaluation.
     """
+    for name, value, cls in (("f", f, ObjectiveFunction), ("cfg", cfg, EstimatorConfig),
+                             ("metric", metric, TensorMetric)):
+        _check_type(name, value, cls)
     x = _check_point(f, x)
     _check_dims(f, metric)
     d = x.shape[0]

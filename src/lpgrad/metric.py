@@ -3,7 +3,7 @@
 For dependent inputs the gradient of interest is G^{-1} grad_f where G
 is the (symmetric PSD) tensor metric; for independent inputs G is the
 identity and everything reduces to the plain gradient. The norm of
-|G^{-1}| 1 stored here feeds the bias-bound calculators.
+|G^{-1}| 1, derived from the inverse, feeds the bias-bound calculators.
 """
 from __future__ import annotations
 
@@ -28,8 +28,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TensorMetric:
-    """A metric G with its generalized inverse and the bound norm
-    || |G^{-1}| 1 ||_2.
+    """A metric G of dimension ``dim`` with its generalized inverse ``ginv``.
 
     ``ginv`` is None for the identity marker, which skips all matrix work
     in apply_inverse. ``label`` names the metric in result rows.
@@ -37,19 +36,20 @@ class TensorMetric:
 
     dim: int
     ginv: np.ndarray | None
-    abs_ginv_ones_l2: float
     label: str = "matrix"
+
+    @property
+    def abs_ginv_ones_l2(self) -> float:
+        """The bound norm || |G^{-1}| 1 ||_2, which the bias bound reads."""
+        if self.ginv is None:
+            return math.sqrt(self.dim)
+        return float(np.linalg.norm(np.abs(self.ginv).sum(axis=1)))
 
 
 def identity_metric(d: int) -> TensorMetric:
     """The identity marker metric for independent variables."""
     d = _check_int("d", d, 1)
-    return TensorMetric(
-        dim=d,
-        ginv=None,
-        abs_ginv_ones_l2=math.sqrt(d),
-        label="identity",
-    )
+    return TensorMetric(dim=d, ginv=None, label="identity")
 
 
 def from_matrix(g) -> TensorMetric:
@@ -85,12 +85,7 @@ def from_matrix(g) -> TensorMetric:
         ginv = 0.5 * (ginv + ginv.T)
     if not np.isfinite(ginv).all():
         raise DomainError("metric matrix has no finite generalized inverse")
-    row = np.abs(ginv).sum(axis=1)
-    return TensorMetric(
-        dim=d,
-        ginv=ginv,
-        abs_ginv_ones_l2=float(np.linalg.norm(row)),
-    )
+    return TensorMetric(dim=d, ginv=ginv)
 
 
 def exp_corr_metric(d: int, rho: float) -> TensorMetric:

@@ -6,8 +6,8 @@ and R an independent positive radius.
 Radii are calibrated so that E[V_k^2] = sigma^2 for every coordinate.
 Every p >= 1 draws the exact p-generalized Gaussian, whose closed-form
 moments are evaluated through log-gamma so that large dimensions and
-large p stay finite. This module alone defines the laws: it spells each
-vocabulary once, and ``_check_laws`` decides which laws combine.
+large p stay finite. This module alone defines the laws, and it spells
+each vocabulary once; every pair of a DirectionLaw and a RadialLaw combines.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSampleError, DomainError, _check_int, _check_real
+from .errors import DegenerateSampleError, DomainError, _check_int, _check_real, _check_type
 
 __all__ = [
     "DirectionLaw",
@@ -167,12 +167,6 @@ def log_radius_moment(q: float, d: int, p: float, kind: str = RADIAL_UNIFORM, la
     raise DomainError(f"unknown radial law kind {kind!r}")
 
 
-def _check_laws(law, radial) -> None:
-    """A DirectionLaw and a RadialLaw; every pair of them combines."""
-    if not isinstance(law, DirectionLaw) or not isinstance(radial, RadialLaw):
-        raise DomainError(f"a DirectionLaw and a RadialLaw are required, got {law!r} and {radial!r}")
-
-
 def draw_batch(
     law: DirectionLaw,
     radial: RadialLaw,
@@ -187,7 +181,7 @@ def draw_batch(
     no direction: the draw raises DegenerateSampleError.
     """
     n, d, seed = _check_int("n", n, 1), _check_int("d", d, 1), _check_int("seed", seed, 0)
-    _check_laws(law, radial)
+    law, radial = _check_type("law", law, DirectionLaw), _check_type("radial", radial, RadialLaw)
     rng = np.random.Generator(np.random.SFC64(seed))
     values = _pgauss_matrix(rng, n, d, law.p)
     norms = lp_norm(values, law.p)
@@ -220,9 +214,14 @@ def decorrelate(batch: SampleBatch, sigma: float, mode: str = DECORRELATE_MOMENT
     Orthogonalization is a Householder QR with column signs fixed so an
     already-orthogonal input passes through unchanged; it yields the
     same column-span and ordering as modified Gram-Schmidt with better
-    numerical behaviour.
+    numerical behaviour. A batch that is not a non-empty 2-D array of
+    finite floats raises DomainError.
     """
-    n, d = batch.values.shape
+    w = _check_type("batch", batch, SampleBatch).values
+    if not (isinstance(w, np.ndarray) and w.ndim == 2 and w.size and w.dtype.kind == "f"
+            and np.isfinite(w).all()):
+        raise DomainError("a batch to decorrelate must hold a non-empty 2-D array of finite floats")
+    n, d = w.shape
     if mode not in DECORRELATE_MODES:
         raise DomainError(f"unknown decorrelate mode {mode!r}")
     _check_real("sigma", sigma, 0.0)
@@ -234,7 +233,6 @@ def decorrelate(batch: SampleBatch, sigma: float, mode: str = DECORRELATE_MOMENT
     ddof = 1 if sample else 0
     if n <= ddof:
         raise DomainError("sample-convention decorrelation needs n >= 2")
-    w = batch.values
     if sample and n > d:  # column-major, so numpy's QR copies whole columns instead of transposing
         w = np.subtract(w, w.mean(axis=0), order="F")
     del batch  # so a draw_batch(...) passed straight in is freed before the QR copies w

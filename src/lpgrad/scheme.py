@@ -44,11 +44,6 @@ class PointScheme:
     def beta_max(self) -> float:
         return float(np.abs(self.betas).max())
 
-    def constraint_residual(self) -> float:
-        """Max absolute residual of the L >= 2 constraint system."""
-        a, rhs = _constraint_system(self.betas)
-        return float(np.abs(a @ self.coeffs - rhs).max())
-
 
 def _constraint_system(betas: np.ndarray):
     powers = np.arange(len(betas))

@@ -60,7 +60,8 @@ def test_criterion_1_scheme_correctness():
                 if np.min(np.diff(betas)) > 0.1:
                     break
             scheme = build_scheme(betas)
-            assert scheme.constraint_residual() <= 1e-10
+            powers = np.arange(l)[:, None]  # max_r |sum_l C_l beta_l^r - delta_{1,r}|, r = 0..L-1
+            assert np.abs(scheme.betas**powers @ scheme.coeffs - (powers[:, 0] == 1)).max() <= 1e-10
 
 
 @pytest.mark.parametrize("d,p", [(2, 1.0), (10, 3.0), (100, 5.0), (5, 5000.0)])
@@ -139,7 +140,7 @@ def test_criterion_5_table_reproduction(name):
         means = []
         for spec in specs:
             _, summary = run_experiment(spec, threads=2)  # rows do not depend on threads
-            assert summary["n_failed"] == 0
+            assert not summary["notes"]
             means.append(summary["mean_err"])
         refs = TABLE_REFERENCES[name]
         for mean, ref, spec in zip(means, refs, specs):

@@ -198,7 +198,14 @@ def test_extreme_finite_argument_succeeds_or_is_rejected(call):
 
 
 # the object arguments each checked for its type where it enters
-TYPED = {"objective": ("fun",), "spec": ("function", "metric", "cfg")}
+TYPED = {
+    "draw": ("law", "radial"),
+    "decorrelate": ("batch",),
+    "objective": ("fun",),
+    "config": ("scheme", "law", "radial"),
+    "estimate": ("f", "cfg", "metric"),
+    "spec": ("function", "metric", "cfg"),
+}
 
 
 @pytest.mark.parametrize("call", [

@@ -419,7 +419,7 @@ class TestRunExperiment:
         rows_1, summary = run_experiment(spec, threads=1)
         rows_3, _ = run_experiment(spec, threads=3)
         assert [r.note for r in rows_1] == ["", "", "drew a zero direction", ""]
-        assert math.isnan(rows_1[2].err) and summary["n_failed"] == 1
+        assert math.isnan(rows_1[2].err) and summary["notes"] == Counter({"drew a zero direction": 1})
         assert [repr(replace(r, wall_ms=0.0)) for r in rows_1] == \
             [repr(replace(r, wall_ms=0.0)) for r in rows_3]
 
@@ -456,9 +456,26 @@ class TestRunExperiment:
         # reference gradient needs an analytic form for a non-finite objective
         bad.grad = lambda x: np.ones(d)
         rows, summary = run_experiment(spec)
-        assert summary["n_failed"] == 2
+        assert summary["notes"] == Counter({"objective 'bad' returned non-finite value inf": 2})
         assert all(math.isnan(r.err) and r.note for r in rows)
         assert math.isnan(summary["sd_err"])  # no spread is known without two successes
+
+    def test_failure_without_a_message_is_noted_by_its_class(self):
+        def fun(x):
+            raise DomainError()
+
+        d = 3
+        spec = ExperimentSpec(
+            function=ObjectiveFunction(fun=fun, dim=d, grad=lambda x: np.ones(d)),
+            metric=identity_metric(d),
+            cfg=EstimatorConfig(scheme=two_point_central(), law=DirectionLaw("sphere", 2.0),
+                                radial=RadialLaw("uniform", 0.1), n=4, h=1e-2),
+            reps=2,
+            seed=0,
+        )
+        rows, summary = run_experiment(spec)
+        assert summary["notes"] == Counter({"DomainError": 2})
+        assert [r.note for r in rows] == ["DomainError", "DomainError"]
 
     def test_err_beyond_the_float_range_is_a_success(self):
         # the reference is tiny and the estimate's noise is not: each err is inf, no trial fails
@@ -475,7 +492,7 @@ class TestRunExperiment:
         )
         rows, summary = run_experiment(spec)
         assert all(r.err == math.inf and r.note == "" for r in rows)
-        assert summary["n_failed"] == 0 and summary["mean_n_evals"] == n
+        assert not summary["notes"] and summary["mean_n_evals"] == n
         assert summary["mean_err"] == math.inf and math.isnan(summary["sd_err"])
 
     def test_scalar_fun_returning_a_vector_annotates_rows(self):
@@ -489,7 +506,7 @@ class TestRunExperiment:
             seed=0,
         )
         rows, summary = run_experiment(spec)
-        assert summary["n_failed"] == 2
+        assert sum(summary["notes"].values()) == 2
         assert all(math.isnan(r.err) and r.n_evals == 0 for r in rows)
         assert {r.note for r in rows} == {"objective 'vector' returned shape (5, 4) for 5 rows, expected 5 real numbers"}
 

@@ -1,5 +1,5 @@
 """README examples run against the current API, README names only what exists,
-and README names everything lpgrad exports."""
+and README names everything lpgrad exports and each attribute of its classes."""
 import importlib
 import inspect
 import pkgutil
@@ -45,12 +45,31 @@ def test_backticked_identifiers_exist():
     assert code_names - _known_names() == set()
 
 
-def test_every_export_documented():
-    # the reverse check: each public name of lpgrad appears in a backtick span
+def _documented() -> set:
+    """The words inside README's code blocks and backtick spans."""
     text = README.read_text()
     spans = re.findall(r"```\w*\n(.*?)```", text, re.S)
     spans += re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", text, flags=re.S))
-    documented = {name for span in spans for name in re.findall(r"\w+", span)}
+    return {name for span in spans for name in re.findall(r"\w+", span)}
+
+
+def test_every_export_documented():
+    # the reverse check: each public name of lpgrad appears in a backtick span
     public = {name for name in dir(lpgrad) if not name.startswith("_")
               and not inspect.ismodule(getattr(lpgrad, name))}
-    assert sorted(public - documented) == []
+    assert sorted(public - _documented()) == []
+
+
+def test_every_public_attribute_documented():
+    # each field, method and property that an exported class defines itself
+    # appears in a backtick span; inherited attributes do not count
+    documented = _documented()
+    missing = []
+    for name in dir(lpgrad):
+        cls = getattr(lpgrad, name)
+        if name.startswith("_") or not inspect.isclass(cls):
+            continue
+        # a dataclass field without a default is an annotation, not a class attribute
+        own = set(vars(cls)) | set(vars(cls).get("__annotations__", {}))
+        missing += [f"{name}.{attr}" for attr in sorted(own - documented) if not attr.startswith("_")]
+    assert missing == []

@@ -424,6 +424,18 @@ class TestDecorrelate:
         assert out.tobytes() == decorrelate(self.make(n=n), 0.3, mode).values.tobytes()
         assert kept.values.tobytes() == before.tobytes()
 
+    @pytest.mark.parametrize("values", [
+        np.full((4, 2), np.nan),
+        np.array([[1.0, 0.0], [0.0, np.inf], [1.0, 1.0]]),
+        np.ones(4),
+        np.ones((4, 2, 1)),
+        np.empty((3, 0)),
+        [[1.0, 0.0], [0.0, 1.0]],
+    ], ids=["nan", "inf", "1d", "3d", "empty", "list"])
+    def test_batch_that_is_not_a_finite_matrix_rejected(self, values):
+        with pytest.raises(DomainError, match="2-D array of finite floats"):
+            decorrelate(SampleBatch(values), 1.0)
+
     def test_nan_sigma_rejected(self):
         with pytest.raises(DomainError):
             decorrelate(self.make(), math.nan)

@@ -65,7 +65,8 @@ class TestBuildScheme:
         arr = np.sort(np.asarray(betas))
         assume(np.min(np.diff(arr)) > 0.05)
         s = build_scheme(betas)
-        assert s.constraint_residual() <= 1e-10
+        powers = np.arange(s.l)[:, None]  # max_r |sum_l C_l beta_l^r - delta_{1,r}|, r = 0..L-1
+        assert np.abs(s.betas**powers @ s.coeffs - (powers[:, 0] == 1)).max() <= 1e-10
 
     def test_helpers(self):
         assert one_point().betas.tolist() == [1.0]
