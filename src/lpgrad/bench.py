@@ -141,6 +141,7 @@ def central_fdm(f: ObjectiveFunction, x, h: float) -> np.ndarray:
     """Coordinate-wise central differences: 2d evaluations, rows 2k and
     2k + 1 at x + h e_k and x - h e_k, built and evaluated one row block
     at a time."""
+    _check_type("f", f, ObjectiveFunction)
     _check_real("h", h, 0.0)
     x = _check_point(f, x)
 
@@ -187,6 +188,7 @@ def err(metric: TensorMetric, grad_true, grad_est) -> float:
     ||G^{-1} grad_true - G^{-1} grad_est||_2 / ||G^{-1} grad_true||_2 for
     traditional-gradient arguments, as every row of the harness measures it.
     """
+    _check_type("metric", metric, TensorMetric)
     grad_true = np.asarray(grad_true, dtype=float)
     grad_est = np.asarray(grad_est, dtype=float)
     if grad_true.shape != grad_est.shape:
@@ -392,6 +394,7 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1):
     mean evaluation count over successful reps (nan with too few of them
     to tell; an err may be inf), and ``notes``, a Counter of the failed reps by note.
     """
+    _check_type("spec", spec, ExperimentSpec)
     ref = _nonzero(_reference(spec.function, spec.metric))
     static = _row_static(spec)
     seeds = [derive_seed(spec.seed, rep) for rep in range(spec.reps)]
@@ -414,6 +417,8 @@ def run_experiment(spec: ExperimentSpec, threads: int = 1):
 
 def fdm_row(function: ObjectiveFunction, metric: TensorMetric, h: float) -> ResultRow:
     """One deterministic central-difference baseline trial at the origin, its inputs checked first."""
+    _check_type("function", function, ObjectiveFunction)
+    _check_type("metric", metric, TensorMetric)
     _check_dims(function, metric)
     f = function.fresh()
     ref = _nonzero(_reference(f, metric))
@@ -454,6 +459,7 @@ def mse_sweep(spec: ExperimentSpec, n_values, threads: int = 1):
     notes the count of failed (N, rep) trials per distinct note, empty
     when none failed; a fit it cannot make names them in its error.
     """
+    _check_type("spec", spec, ExperimentSpec)
     n_values = sorted({_check_int("n", n, 1) for n in n_values})
     if len(n_values) < 2:
         raise DomainError("mse_sweep needs at least two distinct sample sizes")

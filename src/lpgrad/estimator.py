@@ -268,6 +268,8 @@ def surrogate_bias_bound(metric: TensorMetric, m2: float, cfg: EstimatorConfig) 
     give m2*h.
     """
     _check_real("m2", m2, 0.0, closed=True)
+    _check_type("metric", metric, TensorMetric)
+    _check_type("cfg", cfg, EstimatorConfig)
     d, p = metric.dim, cfg.law.p
     log_factor = log_radius_moment(3, d, p, cfg.radial.kind, cfg.law.kind) + _log_k1(d, p, cfg.law.kind)
     return m2 * cfg.h * math.exp(log_factor) * cfg.radial.sigma * metric.abs_ginv_ones_l2
@@ -277,6 +279,7 @@ def recommended_sigma(metric: TensorMetric, p: float) -> float:
     """The self-normalizing sigma 1 / (|| |G^{-1}| 1 ||_2 * k2), for d =
     ``metric.dim``: with sphere directions and the uniform radius it makes
     the bias bound m2*h in every dimension."""
+    _check_type("metric", metric, TensorMetric)
     return 1.0 / (metric.abs_ginv_ones_l2 * k2(metric.dim, p))
 
 

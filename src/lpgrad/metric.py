@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, _check_int, _check_real
+from .errors import DomainError, _check_int, _check_real, _check_type
 
 __all__ = [
     "TensorMetric",
@@ -31,12 +31,22 @@ class TensorMetric:
     """A metric G of dimension ``dim`` with its generalized inverse ``ginv``.
 
     ``ginv`` is None for the identity marker, which skips all matrix work
-    in apply_inverse. ``label`` names the metric in result rows.
+    in apply_inverse, or else a finite float ``dim`` x ``dim`` array.
+    ``label`` names the metric in result rows.
     """
 
     dim: int
     ginv: np.ndarray | None
     label: str = "matrix"
+
+    def __post_init__(self):
+        object.__setattr__(self, "dim", _check_int("dim", self.dim, 1))
+        g = self.ginv
+        if g is not None and not (isinstance(g, np.ndarray) and g.dtype.kind == "f"
+                                  and g.shape == (self.dim, self.dim) and np.isfinite(g).all()):
+            got = f"a {g.dtype} array of shape {g.shape}" if isinstance(g, np.ndarray) else repr(g)
+            raise DomainError(f"ginv must be None or a finite float {self.dim} x {self.dim} array, got {got}")
+        _check_type("label", self.label, str)
 
     @property
     def abs_ginv_ones_l2(self) -> float:

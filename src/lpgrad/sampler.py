@@ -11,12 +11,14 @@ each vocabulary once; every pair of a DirectionLaw and a RadialLaw combines.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSampleError, DomainError, _check_int, _check_real, _check_type
+from .errors import DegenerateSampleError, DomainError, LpgradError, _check_int, _check_real, _check_type
 
 __all__ = [
     "DirectionLaw",
@@ -200,6 +202,52 @@ def draw_batch(
     return SampleBatch(values)
 
 
+@functools.cache
+def _lapack():
+    """numpy's bundled dgeqrf and dorgqr, which a ctypes call runs without the
+    GIL; their argument types check each array's dtype, rank and layout."""
+    from numpy.ctypeslib import ndpointer
+    from numpy.linalg import lapack_lite
+    try:
+        lib = ctypes.CDLL(lapack_lite.__file__)
+        geqrf, orgqr = lib.scipy_dgeqrf_64_, lib.scipy_dorgqr_64_
+    except (OSError, AttributeError):
+        raise LpgradError(f"decorrelate needs the LAPACK symbols scipy_dgeqrf_64_ and scipy_dorgqr_64_ "
+                          f"of numpy's own build, and numpy {np.__version__} ({lapack_lite.__file__}) "
+                          f"does not export them") from None
+    i = ctypes.POINTER(ctypes.c_int64)  # Fortran passes every int by reference, 64-bit in this ILP64 build
+    a = ndpointer(float, ndim=2, flags="F_CONTIGUOUS,WRITEABLE")
+    v = ndpointer(float, ndim=1, flags="C_CONTIGUOUS,WRITEABLE")
+    geqrf.argtypes = [i, i, a, i, v, v, i, i]  # m, n, a, lda, tau, work, lwork, info
+    orgqr.argtypes = [i, i, i, a, i, v, v, i, i]  # m, n, k, a, lda, tau, work, lwork, info
+    geqrf.restype = orgqr.restype = None
+    return geqrf, orgqr
+
+
+def _call(routine, *args) -> None:
+    """A LAPACK call with each int passed by reference and ``info`` appended;
+    a nonzero ``info`` raises LpgradError."""
+    info = ctypes.c_int64()
+    routine(*(ctypes.byref(ctypes.c_int64(a)) if isinstance(a, int) else a for a in args), ctypes.byref(info))
+    if info.value:
+        raise LpgradError(f"LAPACK {routine.__name__} failed with info {info.value}")
+
+
+def _qr_in_place(w: np.ndarray) -> np.ndarray:
+    """Overwrite the column-major float n x d ``w``, n >= d, with the Q of its
+    QR and return R's diagonal; both carry the bits of ``np.linalg.qr``."""
+    geqrf, orgqr = _lapack()
+    n, d = w.shape
+    tau, query = np.empty(d), np.empty(2)
+    _call(geqrf, n, d, w, n, tau, query[:1], -1)  # each workspace query writes its size
+    _call(orgqr, n, d, d, w, n, tau, query[1:], -1)
+    work = np.empty(int(query.max()))
+    _call(geqrf, n, d, w, n, tau, work, int(query[0]))
+    diag = w.diagonal().copy()  # before dorgqr overwrites R with Q
+    _call(orgqr, n, d, d, w, n, tau, work, int(query[1]))
+    return diag
+
+
 def decorrelate(batch: SampleBatch, sigma: float, mode: str = DECORRELATE_MOMENT) -> SampleBatch:
     """Orthogonalize the batch columns and pin their empirical scale.
 
@@ -208,8 +256,9 @@ def decorrelate(batch: SampleBatch, sigma: float, mode: str = DECORRELATE_MOMENT
     columns are centered first when n > d (at n = d centering would cost
     a rank) and rescaled to the unbiased n - 1 standard deviation; this
     is the normalization that reproduces the published benchmark errors.
-    The centered copy is written column-major, the layout LAPACK reads,
-    so numpy's QR copies it column by column; Q and R are the same either way.
+    The work copy is column-major, the layout LAPACK reads, and numpy's
+    bundled dgeqrf and dorgqr factor it in place: Q and R carry the bits
+    of ``np.linalg.qr``, without its copies, and without holding the GIL.
 
     Orthogonalization is a Householder QR with column signs fixed so an
     already-orthogonal input passes through unchanged; it yields the
@@ -233,14 +282,17 @@ def decorrelate(batch: SampleBatch, sigma: float, mode: str = DECORRELATE_MOMENT
     ddof = 1 if sample else 0
     if n <= ddof:
         raise DomainError("sample-convention decorrelation needs n >= 2")
-    if sample and n > d:  # column-major, so numpy's QR copies whole columns instead of transposing
-        w = np.subtract(w, w.mean(axis=0), order="F")
-    del batch  # so a draw_batch(...) passed straight in is freed before the QR copies w
-    q, r = np.linalg.qr(w)
-    diag = np.diag(r)
+    if sample and n > d:
+        w = np.subtract(w, w.mean(axis=0), order="F", dtype=float)
+    else:
+        w = np.array(w, dtype=float, order="F")
+    del batch  # so a draw_batch(...) passed straight in is freed before Q is copied out
+    diag = _qr_in_place(w)
     tol = n * np.finfo(float).eps * np.abs(diag).max()
     if np.abs(diag).min() <= tol:
         raise DegenerateSampleError("sample columns are numerically rank-deficient")
+    # row-major like numpy's Q, since the combine v.T @ weights sums in layout order
+    q = np.ascontiguousarray(w)
     # flipping a column's sign is exact, so one multiply by +-scale
     # equals flipping and then scaling
     q *= np.where(diag < 0.0, -1.0, 1.0) * (math.sqrt(n - ddof) * sigma)

@@ -64,7 +64,7 @@ def build_scheme(betas) -> PointScheme:
         raise DomainError(f"a stencil needs at least 2 offsets, got {l}; use one_point() for L=1")
     if not np.isfinite(betas).all():
         raise DomainError(f"offsets must be finite, got {betas}")
-    if len(np.unique(betas)) != l:
+    if len(set(betas.tolist())) != l:  # not np.unique, whose first call imports numpy.ma
         raise DomainError(f"offsets must be pairwise distinct, got {betas}")
     with np.errstate(over="ignore"):  # an overflowed power is rejected below
         a, rhs = _constraint_system(betas)

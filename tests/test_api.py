@@ -55,6 +55,7 @@ VALID = [
     ("identity", lpgrad.identity_metric, dict(d=3)),
     ("from-matrix", lpgrad.from_matrix, dict(g=[[2.0, 0.0], [0.0, 1.0]])),
     ("exp-corr", lpgrad.exp_corr_metric, dict(d=3, rho=0.5)),
+    ("tensor-metric", lpgrad.TensorMetric, dict(dim=3, ginv=np.eye(3), label="m")),
     ("objective", lpgrad.ObjectiveFunction, dict(fun=np.sum, dim=3, m2=1.0)),
     ("config", lpgrad.EstimatorConfig, dict(scheme=CFG.scheme, law=CFG.law, radial=CFG.radial, n=4, h=1e-3)),
     ("estimate", lpgrad.estimate_gradient, dict(f=F, x=[0.0, 0.0, 0.0], cfg=CFG, metric=METRIC, seed=0)),
@@ -82,7 +83,6 @@ EXEMPT = {
     "GradientEstimate": "a result container that estimate_gradient fills",
     "SampleBatch": "a result container that draw_batch and decorrelate fill",
     "PointScheme": "a result container that build_scheme and one_point fill",
-    "TensorMetric": "a result container that the metric builders fill",
     "apply_inverse": "estimate_gradient passes it an overflowed sum, whose rep then fails "
                      "with EvaluationError('the gradient estimate is not finite')",
     "load_matrix": "takes a path, not a number; from_matrix checks the matrix it reads",
@@ -205,6 +205,13 @@ TYPED = {
     "config": ("scheme", "law", "radial"),
     "estimate": ("f", "cfg", "metric"),
     "spec": ("function", "metric", "cfg"),
+    "bias-bound": ("metric", "cfg"),
+    "recommended-sigma": ("metric",),
+    "fdm": ("f",),
+    "err": ("metric",),
+    "run": ("spec",),
+    "fdm-row": ("function", "metric"),
+    "sweep": ("spec",),
 }
 
 

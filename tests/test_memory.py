@@ -31,9 +31,10 @@ def peak_blocks(fn):
 
 
 def test_sample_decorrelate_frees_the_raw_batch():
-    # the centered copy plus numpy's QR; the raw batch was a fifth block
+    # the raw batch and its centered copy, then that copy factored in place
+    # and Q copied out row-major; numpy's QR held four blocks of its own
     peak = peak_blocks(lambda: decorrelate(draw_batch(LAW, RADIAL, N, D, 1), 0.01, "sample"))
-    assert peak <= 4.0, peak
+    assert peak <= 2.2, peak
 
 
 def test_rosenbrock_rows_use_two_scratch_blocks():
@@ -47,7 +48,7 @@ def test_sample_decorrelated_estimate():
     cfg = EstimatorConfig(one_point(), LAW, RADIAL, n=N, h=1e-3, decorrelate="sample")
     f, x, metric = rosenbrock(D), np.zeros(D), identity_metric(D)
     peak = peak_blocks(lambda: estimate_gradient(f, x, cfg, metric, seed=3))
-    assert peak <= 4.2, peak
+    assert peak <= 2.2, peak
 
 
 def test_raw_batch_estimate_keeps_only_the_batch():

@@ -6,13 +6,17 @@ import numpy as np
 import pytest
 
 from lpgrad.errors import DomainError
+from lpgrad.estimator import EstimatorConfig, ObjectiveFunction, estimate_gradient, surrogate_bias_bound
 from lpgrad.metric import (
+    TensorMetric,
     apply_inverse,
     exp_corr_metric,
     from_matrix,
     identity_metric,
     load_matrix,
 )
+from lpgrad.sampler import DirectionLaw, RadialLaw
+from lpgrad.scheme import two_point_central
 
 
 class TestIdentityMetric:
@@ -131,6 +135,45 @@ class TestExpCorrMetric:
     def test_rho_domain(self, rho):
         with pytest.raises(DomainError):
             exp_corr_metric(3, rho)
+
+
+class TestTensorMetric:
+    def test_checked_fields_kept(self):
+        g = np.eye(2)
+        m = TensorMetric(2.0, g, "two")
+        assert (m.dim, type(m.dim), m.label) == (2, int, "two") and m.ginv is g
+        assert TensorMetric(3, None).ginv is None
+
+    @pytest.mark.parametrize("dim", [0, 2.5, math.nan, "3", None])
+    def test_bad_dim_rejected(self, dim):
+        with pytest.raises(DomainError, match="dim must be an integer >= 1"):
+            TensorMetric(dim, None)
+
+    @pytest.mark.parametrize("ginv", [
+        np.eye(2),
+        np.full((3, 3), np.nan),
+        np.diag([1.0, np.inf, 1.0]),
+        np.eye(3, dtype=int),
+        np.ones(3),
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+    ], ids=["wrong-shape", "nan", "inf", "int", "vector", "list"])
+    def test_bad_ginv_rejected(self, ginv):
+        with pytest.raises(DomainError, match="ginv must be None or a finite float 3 x 3 array"):
+            TensorMetric(3, ginv)
+
+    @pytest.mark.parametrize("label", [None, 3, b"m"])
+    def test_bad_label_rejected(self, label):
+        with pytest.raises(DomainError, match="label must be a str"):
+            TensorMetric(3, None, label)
+
+    def test_estimate_and_bound_never_see_a_bad_metric(self):
+        # a 2 x 2 inverse for d = 3 once failed inside matmul, and a nan one gave a nan bound
+        cfg = EstimatorConfig(two_point_central(), DirectionLaw("sphere", 2.0), RadialLaw("uniform", 0.1), n=4, h=1e-3)
+        f = ObjectiveFunction(np.sum, 3)
+        with pytest.raises(DomainError):
+            estimate_gradient(f, np.zeros(3), cfg, TensorMetric(3, np.eye(2)))
+        with pytest.raises(DomainError):
+            surrogate_bias_bound(TensorMetric(3, np.full((3, 3), np.nan)), 1.0, cfg)
 
 
 class TestApplyInverse:

@@ -1,7 +1,9 @@
 """Sampling laws: closed-form moments vs Monte Carlo, calibration, decorrelation."""
 import math
 import re
+import types
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,12 +13,14 @@ from lpgrad.bench import moments_report
 from lpgrad.errors import (
     DegenerateSampleError,
     DomainError,
+    LpgradError,
 )
 from lpgrad.sampler import (
     DirectionLaw,
     RadialLaw,
     SampleBatch,
     _pgauss_matrix,
+    _qr_in_place,
     decorrelate,
     draw_batch,
     log_direction_moment,
@@ -439,6 +443,48 @@ class TestDecorrelate:
     def test_nan_sigma_rejected(self):
         with pytest.raises(DomainError):
             decorrelate(self.make(), math.nan)
+
+    @pytest.mark.parametrize("shape", [(2000, 1000), (1001, 1000), (1000, 1000), (400, 200), (50, 10), (7, 7)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    def test_qr_keeps_the_bits_of_numpy_qr(self, shape):
+        # the in-place LAPACK calls are numpy's own QR without its copies, so
+        # Q, diag(R) and every decorrelated batch keep their bits
+        a = np.random.default_rng(sum(shape)).normal(size=shape)
+        q, r = np.linalg.qr(a)
+        w = np.array(a, order="F")
+        assert _qr_in_place(w).tobytes() == np.diag(r).tobytes()
+        assert w.tobytes("C") == q.tobytes("C")
+        n, d = shape
+        for mode in ("moment", "sample"):
+            for order in "CF":
+                values = np.array(a, order=order)
+                centered = values - values.mean(axis=0) if mode == "sample" and n > d else values
+                q, r = np.linalg.qr(centered)
+                ddof = mode == "sample"
+                expected = q * np.where(np.diag(r) < 0.0, -1.0, 1.0) * (math.sqrt(n - ddof) * 0.3)
+                out = decorrelate(SampleBatch(values), 0.3, mode).values
+                assert out.tobytes() == expected.tobytes(), (mode, order)
+                assert out.flags.c_contiguous and not out.flags.writeable
+                assert values.tobytes("A") == np.array(a, order=order).tobytes("A")  # the caller's batch
+
+    def test_two_threads_match_serial(self):
+        batches = [self.make(n=600, d=300, seed=seed) for seed in (1, 2)]
+        serial = [decorrelate(batch, 0.3, "sample").values for batch in batches]
+        with ThreadPoolExecutor(2) as pool:
+            threaded = list(pool.map(lambda batch: decorrelate(batch, 0.3, "sample").values, batches))
+        assert [v.tobytes() for v in threaded] == [v.tobytes() for v in serial]
+
+    def test_numpy_without_the_lapack_symbols(self, monkeypatch):
+        # import lpgrad needs no LAPACK; decorrelate names the numpy build it lacks
+        sampler._lapack.cache_clear()
+        monkeypatch.setattr(sampler.ctypes, "CDLL", lambda path: types.SimpleNamespace())
+        with pytest.raises(LpgradError, match=f"numpy {re.escape(np.__version__)} .* does not export them"):
+            decorrelate(self.make(), 0.3)
+
+    def test_lapack_error_raised(self):
+        geqrf, _ = sampler._lapack()
+        with pytest.raises(LpgradError, match="failed with info -4"):  # lda 1 < n 3
+            sampler._call(geqrf, 3, 2, np.zeros((3, 2), order="F"), 1, np.empty(2), np.empty(64), 64)
 
     def test_bad_mode_rejected(self):
         with pytest.raises(DomainError):

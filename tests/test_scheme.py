@@ -38,6 +38,10 @@ class TestBuildScheme:
         with pytest.raises(DomainError):
             build_scheme([1.0, 1.0])
 
+    def test_signed_zeros_are_repeated(self):
+        with pytest.raises(DomainError, match="pairwise distinct"):
+            build_scheme([0.0, 1.0, -0.0])
+
     def test_ill_conditioned_warns(self, caplog):
         build_scheme([1.0, 1.0 + 1e-13])
         [record] = caplog.records

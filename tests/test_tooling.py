@@ -3,12 +3,15 @@ failure. When a ``@given`` test fails, hypothesis's pytest plugin imports its
 patch writer, whose import chain warns; under ``filterwarnings = ["error"]``
 that warning would end the session with an INTERNALERROR (exit 3) and run no
 later test. The command line only parses and prints: ``cli.py`` imports
-no numpy, and of the sampler only the words its flags offer. And the library
+no numpy, and of the sampler only the words its flags offer; building a
+table's specs imports no ``numpy.ma``, whose import every command would
+otherwise pay before its first estimate. And the library
 has one channel for advisories, the ``lpgrad`` logger: no module imports
 ``warnings``, and none configures the logger, which is the application's to
 configure. No line of the library is excluded from coverage: a path that
 no test reaches is deleted, not hidden."""
 import ast
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -58,6 +61,13 @@ def test_cli_imports_no_numpy_and_only_sampler_vocabulary():
                 from_sampler += [alias.name for alias in node.names]
     assert numpy == []
     assert from_sampler and sorted(set(from_sampler) - vocabulary) == []
+
+
+def test_table_specs_import_no_numpy_ma():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    code = "import sys; from lpgrad.bench import table_specs; table_specs('t4', 2, 5); print('numpy.ma' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "False\n", "")
 
 
 def test_no_module_imports_warnings():
