@@ -42,10 +42,12 @@ class TensorMetric:
     def __post_init__(self):
         object.__setattr__(self, "dim", _check_int("dim", self.dim, 1))
         g = self.ginv
-        if g is not None and not (isinstance(g, np.ndarray) and g.dtype.kind == "f"
-                                  and g.shape == (self.dim, self.dim) and np.isfinite(g).all()):
-            got = f"a {g.dtype} array of shape {g.shape}" if isinstance(g, np.ndarray) else repr(g)
-            raise DomainError(f"ginv must be None or a finite float {self.dim} x {self.dim} array, got {got}")
+        if g is not None:
+            fits = isinstance(g, np.ndarray) and g.dtype.kind == "f" and g.shape == (self.dim, self.dim)
+            if not (fits and np.isfinite(g).all()):
+                got = ("one with non-finite entries (a metric matrix with no finite generalized inverse)" if fits
+                       else f"a {g.dtype} array of shape {g.shape}" if isinstance(g, np.ndarray) else repr(g))
+                raise DomainError(f"ginv must be None or a finite float {self.dim} x {self.dim} array, got {got}")
         _check_type("label", self.label, str)
 
     @property
@@ -58,7 +60,6 @@ class TensorMetric:
 
 def identity_metric(d: int) -> TensorMetric:
     """The identity marker metric for independent variables."""
-    d = _check_int("d", d, 1)
     return TensorMetric(dim=d, ginv=None, label="identity")
 
 
@@ -89,12 +90,10 @@ def from_matrix(g) -> TensorMetric:
         raise DomainError(f"metric matrix is not positive semidefinite (min eigenvalue {w.min():.3g})")
     keep = w > tau
     inv_w = np.zeros_like(w)
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite inverse is rejected below
+    with np.errstate(over="ignore", invalid="ignore"):  # TensorMetric rejects a non-finite inverse
         inv_w[keep] = 1.0 / w[keep]
         ginv = (v * inv_w) @ v.T
         ginv = 0.5 * (ginv + ginv.T)
-    if not np.isfinite(ginv).all():
-        raise DomainError("metric matrix has no finite generalized inverse")
     return TensorMetric(dim=d, ginv=ginv)
 
 

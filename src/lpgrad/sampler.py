@@ -205,16 +205,15 @@ def draw_batch(
 @functools.cache
 def _lapack():
     """numpy's bundled dgeqrf and dorgqr, which a ctypes call runs without the
-    GIL; their argument types check each array's dtype, rank and layout."""
+    GIL, or None on a numpy build that does not export them; their argument
+    types check each array's dtype, rank and layout."""
     from numpy.ctypeslib import ndpointer
     from numpy.linalg import lapack_lite
     try:
         lib = ctypes.CDLL(lapack_lite.__file__)
         geqrf, orgqr = lib.scipy_dgeqrf_64_, lib.scipy_dorgqr_64_
     except (OSError, AttributeError):
-        raise LpgradError(f"decorrelate needs the LAPACK symbols scipy_dgeqrf_64_ and scipy_dorgqr_64_ "
-                          f"of numpy's own build, and numpy {np.__version__} ({lapack_lite.__file__}) "
-                          f"does not export them") from None
+        return None
     i = ctypes.POINTER(ctypes.c_int64)  # Fortran passes every int by reference, 64-bit in this ILP64 build
     a = ndpointer(float, ndim=2, flags="F_CONTIGUOUS,WRITEABLE")
     v = ndpointer(float, ndim=1, flags="C_CONTIGUOUS,WRITEABLE")
@@ -233,10 +232,15 @@ def _call(routine, *args) -> None:
         raise LpgradError(f"LAPACK {routine.__name__} failed with info {info.value}")
 
 
-def _qr_in_place(w: np.ndarray) -> np.ndarray:
-    """Overwrite the column-major float n x d ``w``, n >= d, with the Q of its
-    QR and return R's diagonal; both carry the bits of ``np.linalg.qr``."""
-    geqrf, orgqr = _lapack()
+def _qr(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The row-major Q of the column-major float n x d ``w``, n >= d, and R's
+    diagonal, with the bits of ``np.linalg.qr``. numpy's bundled LAPACK
+    overwrites ``w`` with Q; a numpy build without it gets np.linalg.qr."""
+    lapack = _lapack()
+    if lapack is None:
+        q, r = np.linalg.qr(w)
+        return q, r.diagonal()
+    geqrf, orgqr = lapack
     n, d = w.shape
     tau, query = np.empty(d), np.empty(2)
     _call(geqrf, n, d, w, n, tau, query[:1], -1)  # each workspace query writes its size
@@ -245,7 +249,8 @@ def _qr_in_place(w: np.ndarray) -> np.ndarray:
     _call(geqrf, n, d, w, n, tau, work, int(query[0]))
     diag = w.diagonal().copy()  # before dorgqr overwrites R with Q
     _call(orgqr, n, d, d, w, n, tau, work, int(query[1]))
-    return diag
+    # row-major like numpy's Q, since the combine v.T @ weights sums in layout order
+    return np.ascontiguousarray(w), diag
 
 
 def decorrelate(batch: SampleBatch, sigma: float, mode: str = DECORRELATE_MOMENT) -> SampleBatch:
@@ -256,9 +261,11 @@ def decorrelate(batch: SampleBatch, sigma: float, mode: str = DECORRELATE_MOMENT
     columns are centered first when n > d (at n = d centering would cost
     a rank) and rescaled to the unbiased n - 1 standard deviation; this
     is the normalization that reproduces the published benchmark errors.
-    The work copy is column-major, the layout LAPACK reads, and numpy's
-    bundled dgeqrf and dorgqr factor it in place: Q and R carry the bits
-    of ``np.linalg.qr``, without its copies, and without holding the GIL.
+    The work copy is column-major float64, the layout LAPACK reads, and
+    numpy's bundled dgeqrf and dorgqr factor it in place: Q and R carry
+    the bits of ``np.linalg.qr``, without its copies, and without holding
+    the GIL. A numpy build that does not export them factors the copy
+    with ``np.linalg.qr``, to the same bits. The result is float64.
 
     Orthogonalization is a Householder QR with column signs fixed so an
     already-orthogonal input passes through unchanged; it yields the
@@ -287,12 +294,10 @@ def decorrelate(batch: SampleBatch, sigma: float, mode: str = DECORRELATE_MOMENT
     else:
         w = np.array(w, dtype=float, order="F")
     del batch  # so a draw_batch(...) passed straight in is freed before Q is copied out
-    diag = _qr_in_place(w)
+    q, diag = _qr(w)
     tol = n * np.finfo(float).eps * np.abs(diag).max()
     if np.abs(diag).min() <= tol:
         raise DegenerateSampleError("sample columns are numerically rank-deficient")
-    # row-major like numpy's Q, since the combine v.T @ weights sums in layout order
-    q = np.ascontiguousarray(w)
     # flipping a column's sign is exact, so one multiply by +-scale
     # equals flipping and then scaling
     q *= np.where(diag < 0.0, -1.0, 1.0) * (math.sqrt(n - ddof) * sigma)

@@ -161,6 +161,13 @@ class TestTensorMetric:
         with pytest.raises(DomainError, match="ginv must be None or a finite float 3 x 3 array"):
             TensorMetric(3, ginv)
 
+    def test_builder_inverse_checked_once(self):
+        # from_matrix leaves the finite-inverse check to TensorMetric, whose message names it
+        with pytest.raises(DomainError, match=r"got one with non-finite entries \(a metric matrix with no finite"):
+            from_matrix([[1e-310, 0.0], [0.0, 1e-310]])
+        with pytest.raises(DomainError, match="dim must be an integer >= 1, got 0"):
+            identity_metric(0)
+
     @pytest.mark.parametrize("label", [None, 3, b"m"])
     def test_bad_label_rejected(self, label):
         with pytest.raises(DomainError, match="label must be a str"):

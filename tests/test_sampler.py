@@ -20,7 +20,7 @@ from lpgrad.sampler import (
     RadialLaw,
     SampleBatch,
     _pgauss_matrix,
-    _qr_in_place,
+    _qr,
     decorrelate,
     draw_batch,
     log_direction_moment,
@@ -452,8 +452,9 @@ class TestDecorrelate:
         a = np.random.default_rng(sum(shape)).normal(size=shape)
         q, r = np.linalg.qr(a)
         w = np.array(a, order="F")
-        assert _qr_in_place(w).tobytes() == np.diag(r).tobytes()
-        assert w.tobytes("C") == q.tobytes("C")
+        q_in_place, diag = _qr(w)
+        assert diag.tobytes() == np.diag(r).tobytes()
+        assert q_in_place.tobytes("A") == q.tobytes("A") and q_in_place.flags.c_contiguous
         n, d = shape
         for mode in ("moment", "sample"):
             for order in "CF":
@@ -474,12 +475,28 @@ class TestDecorrelate:
             threaded = list(pool.map(lambda batch: decorrelate(batch, 0.3, "sample").values, batches))
         assert [v.tobytes() for v in threaded] == [v.tobytes() for v in serial]
 
-    def test_numpy_without_the_lapack_symbols(self, monkeypatch):
-        # import lpgrad needs no LAPACK; decorrelate names the numpy build it lacks
-        sampler._lapack.cache_clear()
-        monkeypatch.setattr(sampler.ctypes, "CDLL", lambda path: types.SimpleNamespace())
-        with pytest.raises(LpgradError, match=f"numpy {re.escape(np.__version__)} .* does not export them"):
-            decorrelate(self.make(), 0.3)
+    @pytest.mark.parametrize("lib", [types.SimpleNamespace(), OSError("no such library")], ids=["no-symbols", "no-library"])
+    def test_numpy_without_the_lapack_symbols(self, monkeypatch, lib):
+        def cdll(path):
+            if isinstance(lib, Exception):
+                raise lib
+            return lib
+        monkeypatch.setattr(sampler.ctypes, "CDLL", cdll)
+        assert sampler._lapack.__wrapped__() is None
+
+    @pytest.mark.parametrize("shape", [(400, 200), (50, 10), (7, 7)], ids=lambda shape: "x".join(map(str, shape)))
+    def test_numpy_qr_path_keeps_the_bits(self, monkeypatch, shape):
+        # a numpy build without the symbols factors with np.linalg.qr, to the same batch
+        a = np.random.default_rng(sum(shape)).normal(size=shape)
+        batches = [SampleBatch(np.array(a, order=order)) for order in "CF"]
+        batches.append(SampleBatch(a.astype(np.float32)))
+        cases = [(batch, mode) for batch in batches for mode in ("moment", "sample")]
+        in_place = [decorrelate(batch, 0.3, mode).values for batch, mode in cases]
+        monkeypatch.setattr(sampler, "_lapack", lambda: None)
+        for (batch, mode), expected in zip(cases, in_place):
+            out = decorrelate(batch, 0.3, mode).values
+            assert out.tobytes() == expected.tobytes() and out.dtype == np.float64, mode
+            assert out.flags.c_contiguous and not out.flags.writeable
 
     def test_lapack_error_raised(self):
         geqrf, _ = sampler._lapack()
