@@ -151,8 +151,8 @@ def central_fdm(f: ObjectiveFunction, x, h: float) -> np.ndarray:
         block[rows - i, rows // 2] += np.where(rows % 2 == 0, h, -h)
         return block
 
-    values = _evaluate_rows(f, 2 * x.shape[0], points)
-    with np.errstate(all="ignore"):  # a non-finite difference raises below
+    with np.errstate(all="ignore"):  # an overflowed point reaches f as inf; a non-finite difference raises below
+        values = _evaluate_rows(f, 2 * x.shape[0], points)
         grad = (values[0::2] - values[1::2]) / (2.0 * h)
     if not np.isfinite(grad).all():
         raise EvaluationError("the central-difference estimate is not finite", point=x.copy())
@@ -300,8 +300,9 @@ def moments_report(d: int, p: float, draws: int, seed: int, sigma: float = 1.0):
     Returns a list of (name, analytic, empirical, z) covering
     E[|U_1|^q] for q <= 4, E[U_1^2 |U_2|], the E[V_1^2] = sigma^2
     calibration and E[R_0^q] for q <= 4. The draws come in chunks with
-    seeds derived from ``seed``; each moment's mean and variance are
-    merged chunk by chunk (Chan, Golub and LeVeque's pairwise update).
+    seeds derived from ``seed``. Each chunk gives the count, mean and sum
+    of squared deviations from that mean of its samples, and after the
+    last chunk these are merged once (Chan, Golub and LeVeque's formula).
     Samples are divided by their positive analytic value first, so the
     merge works on numbers near 1; a moment it cannot score gets a nan z.
     """
@@ -322,29 +323,26 @@ def moments_report(d: int, p: float, draws: int, seed: int, sigma: float = 1.0):
     draws = _check_int("draws", draws, 1)
     rows = max(1, _MOMENTS_CHUNK_ELEMENTS // d)
     scale = np.array([ana for _, ana in analytic])[:, None]
-    count = 0
+
+    def chunk(start: int):
+        """(count, mean, M2) of the scaled samples of the chunk that starts at draw ``start``."""
+        v = draw_batch(law, radial, min(rows, draws - start), d, derive_seed(seed, start // rows)).values
+        samples = np.array(_moment_samples(v, p)) / scale
+        mean = samples.mean(axis=1)
+        samples -= mean[:, None]  # deviations from the chunk's own mean, so a constant moment has none
+        samples **= 2
+        return samples.shape[1], mean, samples.sum(axis=1)
+
     with np.errstate(all="ignore"):  # an overflowed moment gives a nan z
-        for k, start in enumerate(range(0, draws, rows)):
-            v = draw_batch(law, radial, min(rows, draws - start), d, derive_seed(seed, k)).values
-            chunk = np.array(_moment_samples(v, p)) / scale
-            n = chunk.shape[1]
-            chunk_mean = chunk.mean(axis=1)
-            chunk -= chunk_mean[:, None]
-            chunk **= 2
-            chunk_m2 = chunk.sum(axis=1)
-            if count == 0:
-                mean, m2 = chunk_mean, chunk_m2
-            else:
-                delta = chunk_mean - mean
-                mean = mean + delta * (n / (count + n))
-                m2 = m2 + chunk_m2 + delta**2 * (count * n / (count + n))
-            count += n
+        counts, means, m2s = map(np.array, zip(*map(chunk, range(0, draws, rows))))
+        mean = counts @ means / draws
+        m2 = m2s.sum(axis=0) + counts @ (means - mean) ** 2
     checks = []
-    for (name, ana), emp, sd in zip(analytic, mean.tolist(), np.sqrt(m2 / count).tolist()):
+    for (name, ana), emp, sd in zip(analytic, mean.tolist(), np.sqrt(m2 / draws).tolist()):
         if sd == 0.0:
             z = 0.0 if emp == 1.0 else math.inf
         else:
-            z = (emp - 1.0) / (sd / math.sqrt(count))
+            z = (emp - 1.0) / (sd / math.sqrt(draws))
         checks.append((name, ana, emp * ana, z))
     return checks
 

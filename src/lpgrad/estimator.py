@@ -142,13 +142,13 @@ def _evaluate_rows(f: ObjectiveFunction, n: int, rows: Callable) -> np.ndarray:
     """f at n points, where ``rows(i, j)`` builds points i..j-1 as a
     ``(j - i, f.dim)`` array: one rows call of f per block of at most
     ``_EVAL_BLOCK_BYTES``, in order, so a failure stops at its block.
-    A point beyond the float range reaches f as inf, without a warning."""
+    The caller holds the ``np.errstate`` under which a point beyond the float
+    range reaches f as inf, without a warning."""
     step = max(1, _EVAL_BLOCK_BYTES // (8 * f.dim))
     out = np.empty(n)
-    with np.errstate(all="ignore"):  # f raises at a non-finite value
-        for i in range(0, n, step):
-            j = min(i + step, n)
-            out[i:j] = f(rows(i, j))
+    for i in range(0, n, step):
+        j = min(i + step, n)
+        out[i:j] = f(rows(i, j))
     return out
 
 

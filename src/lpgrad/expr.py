@@ -6,7 +6,8 @@ exactly ``sum := product {+|- product}``, ``product := factor {*|/ factor}``,
 | name(sum, ...)`` (sin, cos, exp, sum, pow). Chains are loops, of any length;
 calls, ``^``, unary minus and parentheses each nest one level, at most
 ``_MAX_DEPTH``. The callable takes a point ``(d,)`` or rows ``(N, d)``; scalar
-terms keep a length-1 last axis, so they broadcast against ``x`` row by row.
+terms keep a length-1 last axis, so they broadcast against ``x`` row by row, and
+constants are numpy scalars, computed at each call like every other term.
 """
 from __future__ import annotations
 
@@ -33,11 +34,10 @@ _FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
 @dataclass(frozen=True)
 class _Node:
     """A compiled subexpression. ``fn`` maps x ``(..., d)`` to ``(..., d)`` for a
-    vector and to ``(..., 1)`` for a scalar; a constant carries its ``value``."""
+    vector and to ``(..., 1)`` for a scalar; a constant's ``fn`` returns an ``np.float64``."""
 
     fn: Callable
     vector: bool = False
-    value: np.float64 | None = None
 
 
 def _quote(text: str) -> str:
@@ -46,11 +46,7 @@ def _quote(text: str) -> str:
 
 
 def _apply(op, *args: _Node) -> _Node:
-    """``op`` of the argument nodes, folded now when every argument is constant."""
-    if all(a.value is not None for a in args):
-        with np.errstate(all="ignore"):  # 1/0 folds to inf, rejected when called
-            value = op(*(a.value for a in args))
-        return _Node(lambda x: value, value=value)
+    """``op`` of the argument nodes."""
     fns = [a.fn for a in args]
     return _Node(lambda x: op(*[f(x) for f in fns]), any(a.vector for a in args))
 
@@ -83,25 +79,22 @@ class _Reader:
 
     def chain(self, depth: int, signs: tuple = ("+", "-", "*", "/")) -> _Node:
         """A chain of ``signs[:2]`` over chains of ``signs[2:]`` or, with none left, factors,
-        folded left to right: the constant prefix now, the rest in one loop."""
+        folded left to right in one loop."""
         read = (lambda: self.chain(depth, signs[2:])) if signs[2:] else (lambda: self.factor(depth))
-        nodes, ops = [read()], [None]
+        nodes, ops = [read()], []
         while self.tokens[self.pos] in signs[:2]:
             ops.append(_OPS[self.tokens[self.pos]])
             self.pos += 1
             nodes.append(read())
-        head, k = nodes[0], 1
-        while k < len(nodes) and head.value is not None:
-            head, k = _apply(ops[k], head, nodes[k]), k + 1
-        rest = [(op, node.fn) for op, node in zip(ops[k:], nodes[k:])]
+        head, rest = nodes[0].fn, [(op, node.fn) for op, node in zip(ops, nodes[1:])]
 
         def fn(x):
-            value = head.fn(x)
+            value = head(x)
             for op, f in rest:
                 value = op(value, f(x))
             return value
 
-        return _Node(fn, any(node.vector for node in nodes)) if rest else head
+        return _Node(fn, any(node.vector for node in nodes)) if rest else nodes[0]
 
     def factor(self, depth: int) -> _Node:
         """``- factor`` or ``atom [^ factor]``; each operand is one level deeper."""
@@ -129,13 +122,14 @@ class _Reader:
             self.take(")") or self.fail()
             if len(args) != 1 + (tok == "pow"):
                 raise DomainError(f"wrong arguments in {_quote(self.text[column - 1:self.columns[self.pos - 1]])}")
-            if tok == "(" or tok == "sum" and args[0].value is not None:
-                return args[0]  # a chain in parentheses, or the sum of one number
+            if tok == "(" or tok == "sum" and not args[0].vector:
+                return args[0]  # a chain in parentheses, or the sum of one scalar term
             if tok == "sum":
                 return _Node(lambda x, f=args[0].fn: np.sum(f(x), axis=-1, keepdims=True))
             return _power(*args) if tok == "pow" else _apply(_FUNCS[tok], *args)
         if _NUMBER.fullmatch(tok):
-            return _apply(lambda: np.float64(tok))  # folded; numpy scalars give inf as x does
+            value = np.float64(tok)  # a numpy scalar gives inf, as an array does
+            return _Node(lambda x: value)
         if tok == "x":
             return _Node(lambda x: x, vector=True)
         if re.fullmatch(r"x\d+", tok):
@@ -162,7 +156,9 @@ def compile_expression(text: str, dim: int):
 
     def fun(x):
         x = np.asarray(x, dtype=float)
-        out = node.fn(x)[..., 0] if node.value is None else np.full(x.shape[:-1], node.value)
+        with np.errstate(all="ignore"):  # 1/0 is inf, as the grammar's numpy arithmetic gives
+            out = node.fn(x)
+        out = out[..., 0] if np.ndim(out) else np.full(x.shape[:-1], out)  # a constant: one value per row
         return float(out) if out.ndim == 0 else out
 
     return fun
