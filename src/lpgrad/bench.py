@@ -30,6 +30,7 @@ from .estimator import (
     ObjectiveFunction,
     _check_dims,
     _check_point,
+    _check_sizes,
     _evaluate_rows,
     _with_n,
     estimate_gradient,
@@ -216,6 +217,7 @@ class ExperimentSpec:
         for name, cls in (("function", ObjectiveFunction), ("metric", TensorMetric), ("cfg", EstimatorConfig)):
             _check_type(name, getattr(self, name), cls)
         _check_dims(self.function, self.metric)
+        _check_sizes(self.cfg, self.function.dim)
 
 
 @dataclass(frozen=True)
@@ -451,7 +453,8 @@ def mse_sweep(spec: ExperimentSpec, n_values, threads: int = 1):
     squared euclidean distance between the estimate and the
     metric-transformed reference gradient. Per-(N, rep) seeds derive from
     (spec.seed, N, rep) so sweeps with different laws pair up by seed.
-    A failed trial is left out of its N's mean.
+    A size the stencil cannot use (N = 1 with L = 1) raises DomainError
+    before any trial; a failed trial is left out of its N's mean.
 
     Returns (points, slope, notes) with points a list of (n, mse) and
     notes the count of failed (N, rep) trials per distinct note, empty
@@ -463,8 +466,10 @@ def mse_sweep(spec: ExperimentSpec, n_values, threads: int = 1):
         raise DomainError("mse_sweep needs at least two distinct sample sizes")
     if spec.cfg.decorrelate is not None:
         raise DomainError(f"mse_sweep measures raw batches, got decorrelate={spec.cfg.decorrelate!r}")
-    ref = _reference(spec.function, spec.metric)
     cfgs = [_with_n(spec.cfg, n) for n in n_values]
+    for cfg in cfgs:
+        _check_sizes(cfg, spec.function.dim)
+    ref = _reference(spec.function, spec.metric)
     jobs = [(cfg, derive_seed(spec.seed, cfg.n, rep)) for cfg in cfgs for rep in range(spec.reps)]
     trials = _map(lambda job: _trial(spec, *job), jobs, threads)
     grads = [grad for grad, *_ in trials]

@@ -26,6 +26,7 @@ from .sampler import (
     SPHERE,
     DirectionLaw,
     RadialLaw,
+    _check_decorrelate_sizes,
     decorrelate,
     draw_batch,
     log_direction_moment,
@@ -159,6 +160,8 @@ class EstimatorConfig:
     ``radial.sigma`` is the one sigma of a run: it calibrates every
     direction law and divides the final sum. ``decorrelate`` is None
     for the raw batch, or the ``sampler.decorrelate`` mode to apply.
+    A run checks ``n`` against the stencil and the dimension before it
+    draws, so a config that only a bias bound reads may hold any n.
     """
 
     scheme: PointScheme
@@ -179,6 +182,16 @@ class EstimatorConfig:
         if width > 0.5:
             log.warning(f"beta_max * h * sigma = {width:.3g} exceeds 1/2; consider a smaller h or sigma",
                         stacklevel=3)  # the caller of the generated __init__
+
+
+def _check_sizes(cfg: EstimatorConfig, d: int) -> None:
+    """The sample size a run of ``cfg`` in dimension d needs: the one-point
+    stencil's batch-mean centering cancels a single value, and a decorrelated
+    run needs what ``decorrelate`` does."""
+    if cfg.scheme.l == 1 and cfg.n < 2:
+        raise DomainError("the one-point stencil centers by the batch mean, so it needs n >= 2")
+    if cfg.decorrelate is not None:
+        _check_decorrelate_sizes(cfg.n, d, cfg.decorrelate)
 
 
 def _with_n(cfg: EstimatorConfig, n: int) -> EstimatorConfig:
@@ -212,8 +225,9 @@ def estimate_gradient(
     L = 1 centering mean reuses the same evaluations). Raises
     ``EvaluationError`` at the first non-finite objective value, and when
     the estimate itself is not finite (e.g. it overflows); an overflow in a
-    point, value or sum prints no numpy warning. A non-finite ``x`` raises
-    ``DomainError`` before any evaluation.
+    point, value or sum prints no numpy warning. A non-finite ``x``, or an
+    n below what the stencil or decorrelation needs (n >= 2 for L = 1, n >= d
+    decorrelated), raises ``DomainError`` before the draw.
     """
     for name, value, cls in (("f", f, ObjectiveFunction), ("cfg", cfg, EstimatorConfig),
                              ("metric", metric, TensorMetric)):
@@ -221,6 +235,7 @@ def estimate_gradient(
     x = _check_point(f, x)
     _check_dims(f, metric)
     d = x.shape[0]
+    _check_sizes(cfg, d)
     scheme = cfg.scheme
     if cfg.decorrelate is None:
         v = draw_batch(cfg.law, cfg.radial, cfg.n, d, seed).values

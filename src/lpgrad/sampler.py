@@ -253,6 +253,14 @@ def _qr(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.ascontiguousarray(w), diag
 
 
+def _check_decorrelate_sizes(n: int, d: int, mode: str) -> None:
+    """The batch sizes ``decorrelate`` needs: n >= d, and n >= 2 in sample mode."""
+    if n < d:
+        raise DomainError(f"decorrelation needs at least as many samples as dimensions (n={n} < d={d})")
+    if mode == DECORRELATE_SAMPLE and n < 2:
+        raise DomainError("sample-convention decorrelation needs n >= 2")
+
+
 def decorrelate(batch: SampleBatch, sigma: float, mode: str = DECORRELATE_MOMENT) -> SampleBatch:
     """Orthogonalize the batch columns and pin their empirical scale.
 
@@ -281,14 +289,9 @@ def decorrelate(batch: SampleBatch, sigma: float, mode: str = DECORRELATE_MOMENT
     if mode not in DECORRELATE_MODES:
         raise DomainError(f"unknown decorrelate mode {mode!r}")
     _check_real("sigma", sigma, 0.0)
-    if n < d:
-        raise DomainError(
-            f"decorrelation needs at least as many samples as dimensions (n={n} < d={d})"
-        )
+    _check_decorrelate_sizes(n, d, mode)
     sample = mode == DECORRELATE_SAMPLE
     ddof = 1 if sample else 0
-    if n <= ddof:
-        raise DomainError("sample-convention decorrelation needs n >= 2")
     if sample and n > d:
         w = np.subtract(w, w.mean(axis=0), order="F", dtype=float)
     else:

@@ -395,11 +395,24 @@ class TestRunExperiment:
         # rows, failure notes included, depend only on (seed, rep)
         run = RunConfig(function="rosenbrock", d=d, p=3.0, l=l, n=n, h=1e-3, sigma=0.05,
                         law=law, radial=radial, decorrelate=decorrelate, reps=5, seed=seed)
+        if l == 1 and n < 2 or decorrelate and n < d:  # a size no rep can use is rejected with the spec
+            with pytest.raises(DomainError, match="needs"):
+                _build_spec(run)
+            return
         spec = _build_spec(run)
         rows_1, _ = run_experiment(spec, threads=1)
         rows_3, _ = run_experiment(spec, threads=3)
         assert [repr(replace(r, wall_ms=0.0)) for r in rows_1] == \
             [repr(replace(r, wall_ms=0.0)) for r in rows_3]
+
+    @pytest.mark.parametrize("n,d", [(4, 10), (1, 1)])
+    def test_decorrelated_spec_needs_what_decorrelate_needs(self, n, d):
+        # rejected with the spec, in decorrelate's own words, instead of failing every rep
+        with pytest.raises(DomainError) as spec_error:
+            quick_spec(n=n, d=d, decorrelate="sample")
+        with pytest.raises(DomainError) as batch_error:
+            sampler.decorrelate(sampler.SampleBatch(np.ones((n, d))), 0.01, "sample")
+        assert str(spec_error.value) == str(batch_error.value)
 
     def test_zero_direction_fails_only_its_rep(self, monkeypatch):
         # rep 2's first draw gets a row of zeros; a redraw from the same
@@ -578,6 +591,12 @@ class TestMseSweep:
     def test_requires_two_sizes(self):
         with pytest.raises(DomainError):
             mse_sweep(quick_spec(), [32])
+
+    def test_one_point_size_one_rejected_before_any_trial(self, monkeypatch):
+        # n = 1 centers its one value away: a zero estimate whose MSE, |g|^2, would be fitted
+        monkeypatch.setattr(bench, "_trial", lambda *args: pytest.fail("a trial ran"))
+        with pytest.raises(DomainError, match="one-point stencil centers by the batch mean, so it needs n >= 2"):
+            mse_sweep(quick_spec(scheme=one_point()), [1, 8, 64])
 
     @pytest.mark.parametrize("mode", ["moment", "sample"])
     def test_decorrelated_spec_rejected(self, mode):

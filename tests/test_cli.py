@@ -58,6 +58,14 @@ class TestEstimate:
     def test_missing_d_is_usage_error(self, capsys):
         assert main(["estimate", "--function", "rosenbrock"]) == 2
 
+    def test_one_point_single_sample_is_usage_error(self, capsys):
+        # one value is its own batch mean, so every rep's estimate would be exactly zero (err = 1)
+        code = main(["estimate", "--function", "rosenbrock", "--d", "3", "--N", "1", "--L", "1",
+                     "--sigma", "0.1", "--reps", "3"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: the one-point stencil centers by the batch mean, so it needs n >= 2\n"
+
     def test_decorrelate_needs_n_ge_d(self, capsys):
         code = main([
             "estimate", "--function", "rosenbrock", "--d", "50",
@@ -654,7 +662,8 @@ class TestMseSweep:
 
 
 class TestGoldenOutput:
-    """Byte-for-byte CSV output, timing column aside, pinned by fixture files."""
+    """Byte-for-byte CSV output, timing column aside, and moments-check
+    stdout, pinned by fixture files."""
 
     @pytest.mark.parametrize("argv,fixture,timed", [
         (["table", "--name", "t2", "--reps", "2", "--seed", "0"],
@@ -686,6 +695,15 @@ class TestGoldenOutput:
             rows = strip_wall_ms(rows)
         text = "".join(",".join(row) + "\n" for row in rows)
         assert text == (GOLDEN / fixture).read_text()
+
+    @pytest.mark.parametrize("argv,fixture", [
+        (["--d", "10", "--p", "3", "--draws", "100000"], "moments_check_d10_p3_draws100000.txt"),
+        (["--d", "5", "--p", "5000", "--draws", "100000", "--sigma", "0.3"],
+         "moments_check_d5_p5000_draws100000_sigma0.3.txt"),
+    ])
+    def test_moments_check_matches_fixture(self, capsys, argv, fixture):
+        assert main(["moments-check", *argv]) == 0
+        assert capsys.readouterr().out == (GOLDEN / fixture).read_text()
 
 
 # bounded values per flag, valid and invalid alike; None is a bare flag

@@ -232,6 +232,15 @@ class TestBiasBoundSanity:
 
 
 class TestAccountingAndErrors:
+    def test_one_point_needs_two_samples(self):
+        # the bound-only config stays buildable, but a run of it would
+        # center its one value away and return exact zeros
+        f = ObjectiveFunction(fun=lambda x: float(x.sum()), dim=3)
+        cfg = bound_config(3.0, 0.01, RadialLaw("uniform", 0.1))
+        with pytest.raises(DomainError, match="one-point stencil centers by the batch mean, so it needs n >= 2"):
+            estimate_gradient(f, np.zeros(3), cfg, identity_metric(3))
+        assert f.eval_count == 0
+
     def test_eval_counts(self):
         d = 4
         f = ObjectiveFunction(fun=lambda x: float(x @ x), dim=d)
@@ -428,6 +437,10 @@ class TestConstantShift:
         for scheme in schemes:
             cfg = base_config(d, n=n, scheme=scheme, h=0.1,
                               radial=RadialLaw("uniform", 0.1), decorrelate=None)
+            if scheme.l == 1 and n < 2:  # one value is its own batch mean, so the run is rejected
+                with pytest.raises(DomainError, match="n >= 2"):
+                    estimate_gradient(ObjectiveFunction(fun=fun, dim=d), x, cfg, identity_metric(d), seed=seed)
+                continue
             base = estimate_gradient(ObjectiveFunction(fun=fun, dim=d), x, cfg, identity_metric(d), seed=seed)
             moved = estimate_gradient(
                 ObjectiveFunction(fun=lambda z: fun(z) + shift, dim=d), x, cfg, identity_metric(d), seed=seed

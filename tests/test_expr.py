@@ -99,6 +99,15 @@ class TestCompileExpression:
         ("8/4/2", lambda a, b: np.float64(8) / np.float64(4) / np.float64(2)),
         ("x1 + 2^x2*3", lambda a, b: a + np.float64(2) ** b * np.float64(3)),
         ("1.05 - 1e05 ", lambda a, b: np.float64(1.05) - np.float64(1e5)),
+        # constant subexpressions, alone and inside chains, calls, sums and powers
+        ("2*3*x1", lambda a, b: np.float64(2) * np.float64(3) * a),
+        ("x1*2*3", lambda a, b: a * np.float64(2) * np.float64(3)),
+        ("sin(2)*x1", lambda a, b: np.sin(np.float64(2)) * a),
+        ("sum(3) + x1", lambda a, b: np.float64(3) + a),
+        ("sum(x1) + x2", lambda a, b: a + b),
+        ("-2^2*x1", lambda a, b: -(np.float64(2) ** np.float64(2)) * a),
+        ("(1 + 2)^x1", lambda a, b: (np.float64(1) + np.float64(2)) ** a),
+        ("exp(1)/7 - x2", lambda a, b: np.exp(np.float64(1)) / np.float64(7) - b),
     ])
     def test_values_match_numpy_scalar_arithmetic(self, text, expected):
         rows = np.random.default_rng(3).normal(size=(4, 2))

@@ -9,8 +9,10 @@ otherwise pay before its first estimate. And the library
 has one channel for advisories, the ``lpgrad`` logger: no module imports
 ``warnings``, and none configures the logger, which is the application's to
 configure. No line of the library is excluded from coverage: a path that
-no test reaches is deleted, not hidden."""
+no test reaches is deleted, not hidden. And every name that the benchmark
+harness wraps is still the name the library calls."""
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -19,6 +21,7 @@ from pathlib import Path
 from lpgrad import sampler
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+PERFBENCH = PYPROJECT.parent / "perfbench" / "run.py"
 CLI = Path(sampler.__file__).with_name("cli.py")
 SRC = CLI.parent
 
@@ -130,3 +133,40 @@ def test_no_line_is_excluded_from_coverage():
     excluded = [f"{path.name}:{number}" for path in sorted(SRC.glob("*.py"))
                 for number, line in enumerate(path.read_text().splitlines(), 1) if "pragma: no cover" in line]
     assert excluded == []
+
+
+def _called(tree) -> set:
+    """(owner, name) of each call in ``tree``: owner None for a bare name, else the name before the dot."""
+    called = set()
+    for node in ast.walk(tree):
+        func = getattr(node, "func", None)
+        if isinstance(node, ast.Call) and isinstance(func, ast.Name):
+            called.add((None, func.id))
+        elif isinstance(node, ast.Call) and isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+            called.add((func.value.id, func.attr))
+    return called
+
+
+def test_perfbench_seams_are_looked_up_at_call_time():
+    # the benchmark times a layer by replacing a module global or a class
+    # attribute while it runs, so the library must call each one through
+    # that name: bare inside its module, or as module.name from another one
+    targets = []
+    for node in ast.parse(PERFBENCH.read_text()).body:
+        if isinstance(node, ast.FunctionDef) and node.name in ("layer_targets", "estimate_target"):
+            targets += [(ast.unparse(call.args[0]).split(".")[1:], call.args[1].value) for call in ast.walk(node)
+                        if isinstance(call, ast.Call) and getattr(call.func, "id", "") == "Target"]
+    assert len(targets) == 11
+    called = {path.stem: _called(ast.parse(path.read_text())) for path in SRC.glob("*.py")}
+    bypassed = []
+    for (module, *classes), name in targets:
+        owner = importlib.import_module(f"lpgrad.{module}")
+        for cls in classes:
+            owner = getattr(owner, cls)
+        if classes:  # a call of an instance looks the method up on its class
+            seen = name in vars(owner)
+        else:
+            seen = hasattr(owner, name) and ((None, name) in called[module] or any(
+                (module, name) in calls for stem, calls in called.items() if stem != module))
+        bypassed += [] if seen else [".".join([module, *classes, name])]
+    assert bypassed == []
