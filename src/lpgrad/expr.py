@@ -128,7 +128,7 @@ class _Reader:
                 return _Node(lambda x, f=args[0].fn: np.sum(f(x), axis=-1, keepdims=True))
             return _power(*args) if tok == "pow" else _apply(_FUNCS[tok], *args)
         if _NUMBER.fullmatch(tok):
-            value = np.float64(tok)  # a numpy scalar gives inf, as an array does
+            value = np.float64(tok)  # numpy scalar arithmetic overflows to inf, as on arrays
             return _Node(lambda x: value)
         if tok == "x":
             return _Node(lambda x: x, vector=True)
@@ -156,7 +156,7 @@ def compile_expression(text: str, dim: int):
 
     def fun(x):
         x = np.asarray(x, dtype=float)
-        with np.errstate(all="ignore"):  # 1/0 is inf, as the grammar's numpy arithmetic gives
+        with np.errstate(all="ignore"):  # 1/0 or an overflow gives inf, without a numpy warning
             out = node.fn(x)
         out = out[..., 0] if np.ndim(out) else np.full(x.shape[:-1], out)  # a constant: one value per row
         return float(out) if out.ndim == 0 else out
